@@ -15,7 +15,6 @@ import (
 	"repro/internal/baseline"
 	"repro/internal/bitset"
 	"repro/internal/circuit"
-	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/enumerate"
 	"repro/internal/experiments"
@@ -37,13 +36,25 @@ func mustTree(b *testing.B, shape string, n int, rng *rand.Rand) *tree.Unranked 
 	return t
 }
 
-func mustEnum(b *testing.B, t *tree.Unranked, q *tva.Unranked, opts core.Options) *core.TreeEnumerator {
+// oneQuery is one standing query on a TreeSet, the shape the
+// single-query benchmarks drive: edits go through Apply / ApplyBatch,
+// reads through the query's slice of the latest publication.
+type oneQuery struct {
+	*engine.TreeSet
+	id engine.QueryID
+}
+
+func (e oneQuery) snap() *engine.Snapshot { return e.Snapshot().Query(e.id) }
+
+// mustEnum registers q as the one standing query on a fresh TreeSet.
+func mustEnum(b *testing.B, t *tree.Unranked, q *tva.Unranked, opts engine.Options) oneQuery {
 	b.Helper()
-	e, err := core.NewTreeEnumerator(t, q, opts)
+	s := engine.NewTreeSet(t)
+	id, err := s.Register(q, opts)
 	if err != nil {
 		b.Fatal(err)
 	}
-	return e
+	return oneQuery{s, id}
 }
 
 // BenchmarkE1Table1 measures one update followed by re-enumerating the
@@ -55,7 +66,7 @@ func BenchmarkE1Table1(b *testing.B) {
 		rng := rand.New(rand.NewSource(1))
 		ut := mustTree(b, workload.ShapeRandom, n, rng)
 		b.Run(fmt.Sprintf("ours/n=%d", n), func(b *testing.B) {
-			e := mustEnum(b, ut.Clone(), q, core.Options{})
+			e := mustEnum(b, ut.Clone(), q, engine.Options{})
 			ed := workload.NewEditor(e, rng)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -63,7 +74,7 @@ func BenchmarkE1Table1(b *testing.B) {
 					b.Fatal(err)
 				}
 				k := 0
-				for range e.Results() {
+				for range e.snap().Results() {
 					if k++; k >= 10 {
 						break
 					}
@@ -71,7 +82,7 @@ func BenchmarkE1Table1(b *testing.B) {
 			}
 		})
 		b.Run(fmt.Sprintf("rebuild/n=%d", n), func(b *testing.B) {
-			e, err := baseline.NewRebuildEnumerator(ut.Clone(), q, core.Options{})
+			e, err := baseline.NewRebuildEnumerator(ut.Clone(), q, engine.Options{})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -102,7 +113,7 @@ func BenchmarkE2Preprocessing(b *testing.B) {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				e := mustEnum(b, ut.Clone(), q, core.Options{})
+				e := mustEnum(b, ut.Clone(), q, engine.Options{})
 				_ = e
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/node")
@@ -115,12 +126,12 @@ func BenchmarkE3Delay(b *testing.B) {
 	q := workload.AncestorQuery()
 	for _, n := range []int{1000, 16000, 256000} {
 		rng := rand.New(rand.NewSource(3))
-		e := mustEnum(b, mustTree(b, workload.ShapeRandom, n, rng), q, core.Options{})
+		e := mustEnum(b, mustTree(b, workload.ShapeRandom, n, rng), q, engine.Options{})
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			produced := 0
 			b.ResetTimer()
 			for produced < b.N {
-				for range e.Results() {
+				for range e.snap().Results() {
 					if produced++; produced >= b.N {
 						break
 					}
@@ -136,7 +147,7 @@ func BenchmarkE4Updates(b *testing.B) {
 	q := workload.AncestorQuery()
 	for _, n := range []int{1000, 16000, 256000} {
 		rng := rand.New(rand.NewSource(4))
-		e := mustEnum(b, mustTree(b, workload.ShapeRandom, n, rng), q, core.Options{})
+		e := mustEnum(b, mustTree(b, workload.ShapeRandom, n, rng), q, engine.Options{})
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			ed := workload.NewEditor(e, rng)
 			b.ResetTimer()
@@ -159,7 +170,7 @@ func BenchmarkE5Combined(b *testing.B) {
 		q := tva.DescendantAtDepth(alpha, "b", k, 0)
 		b.Run(fmt.Sprintf("ours/k=%d", k), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				mustEnum(b, ut.Clone(), q, core.Options{})
+				mustEnum(b, ut.Clone(), q, engine.Options{})
 			}
 		})
 		b.Run(fmt.Sprintf("determinize/k=%d", k), func(b *testing.B) {
@@ -184,14 +195,18 @@ func BenchmarkE6Words(b *testing.B) {
 	}
 	for _, n := range []int{1000, 16000, 256000} {
 		rng := rand.New(rand.NewSource(6))
-		e, err := core.NewWordEnumerator(workload.Word(n, rng), q, core.Options{})
+		e, err := engine.NewWordSet(workload.Word(n, rng))
 		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := e.Register(q, engine.Options{}); err != nil {
 			b.Fatal(err)
 		}
 		b.Run(fmt.Sprintf("update/n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				ids, _ := e.Word()
-				if err := e.Relabel(ids[rng.Intn(len(ids))], workload.Word(1, rng)[0]); err != nil {
+				u := engine.Update{Op: engine.OpRelabel, Node: ids[rng.Intn(len(ids))], Label: workload.Word(1, rng)[0]}
+				if _, err := e.Apply(u); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -299,9 +314,9 @@ func BenchmarkE9CircuitSize(b *testing.B) {
 		rng := rand.New(rand.NewSource(9))
 		ut := mustTree(b, workload.ShapeRandom, n, rng)
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			var st core.Stats
+			var st engine.Stats
 			for i := 0; i < b.N; i++ {
-				st = mustEnum(b, ut.Clone(), q, core.Options{}).Stats()
+				st = mustEnum(b, ut.Clone(), q, engine.Options{}).snap().Stats()
 			}
 			gates := st.UnionGates + st.TimesGates + st.VarGates
 			b.ReportMetric(float64(gates)/float64(n), "gates/node")
@@ -381,10 +396,7 @@ func BenchmarkConcurrentReaders(b *testing.B) {
 	ut := mustTree(b, workload.ShapeRandom, 20000, rng)
 	for _, readers := range []int{1, 4, 16} {
 		b.Run(fmt.Sprintf("readers=%d", readers), func(b *testing.B) {
-			eng, err := engine.NewTree(ut.Clone(), q, engine.Options{})
-			if err != nil {
-				b.Fatal(err)
-			}
+			eng := mustEnum(b, ut.Clone(), q, engine.Options{})
 			var stopWriter atomic.Bool
 			var writerWG sync.WaitGroup
 			writerWG.Add(1)
@@ -396,7 +408,7 @@ func BenchmarkConcurrentReaders(b *testing.B) {
 				nodes := eng.Tree().Nodes()
 				for !stopWriter.Load() {
 					n := nodes[wrng.Intn(len(nodes))]
-					if _, err := eng.Relabel(n.ID, workload.Word(1, wrng)[0]); err != nil {
+					if _, err := eng.Apply(engine.Update{Op: engine.OpRelabel, Node: n.ID, Label: workload.Word(1, wrng)[0]}); err != nil {
 						panic(err)
 					}
 				}
@@ -410,7 +422,7 @@ func BenchmarkConcurrentReaders(b *testing.B) {
 				go func() {
 					defer wg.Done()
 					for produced.Load() < int64(b.N) {
-						for range eng.Snapshot().Results() {
+						for range eng.snap().Results() {
 							if produced.Add(1) >= int64(b.N) {
 								return
 							}
@@ -447,10 +459,7 @@ func BenchmarkApplyBatch(b *testing.B) {
 		return batch
 	}
 	b.Run(fmt.Sprintf("batched/k=%d", k), func(b *testing.B) {
-		eng, err := engine.NewTree(ut.Clone(), q, engine.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
+		eng := mustEnum(b, ut.Clone(), q, engine.Options{})
 		wrng := rand.New(rand.NewSource(23))
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -460,15 +469,12 @@ func BenchmarkApplyBatch(b *testing.B) {
 		}
 	})
 	b.Run(fmt.Sprintf("sequential/k=%d", k), func(b *testing.B) {
-		eng, err := engine.NewTree(ut.Clone(), q, engine.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
+		eng := mustEnum(b, ut.Clone(), q, engine.Options{})
 		wrng := rand.New(rand.NewSource(23))
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			for _, u := range mkBatch(wrng) {
-				if _, err := eng.Relabel(u.Node, u.Label); err != nil {
+				if _, err := eng.Apply(engine.Update{Op: engine.OpRelabel, Node: u.Node, Label: u.Label}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -486,11 +492,8 @@ func BenchmarkDirectAccess(b *testing.B) {
 	rng := rand.New(rand.NewSource(31))
 	ut := mustTree(b, workload.ShapeRandom, 16000, rng)
 	q := tva.SelectLabel([]tree.Label{"a", "b", "c"}, "b", 0)
-	eng, err := engine.NewTree(ut, q, engine.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	snap := eng.Snapshot()
+	eng := mustEnum(b, ut, q, engine.Options{})
+	snap := eng.snap()
 	if !snap.DirectAccess() {
 		b.Fatal("select query must be direct-access capable")
 	}
@@ -555,11 +558,8 @@ func BenchmarkParallelAll(b *testing.B) {
 	rng := rand.New(rand.NewSource(151))
 	ut := mustTree(b, workload.ShapeRandom, 16000, rng)
 	q := tva.SelectLabel([]tree.Label{"a", "b", "c"}, "b", 0)
-	eng, err := engine.NewTree(ut, q, engine.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	snap := eng.Snapshot()
+	eng := mustEnum(b, ut, q, engine.Options{})
+	snap := eng.snap()
 	answers := snap.Count()
 	b.Run("All", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
@@ -635,13 +635,9 @@ func BenchmarkMultiQueryBatch(b *testing.B) {
 		}
 	})
 	b.Run(fmt.Sprintf("independent/k=%d", k), func(b *testing.B) {
-		engines := make([]*engine.TreeEngine, k)
+		engines := make([]oneQuery, k)
 		for i, q := range queries {
-			e, err := engine.NewTree(ut.Clone(), q, engine.Options{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			engines[i] = e
+			engines[i] = mustEnum(b, ut.Clone(), q, engine.Options{})
 		}
 		wrng := rand.New(rand.NewSource(25))
 		b.ResetTimer()
@@ -682,7 +678,7 @@ func BenchmarkParallelPipelines(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				n := nodes[wrng.Intn(len(nodes))]
-				if _, err := qs.Relabel(n.ID, workload.Word(1, wrng)[0]); err != nil {
+				if _, err := qs.Apply(engine.Update{Op: engine.OpRelabel, Node: n.ID, Label: workload.Word(1, wrng)[0]}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -713,10 +709,7 @@ func BenchmarkBoxRepair(b *testing.B) {
 		{"neutral", []tree.Label{"a", "c"}, engine.Options{}},
 	} {
 		b.Run(cfg.name, func(b *testing.B) {
-			eng, err := engine.NewTree(ut.Clone(), q, cfg.opts)
-			if err != nil {
-				b.Fatal(err)
-			}
+			eng := mustEnum(b, ut.Clone(), q, cfg.opts)
 			var ids []tree.NodeID
 			for _, n := range eng.Tree().Nodes() {
 				if cfg.name == "neutral" && n.Label == "b" {
@@ -728,14 +721,14 @@ func BenchmarkBoxRepair(b *testing.B) {
 			// Warm the repair path (and settle the neutral stream onto its
 			// label pool) before timing.
 			for i := 0; i < 64; i++ {
-				if _, err := eng.Relabel(ids[wrng.Intn(len(ids))], cfg.labels[wrng.Intn(len(cfg.labels))]); err != nil {
+				if _, err := eng.Apply(engine.Update{Op: engine.OpRelabel, Node: ids[wrng.Intn(len(ids))], Label: cfg.labels[wrng.Intn(len(cfg.labels))]}); err != nil {
 					b.Fatal(err)
 				}
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := eng.Relabel(ids[wrng.Intn(len(ids))], cfg.labels[wrng.Intn(len(cfg.labels))]); err != nil {
+				if _, err := eng.Apply(engine.Update{Op: engine.OpRelabel, Node: ids[wrng.Intn(len(ids))], Label: cfg.labels[wrng.Intn(len(cfg.labels))]}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -750,12 +743,12 @@ func BenchmarkFacadeQuickstart(b *testing.B) {
 		b.Fatal(err)
 	}
 	q := enumtrees.SelectLabel([]enumtrees.Label{"a", "b"}, "b", 0)
-	e, err := enumtrees.New(tr, q, enumtrees.Options{})
+	e, id, err := enumtrees.New(tr, q, enumtrees.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
 	for i := 0; i < b.N; i++ {
-		if e.Count() != 2 {
+		if e.Snapshot().Query(id).Count() != 2 {
 			b.Fatal("wrong count")
 		}
 	}

@@ -386,42 +386,17 @@ func applyEdit(w io.Writer, qs *enumtrees.QuerySet, ed string) (*enumtrees.Multi
 	if err != nil {
 		return nil, err
 	}
-	switch u.Op {
-	case enumtrees.OpRelabel:
-		return qs.Relabel(u.Node, u.Label)
-	case enumtrees.OpInsertFirstChild:
-		v, m, err := qs.InsertFirstChild(u.Node, u.Label)
-		if err == nil {
-			fmt.Fprintf(w, "  (new node %d)\n", v)
-		}
-		return m, err
-	case enumtrees.OpInsertRightSibling:
-		v, m, err := qs.InsertRightSibling(u.Node, u.Label)
-		if err == nil {
-			fmt.Fprintf(w, "  (new node %d)\n", v)
-		}
-		return m, err
-	case enumtrees.OpDeleteSubtree:
-		return qs.DeleteSubtree(u.Node)
-	case enumtrees.OpMoveSubtreeFirstChild:
-		return qs.MoveSubtreeFirstChild(u.Node, u.Dest)
-	case enumtrees.OpMoveSubtreeRightSibling:
-		return qs.MoveSubtreeRightSibling(u.Node, u.Dest)
-	case enumtrees.OpInsertSubtreeFirstChild:
-		v, m, err := qs.InsertSubtreeFirstChild(u.Node, u.Fragment)
-		if err == nil {
-			fmt.Fprintf(w, "  (new subtree %d)\n", v)
-		}
-		return m, err
-	case enumtrees.OpInsertSubtreeRightSibling:
-		v, m, err := qs.InsertSubtreeRightSibling(u.Node, u.Fragment)
-		if err == nil {
-			fmt.Fprintf(w, "  (new subtree %d)\n", v)
-		}
-		return m, err
-	default:
-		return qs.Delete(u.Node)
+	v, err := qs.Apply(u)
+	if err != nil {
+		return qs.Snapshot(), err
 	}
+	switch u.Op {
+	case enumtrees.OpInsertFirstChild, enumtrees.OpInsertRightSibling:
+		fmt.Fprintf(w, "  (new node %d)\n", v)
+	case enumtrees.OpInsertSubtreeFirstChild, enumtrees.OpInsertSubtreeRightSibling:
+		fmt.Fprintf(w, "  (new subtree %d)\n", v)
+	}
+	return qs.Snapshot(), nil
 }
 
 // printView selects what printResults shows: the default prefix of the

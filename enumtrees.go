@@ -23,29 +23,32 @@
 //
 // # Quick start
 //
+// Every document is served by a query set: register a query, read its
+// slice of each published snapshot, and edit through ApplyBatch — every
+// edit is an Update, and one batch is one publication.
+//
 //	t, _ := enumtrees.ParseTree("(a (b) (a (b)))")
 //	q := enumtrees.SelectLabel([]enumtrees.Label{"a", "b"}, "b", 0)
-//	e, _ := enumtrees.New(t, q, enumtrees.Options{})
-//	for asg := range e.Results() {
+//	qs, id, _ := enumtrees.New(t, q, enumtrees.Options{})
+//	for asg := range qs.Snapshot().Query(id).Results() {
 //	    fmt.Println(asg) // {⟨X0:n1⟩}, {⟨X0:n3⟩}
 //	}
-//	id, _ := e.InsertFirstChild(t.Root.ID, "b") // O(log n)
-//	_ = id
-//	fmt.Println(e.Count()) // 3
+//	m, ids, _ := qs.ApplyBatch([]enumtrees.Update{ // O(log n)
+//	    {Op: enumtrees.OpInsertFirstChild, Node: t.Root.ID, Label: "b"},
+//	})
+//	fmt.Println(ids[0], m.Query(id).Count()) // 4 3: new node ID, answers
 //
 // # Concurrent readers and batched updates
 //
-// The Enumerator above is a single-threaded convenience. For serving
-// workloads, use the snapshot-isolated engine: the writer applies single
-// or batched updates, readers take immutable snapshots lock-free and
-// enumerate from them unaffected by concurrent edits.
+// The query set is snapshot-isolated: the writer applies batched
+// updates, readers take immutable snapshots lock-free and enumerate from
+// them unaffected by concurrent edits.
 //
-//	eng, _ := enumtrees.NewEngine(t, q, enumtrees.Options{})
-//	snap := eng.Snapshot()        // lock-free, from any goroutine
+//	snap := qs.Snapshot().Query(id) // lock-free, from any goroutine
 //	go func() {
 //	    for asg := range snap.Results() { use(asg) } // isolated
 //	}()
-//	eng.ApplyBatch([]enumtrees.Update{            // one publication
+//	qs.ApplyBatch([]enumtrees.Update{              // one publication
 //	    {Op: enumtrees.OpRelabel, Node: 1, Label: "b"},
 //	    {Op: enumtrees.OpInsertFirstChild, Node: 0, Label: "a"},
 //	})
@@ -61,12 +64,12 @@
 // term is rebalanced back into its logarithmic height budget by
 // scapegoat rebuilding. Bulk construction of an n-leaf document is O(n).
 //
-//	eng.ApplyBatch([]enumtrees.Update{
+//	qs.ApplyBatch([]enumtrees.Update{
 //	    {Op: enumtrees.OpMoveSubtreeFirstChild, Node: sec, Dest: doc},
 //	    {Op: enumtrees.OpDeleteSubtree, Node: appendix},
 //	    {Op: enumtrees.OpInsertSubtreeRightSibling, Node: fig, Fragment: frag},
 //	})
-//	weng.ApplyBatch([]enumtrees.Update{
+//	wqs.ApplyBatch([]enumtrees.Update{
 //	    {Op: enumtrees.OpMoveRange, From: 0, K: 3, To: 8},
 //	    {Op: enumtrees.OpConcat, Labels: []enumtrees.Label{"a", "b"}},
 //	})
@@ -106,7 +109,8 @@
 // document from ONE update stream: the term/forest maintenance of each
 // edit is paid once, shared by all queries, and each publication is a
 // MultiSnapshot answering every query on the same version. Queries
-// register and unregister at runtime.
+// register and unregister at runtime; New is NewQuerySet plus one
+// Register.
 //
 //	qs := enumtrees.NewQuerySet(t)
 //	q1, _ := qs.Register(query1, enumtrees.Options{})
@@ -148,7 +152,6 @@
 package enumtrees
 
 import (
-	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/enumerate"
 	"repro/internal/mso"
@@ -213,8 +216,8 @@ var (
 	DescendantAtDepth = tva.DescendantAtDepth
 )
 
-// Options configures an enumerator.
-type Options = core.Options
+// Options configures a registered query.
+type Options = engine.Options
 
 // Enumeration modes.
 const (
@@ -225,43 +228,46 @@ const (
 	ModeNaive = enumerate.ModeNaive
 )
 
-// Enumerator is the update-aware tree enumerator (Theorem 8.1), a
-// single-threaded convenience wrapper over Engine.
-type Enumerator = core.TreeEnumerator
-
-// New preprocesses a tree and a tree automaton query.
-func New(t *Tree, q *TreeAutomaton, opts Options) (*Enumerator, error) {
-	return core.NewTreeEnumerator(t, q, opts)
+// New preprocesses a tree into a QuerySet and registers q as its first
+// standing query (Theorem 8.1). Edits go through ApplyBatch; the query's
+// answers are read from its slice of each publication,
+// Snapshot().Query(id).
+func New(t *Tree, q *TreeAutomaton, opts Options) (*QuerySet, QueryID, error) {
+	qs := NewQuerySet(t)
+	id, err := qs.Register(q, opts)
+	if err != nil {
+		return nil, 0, err
+	}
+	return qs, id, nil
 }
 
-// WordEnumerator is the update-aware word enumerator (Theorem 8.5), a
-// single-threaded convenience wrapper over WordEngine.
-type WordEnumerator = core.WordEnumerator
-
-// NewWord preprocesses a word and a word automaton query.
-func NewWord(letters []Label, q *WordAutomaton, opts Options) (*WordEnumerator, error) {
-	return core.NewWordEnumerator(letters, q, opts)
+// NewWord preprocesses a word into a WordQuerySet and registers q as its
+// first standing query (Theorem 8.5).
+func NewWord(letters []Label, q *WordAutomaton, opts Options) (*WordQuerySet, QueryID, error) {
+	qs, err := NewWordQuerySet(letters)
+	if err != nil {
+		return nil, 0, err
+	}
+	id, err := qs.Register(q, opts)
+	if err != nil {
+		return nil, 0, err
+	}
+	return qs, id, nil
 }
-
-// Stats describes preprocessed structure sizes and cumulative update
-// work.
-type Stats = core.Stats
 
 // Snapshot-isolated engine API (see the package comment's second
 // example). The engine separates one writer from any number of lock-free
 // readers: every update publishes a fresh immutable Snapshot while older
 // snapshots — including in-flight enumerations from them — stay valid.
 type (
-	// Engine is the concurrent tree engine (Theorem 8.1 + snapshots),
-	// serving one standing query; QuerySet serves many.
-	Engine = engine.TreeEngine
-	// WordEngine is the concurrent word engine (Theorem 8.5 + snapshots).
-	WordEngine = engine.WordEngine
+	// Stats describes one query's preprocessed structure sizes and
+	// cumulative update work (Snapshot.Stats).
+	Stats = engine.Stats
 	// Snapshot is one immutable published version of one query's
 	// structure.
 	Snapshot = engine.Snapshot
-	// Update is one edit of a batch for Engine.ApplyBatch /
-	// WordEngine.ApplyBatch.
+	// Update is one edit of a batch for QuerySet.ApplyBatch /
+	// WordQuerySet.ApplyBatch.
 	Update = engine.Update
 	// UpdateOp identifies the operation of an Update.
 	UpdateOp = engine.UpdateOp
@@ -277,7 +283,9 @@ type (
 //	qs := enumtrees.NewQuerySet(t)
 //	figs, _ := qs.Register(figQuery, enumtrees.Options{})
 //	secs, _ := qs.Register(secQuery, enumtrees.Options{})
-//	m, _ := qs.Relabel(3, "sec")        // ONE publication for both queries
+//	m, _, _ := qs.ApplyBatch([]enumtrees.Update{
+//	    {Op: enumtrees.OpRelabel, Node: 3, Label: "sec"},
+//	})                                  // ONE publication for both queries
 //	for a := range m.Query(figs).Results() { ... }
 //	for a := range m.Query(secs).Results() { ... }
 type (
@@ -296,7 +304,7 @@ type (
 	EngineStats = engine.EngineStats
 	// Delta is one push notification of a standing query's answer
 	// change, delivered on the channel returned by Subscribe
-	// (QuerySet.Subscribe / Engine.Subscribe / WordEngine.Subscribe):
+	// (QuerySet.Subscribe / WordQuerySet.Subscribe):
 	// the publication version plus the answers added and removed, so a
 	// monitor pays per edit for the CHANGE, not a full re-read. The
 	// first Delta of a subscription carries a Resync snapshot as the
@@ -361,18 +369,6 @@ const (
 	// OpConcat appends Labels at the end of the word (words).
 	OpConcat = engine.OpConcat
 )
-
-// NewEngine preprocesses a tree and a query into a snapshot-isolated
-// engine for concurrent use.
-func NewEngine(t *Tree, q *TreeAutomaton, opts Options) (*Engine, error) {
-	return engine.NewTree(t, q, opts)
-}
-
-// NewWordEngine preprocesses a word and a word automaton query into a
-// snapshot-isolated engine for concurrent use.
-func NewWordEngine(letters []Label, q *WordAutomaton, opts Options) (*WordEngine, error) {
-	return engine.NewWord(letters, q, opts)
-}
 
 // MSO formulas (Corollaries 8.2 and 8.3).
 type (

@@ -14,20 +14,23 @@ func TestQuickstart(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := enumtrees.SelectLabel([]enumtrees.Label{"a", "b"}, "b", 0)
-	e, err := enumtrees.New(tr, q, enumtrees.Options{})
+	qs, id, err := enumtrees.New(tr, q, enumtrees.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.Count() != 2 {
-		t.Fatalf("count = %d, want 2", e.Count())
+	if got := qs.Snapshot().Query(id).Count(); got != 2 {
+		t.Fatalf("count = %d, want 2", got)
 	}
-	if _, err := e.InsertFirstChild(tr.Root.ID, "b"); err != nil {
+	m, ids, err := qs.ApplyBatch([]enumtrees.Update{
+		{Op: enumtrees.OpInsertFirstChild, Node: tr.Root.ID, Label: "b"},
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if e.Count() != 3 {
-		t.Fatalf("count = %d, want 3", e.Count())
+	if ids[0] != 4 || m.Query(id).Count() != 3 {
+		t.Fatalf("new node %d, count = %d; want 4, 3", ids[0], m.Query(id).Count())
 	}
-	for asg := range e.Results() {
+	for asg := range m.Query(id).Results() {
 		if len(asg) != 1 {
 			t.Fatalf("assignment %v", asg)
 		}
@@ -87,7 +90,7 @@ func TestQuerySetFacade(t *testing.T) {
 	if err := qs.Unregister(qc); err != nil {
 		t.Fatal(err)
 	}
-	m2, err := qs.Relabel(tr.Root.ID, "a")
+	m2, _, err := qs.ApplyBatch([]enumtrees.Update{{Op: enumtrees.OpRelabel, Node: tr.Root.ID, Label: "a"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,13 +122,13 @@ func TestMSOEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr, _ := enumtrees.ParseTree("(dir (dir (file)) (dir))")
-	e, err := enumtrees.New(tr, q, enumtrees.Options{})
+	e, id, err := enumtrees.New(tr, q, enumtrees.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Root dir and its first child contain files; the empty dir does not.
-	if e.Count() != 2 {
-		t.Fatalf("count = %d, want 2", e.Count())
+	if got := e.Snapshot().Query(id).Count(); got != 2 {
+		t.Fatalf("count = %d, want 2", got)
 	}
 	// Add a file to the empty dir.
 	var emptyDir enumtrees.NodeID
@@ -134,11 +137,11 @@ func TestMSOEndToEnd(t *testing.T) {
 			emptyDir = n.ID
 		}
 	}
-	if _, err := e.InsertFirstChild(emptyDir, "file"); err != nil {
+	if _, err := e.Apply(enumtrees.Update{Op: enumtrees.OpInsertFirstChild, Node: emptyDir, Label: "file"}); err != nil {
 		t.Fatal(err)
 	}
-	if e.Count() != 3 {
-		t.Fatalf("count = %d, want 3", e.Count())
+	if got := e.Snapshot().Query(id).Count(); got != 3 {
+		t.Fatalf("count = %d, want 3", got)
 	}
 }
 
@@ -154,12 +157,12 @@ func TestSpannerEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := enumtrees.NewWord(enumtrees.TextLabels("abbcab"), q, enumtrees.Options{})
+	e, id, err := enumtrees.NewWord(enumtrees.TextLabels("abbcab"), q, enumtrees.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// One match: positions 1-2 ("bb" between a and c).
-	res := e.All()
+	res := e.Snapshot().Query(id).All()
 	if len(res) != 1 {
 		t.Fatalf("results = %v", res)
 	}
@@ -169,19 +172,19 @@ func TestSpannerEndToEnd(t *testing.T) {
 	}
 	// Fix the trailing "ab" into "abc": a second match appears.
 	ids, _ := e.Word()
-	if _, err := e.InsertAfter(ids[len(ids)-1], "c"); err != nil {
+	if _, err := e.Apply(enumtrees.Update{Op: enumtrees.OpInsertAfter, Node: ids[len(ids)-1], Label: "c"}); err != nil {
 		t.Fatal(err)
 	}
-	if e.Count() != 2 {
-		t.Fatalf("count = %d, want 2", e.Count())
+	if got := e.Snapshot().Query(id).Count(); got != 2 {
+		t.Fatalf("count = %d, want 2", got)
 	}
 }
 
 func ExampleNew() {
 	tr, _ := enumtrees.ParseTree("(a (b) (a))")
 	q := enumtrees.SelectLabel([]enumtrees.Label{"a", "b"}, "a", 0)
-	e, _ := enumtrees.New(tr, q, enumtrees.Options{})
-	fmt.Println(e.Count())
+	qs, id, _ := enumtrees.New(tr, q, enumtrees.Options{})
+	fmt.Println(qs.Snapshot().Query(id).Count())
 	// Output: 2
 }
 
@@ -191,24 +194,25 @@ func TestPathAndAggregates(t *testing.T) {
 	alpha := []enumtrees.Label{"doc", "sec", "fig", "par"}
 	q := enumtrees.MustCompilePath("/doc//sec/fig", alpha, 0)
 	tr, _ := enumtrees.ParseTree("(doc (sec (fig) (par)) (par (sec (fig) (fig))))")
-	e, err := enumtrees.New(tr, q, enumtrees.Options{})
+	qs, id, err := enumtrees.New(tr, q, enumtrees.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	snap := qs.Snapshot().Query(id)
 	// sec under doc has one fig; the sec under par is still a descendant
 	// of doc, so its two figs match as well.
-	if e.Count() != 3 {
-		t.Fatalf("count = %d, want 3", e.Count())
+	if snap.Count() != 3 {
+		t.Fatalf("count = %d, want 3", snap.Count())
 	}
 	// Path automata are unambiguous on these queries... not in general;
 	// but derivation count must be >= result count.
-	if e.DerivationCount().Int64() < 3 {
-		t.Fatalf("derivations = %v", e.DerivationCount())
+	if snap.Derivations().Int64() < 3 {
+		t.Fatalf("derivations = %v", snap.Derivations())
 	}
-	if mn, ok := e.MinResultSize(); !ok || mn != 1 {
+	if mn, ok := snap.MinResultSize(); !ok || mn != 1 {
 		t.Fatalf("min size = %d, %v", mn, ok)
 	}
-	if !e.NonEmptyAlgebraic() {
-		t.Fatal("algebraic nonemptiness wrong")
+	if mx, ok := snap.MaxResultSize(); !ok || mx != 1 {
+		t.Fatalf("max size = %d, %v", mx, ok)
 	}
 }

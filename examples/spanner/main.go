@@ -2,8 +2,8 @@
 // (Theorem 8.5 / document spanners): the pattern captures error codes
 // "E<digits>" and the extraction stays current as the text is edited —
 // the words-under-updates scenario of Section 8. Edits go through the
-// snapshot word engine, so every shown extraction reads one published
-// version.
+// snapshot word engine as Updates, so every shown extraction reads one
+// published version.
 package main
 
 import (
@@ -38,7 +38,7 @@ func nonDigits(alpha []enumtrees.Label) enumtrees.Pattern {
 	return enumtrees.AltP{Branches: ls}
 }
 
-func show(w io.Writer, e *enumtrees.WordEngine) {
+func show(w io.Writer, e *enumtrees.WordQuerySet, q enumtrees.QueryID) {
 	ids, labels := e.Word()
 	pos := map[enumtrees.NodeID]int{}
 	var b []byte
@@ -48,7 +48,7 @@ func show(w io.Writer, e *enumtrees.WordEngine) {
 	}
 	fmt.Fprintf(w, "text: %q\n", string(b))
 	n := 0
-	for asg := range e.Snapshot().Results() {
+	for asg := range e.Snapshot().Query(q).Results() {
 		spans := enumtrees.Spans(asg)
 		var ps []int
 		for _, id := range spans[0] {
@@ -89,24 +89,24 @@ func run(w io.Writer) error {
 	}
 	fmt.Fprintf(w, "compiled spanner: %d WVA states\n", q.NumStates)
 
-	e, err := enumtrees.NewWordEngine(enumtrees.TextLabels(text), q, enumtrees.Options{})
+	e, id, err := enumtrees.NewWord(enumtrees.TextLabels(text), q, enumtrees.Options{})
 	if err != nil {
 		return err
 	}
-	show(w, e)
+	show(w, e, id)
 
 	// Live edit 1: the operator fixes "E4" to "E42" (insert a digit).
 	fmt.Fprintln(w, "\nedit: E4 -> E42")
 	ids, labels := e.Word()
 	for i := range labels {
 		if labels[i] == "E" && i+1 < len(labels) && labels[i+1] == "4" {
-			if _, _, err := e.InsertAfter(ids[i+1], "2"); err != nil {
+			if _, err := e.Apply(enumtrees.Update{Op: enumtrees.OpInsertAfter, Node: ids[i+1], Label: "2"}); err != nil {
 				return err
 			}
 			break
 		}
 	}
-	show(w, e)
+	show(w, e, id)
 
 	// Live edit 2: a new error is appended.
 	fmt.Fprintln(w, "\nedit: append \" E9\"")
@@ -114,12 +114,12 @@ func run(w io.Writer) error {
 	last := ids[len(ids)-1]
 	for _, c := range " E9" {
 		var err error
-		last, _, err = e.InsertAfter(last, enumtrees.Label(string(c)))
+		last, err = e.Apply(enumtrees.Update{Op: enumtrees.OpInsertAfter, Node: last, Label: enumtrees.Label(string(c))})
 		if err != nil {
 			return err
 		}
 	}
-	show(w, e)
+	show(w, e, id)
 
 	// Live edit 3: the first error line is erased as ONE batched update —
 	// four deletes, a single publication, box repair amortized.
@@ -137,6 +137,6 @@ func run(w io.Writer) error {
 			break
 		}
 	}
-	show(w, e)
+	show(w, e, id)
 	return nil
 }

@@ -160,7 +160,9 @@ func run(w io.Writer) error {
 		}
 	}
 	fmt.Fprintln(w, "\nedit: caption the bare figure")
-	_, m, err = qs.InsertFirstChild(uncaptioned, "caption")
+	m, _, err = qs.ApplyBatch([]enumtrees.Update{
+		{Op: enumtrees.OpInsertFirstChild, Node: uncaptioned, Label: "caption"},
+	})
 	if err != nil {
 		return err
 	}
@@ -239,7 +241,7 @@ func run(w io.Writer) error {
 			capID = c.ID
 		}
 	}
-	m, err = qs.Delete(capID)
+	m, _, err = qs.ApplyBatch([]enumtrees.Update{{Op: enumtrees.OpDelete, Node: capID}})
 	if err != nil {
 		return err
 	}

@@ -14,10 +14,11 @@
 package baseline
 
 import (
+	"fmt"
 	"iter"
 
 	"repro/internal/circuit"
-	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/enumerate"
 	"repro/internal/forest"
 	"repro/internal/tree"
@@ -30,114 +31,83 @@ import (
 type RebuildEnumerator struct {
 	t    *tree.Unranked
 	q    *tva.Unranked
-	e    *core.TreeEnumerator
-	opts core.Options
+	snap *engine.Snapshot
+	opts engine.Options
 }
 
 // NewRebuildEnumerator preprocesses once.
-func NewRebuildEnumerator(t *tree.Unranked, q *tva.Unranked, opts core.Options) (*RebuildEnumerator, error) {
-	e, err := core.NewTreeEnumerator(t.Clone(), q, opts)
-	if err != nil {
+func NewRebuildEnumerator(t *tree.Unranked, q *tva.Unranked, opts engine.Options) (*RebuildEnumerator, error) {
+	r := &RebuildEnumerator{t: t, q: q, opts: opts}
+	if err := r.rebuild(); err != nil {
 		return nil, err
 	}
-	return &RebuildEnumerator{t: t, q: q, e: e, opts: opts}, nil
+	return r, nil
 }
 
 func (r *RebuildEnumerator) rebuild() error {
-	e, err := core.NewTreeEnumerator(r.t.Clone(), r.q, r.opts)
+	s := engine.NewTreeSet(r.t.Clone())
+	id, err := s.Register(r.q, r.opts)
 	if err != nil {
 		return err
 	}
-	r.e = e
+	r.snap = s.Snapshot().Query(id)
 	return nil
 }
 
 // Tree returns the maintained tree.
 func (r *RebuildEnumerator) Tree() *tree.Unranked { return r.t }
 
-// Relabel edits the tree and rebuilds from scratch.
-func (r *RebuildEnumerator) Relabel(id tree.NodeID, l tree.Label) error {
-	if err := r.t.Relabel(id, l); err != nil {
-		return err
-	}
-	return r.rebuild()
-}
-
-// InsertFirstChild edits the tree and rebuilds from scratch.
-func (r *RebuildEnumerator) InsertFirstChild(id tree.NodeID, l tree.Label) (tree.NodeID, error) {
-	v, err := r.t.InsertFirstChild(id, l)
+// Apply edits the tree and rebuilds from scratch, returning the ID the
+// update created (tree.InvalidNode if none). It takes the same updates
+// as engine.TreeSet.Apply; a grafted copy's node IDs match the engine's
+// only if both sides consume IDs in lockstep, which holds when the same
+// edit script drives both.
+func (r *RebuildEnumerator) Apply(u engine.Update) (tree.NodeID, error) {
+	v, err := r.edit(u)
 	if err != nil {
-		return 0, err
+		return tree.InvalidNode, err
 	}
-	return v.ID, r.rebuild()
+	return v, r.rebuild()
 }
 
-// InsertRightSibling edits the tree and rebuilds from scratch.
-func (r *RebuildEnumerator) InsertRightSibling(id tree.NodeID, l tree.Label) (tree.NodeID, error) {
-	v, err := r.t.InsertRightSibling(id, l)
+// edit applies one update to the plain tree.
+func (r *RebuildEnumerator) edit(u engine.Update) (tree.NodeID, error) {
+	var n *tree.UNode
+	var err error
+	switch u.Op {
+	case engine.OpRelabel:
+		return tree.InvalidNode, r.t.Relabel(u.Node, u.Label)
+	case engine.OpDelete:
+		return tree.InvalidNode, r.t.Delete(u.Node)
+	case engine.OpDeleteSubtree:
+		_, _, err = r.t.DeleteSubtree(u.Node)
+		return tree.InvalidNode, err
+	case engine.OpMoveSubtreeFirstChild:
+		return tree.InvalidNode, r.t.MoveSubtreeFirstChild(u.Node, u.Dest)
+	case engine.OpMoveSubtreeRightSibling:
+		return tree.InvalidNode, r.t.MoveSubtreeRightSibling(u.Node, u.Dest)
+	case engine.OpInsertFirstChild:
+		n, err = r.t.InsertFirstChild(u.Node, u.Label)
+	case engine.OpInsertRightSibling:
+		n, err = r.t.InsertRightSibling(u.Node, u.Label)
+	case engine.OpInsertSubtreeFirstChild:
+		n, err = r.t.GraftFirstChild(u.Node, u.Fragment)
+	case engine.OpInsertSubtreeRightSibling:
+		n, err = r.t.GraftRightSibling(u.Node, u.Fragment)
+	default:
+		return tree.InvalidNode, fmt.Errorf("baseline: update %v is not a tree operation", u.Op)
+	}
 	if err != nil {
-		return 0, err
+		return tree.InvalidNode, err
 	}
-	return v.ID, r.rebuild()
-}
-
-// Delete edits the tree and rebuilds from scratch.
-func (r *RebuildEnumerator) Delete(id tree.NodeID) error {
-	if err := r.t.Delete(id); err != nil {
-		return err
-	}
-	return r.rebuild()
-}
-
-// DeleteSubtree edits the tree and rebuilds from scratch.
-func (r *RebuildEnumerator) DeleteSubtree(id tree.NodeID) error {
-	if _, _, err := r.t.DeleteSubtree(id); err != nil {
-		return err
-	}
-	return r.rebuild()
-}
-
-// MoveSubtreeFirstChild edits the tree and rebuilds from scratch.
-func (r *RebuildEnumerator) MoveSubtreeFirstChild(id, dest tree.NodeID) error {
-	if err := r.t.MoveSubtreeFirstChild(id, dest); err != nil {
-		return err
-	}
-	return r.rebuild()
-}
-
-// MoveSubtreeRightSibling edits the tree and rebuilds from scratch.
-func (r *RebuildEnumerator) MoveSubtreeRightSibling(id, dest tree.NodeID) error {
-	if err := r.t.MoveSubtreeRightSibling(id, dest); err != nil {
-		return err
-	}
-	return r.rebuild()
-}
-
-// InsertSubtreeFirstChild edits the tree and rebuilds from scratch. The
-// grafted copy's node IDs match the engine's only if both sides consume
-// IDs in lockstep, which holds when the same edit script drives both.
-func (r *RebuildEnumerator) InsertSubtreeFirstChild(id tree.NodeID, frag *tree.Unranked) (tree.NodeID, error) {
-	v, err := r.t.GraftFirstChild(id, frag)
-	if err != nil {
-		return 0, err
-	}
-	return v.ID, r.rebuild()
-}
-
-// InsertSubtreeRightSibling edits the tree and rebuilds from scratch.
-func (r *RebuildEnumerator) InsertSubtreeRightSibling(id tree.NodeID, frag *tree.Unranked) (tree.NodeID, error) {
-	v, err := r.t.GraftRightSibling(id, frag)
-	if err != nil {
-		return 0, err
-	}
-	return v.ID, r.rebuild()
+	return n.ID, nil
 }
 
 // Results enumerates on the current structure.
-func (r *RebuildEnumerator) Results() iter.Seq[tree.Assignment] { return r.e.Results() }
+func (r *RebuildEnumerator) Results() iter.Seq[tree.Assignment] { return r.snap.Results() }
 
-// Count drains Results.
-func (r *RebuildEnumerator) Count() int { return r.e.Count() }
+// Count returns the number of results on the current structure.
+func (r *RebuildEnumerator) Count() int { return r.snap.Count() }
 
 // DeterminizeFirstStats preprocesses the query by translating it to the
 // binary term alphabet and then determinizing, returning the state and

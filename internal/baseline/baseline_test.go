@@ -4,7 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/enumerate"
 	"repro/internal/tree"
 	"repro/internal/tva"
@@ -13,18 +13,35 @@ import (
 var alphaAB = []tree.Label{"a", "b"}
 
 // TestRebuildMatchesIncremental compares the rebuild baseline and the
-// incremental enumerator on the same edit sequence.
+// incremental engine on the same update sequence.
 func TestRebuildMatchesIncremental(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	q := tva.SelectLabel(alphaAB, "a", 0)
 	ut := tva.RandomUnrankedTree(rng, 10, alphaAB)
-	inc, err := core.NewTreeEnumerator(ut.Clone(), q, core.Options{})
+	inc := engine.NewTreeSet(ut.Clone())
+	id, err := inc.Register(q, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	reb, err := NewRebuildEnumerator(ut.Clone(), q, core.Options{})
+	reb, err := NewRebuildEnumerator(ut.Clone(), q, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
+	}
+	// apply runs one update on both sides and checks they created the
+	// same node.
+	apply := func(u engine.Update) {
+		t.Helper()
+		v1, err := inc.Apply(u)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v2, err := reb.Apply(u)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v1 != v2 {
+			t.Fatalf("%v: diverging node IDs %d vs %d", u.Op, v1, v2)
+		}
 	}
 	for step := 0; step < 25; step++ {
 		nodes := inc.Tree().Nodes()
@@ -32,36 +49,16 @@ func TestRebuildMatchesIncremental(t *testing.T) {
 		l := alphaAB[rng.Intn(2)]
 		switch rng.Intn(3) {
 		case 0:
-			if err := inc.Relabel(n.ID, l); err != nil {
-				t.Fatal(err)
-			}
-			if err := reb.Relabel(n.ID, l); err != nil {
-				t.Fatal(err)
-			}
+			apply(engine.Update{Op: engine.OpRelabel, Node: n.ID, Label: l})
 		case 1:
-			v1, err := inc.InsertFirstChild(n.ID, l)
-			if err != nil {
-				t.Fatal(err)
-			}
-			v2, err := reb.InsertFirstChild(n.ID, l)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if v1 != v2 {
-				t.Fatalf("diverging node IDs %d vs %d", v1, v2)
-			}
+			apply(engine.Update{Op: engine.OpInsertFirstChild, Node: n.ID, Label: l})
 		default:
 			if n.IsLeaf() && n.Parent != nil {
-				if err := inc.Delete(n.ID); err != nil {
-					t.Fatal(err)
-				}
-				if err := reb.Delete(n.ID); err != nil {
-					t.Fatal(err)
-				}
+				apply(engine.Update{Op: engine.OpDelete, Node: n.ID})
 			}
 		}
 		a := map[string]bool{}
-		for asg := range inc.Results() {
+		for asg := range inc.Snapshot().Query(id).Results() {
 			a[asg.Key()] = true
 		}
 		b := map[string]bool{}
@@ -81,15 +78,8 @@ func TestRebuildMatchesIncremental(t *testing.T) {
 	nodes := inc.Tree().Nodes()
 	for _, n := range nodes {
 		if n.Parent != nil {
-			v1, err := inc.InsertRightSibling(n.ID, "b")
-			if err != nil {
-				t.Fatal(err)
-			}
-			v2, err := reb.InsertRightSibling(n.ID, "b")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if v1 != v2 || inc.Count() != reb.Count() {
+			apply(engine.Update{Op: engine.OpInsertRightSibling, Node: n.ID, Label: "b"})
+			if inc.Snapshot().Query(id).Count() != reb.Count() {
 				t.Fatal("insertR parity broken")
 			}
 			break

@@ -299,7 +299,7 @@ func TestDedupeStatsLifecycle(t *testing.T) {
 	if got := drainSeq(qs.Snapshot().Query(id2)); !slices.Equal(got, before) {
 		t.Fatalf("twin diverged after partner unregistered: %v vs %v", got, before)
 	}
-	m, err = qs.Relabel(0, "b")
+	m, _, err = qs.ApplyBatch([]engine.Update{{Op: engine.OpRelabel, Node: 0, Label: "b"}})
 	if err != nil {
 		t.Fatal(err)
 	}

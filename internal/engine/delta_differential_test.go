@@ -121,29 +121,21 @@ func (c *deltaConsumer) keys() []string {
 	return out
 }
 
-// deltaEngine is the slice of TreeEngine/WordEngine the replay needs.
-type deltaEngine interface {
-	ApplyBatch([]engine.Update) (*engine.Snapshot, []tree.NodeID, error)
-	Subscribe() (<-chan engine.Delta, error)
-	Snapshot() *engine.Snapshot
-}
-
 // runDeltaScript replays one script with a subscriber attached and
 // fails on any divergence between the delta-replayed set and a full
 // re-enumeration of the published snapshot after every batch.
 func runDeltaScript(t *testing.T, s *diffScript, opts engine.Options) {
 	t.Helper()
-	var e deltaEngine
+	// The replay needs only the shared Engine half of either set.
+	var e *engine.Engine
+	var id engine.QueryID
 	if s.isWord {
 		q, err := diffWordQuery(s.query)
 		if err != nil {
 			t.Fatalf("script query: %v\nscript:\n%s", err, s)
 		}
-		we, err := engine.NewWord(s.letters, q, opts)
-		if err != nil {
-			t.Fatalf("engine: %v\nscript:\n%s", err, s)
-		}
-		e = we
+		we, wid := newWordQuery(t, s.letters, q, opts)
+		e, id = &we.Engine, wid
 	} else {
 		q, err := diffTreeQuery(s.query)
 		if err != nil {
@@ -153,18 +145,15 @@ func runDeltaScript(t *testing.T, s *diffScript, opts engine.Options) {
 		if err != nil {
 			t.Fatalf("script tree: %v\nscript:\n%s", err, s)
 		}
-		te, err := engine.NewTree(ut, q, opts)
-		if err != nil {
-			t.Fatalf("engine: %v\nscript:\n%s", err, s)
-		}
-		e = te
+		te, tid := newTreeQuery(t, ut, q, opts)
+		e, id = &te.Engine, tid
 	}
-	ch, err := e.Subscribe()
+	ch, err := e.Subscribe(id)
 	if err != nil {
 		t.Fatalf("subscribe: %v", err)
 	}
 	c := newDeltaConsumer(t, ch)
-	if want := resultKeys(e.Snapshot().Results()); !slices.Equal(c.keys(), want) {
+	if want := resultKeys(e.Snapshot().Query(id).Results()); !slices.Equal(c.keys(), want) {
 		t.Fatalf("initial resync diverges\nreplayed: %v\nfull:     %v\nscript:\n%s", c.keys(), want, s)
 	}
 	for bi, raw := range s.batches {
@@ -176,12 +165,12 @@ func runDeltaScript(t *testing.T, s *diffScript, opts engine.Options) {
 			}
 			batch = append(batch, u)
 		}
-		snap, _, err := e.ApplyBatch(batch)
+		m, _, err := e.ApplyBatch(batch)
 		if err != nil {
 			t.Fatalf("batch %d: %v\nscript:\n%s", bi, err, s)
 		}
-		c.advance(t, snap.Version())
-		if want := resultKeys(snap.Results()); !slices.Equal(c.keys(), want) {
+		c.advance(t, m.Version())
+		if want := resultKeys(m.Query(id).Results()); !slices.Equal(c.keys(), want) {
 			t.Fatalf("batch %d: delta replay diverges\nreplayed: %v\nfull:     %v\nscript:\n%s",
 				bi, c.keys(), want, s)
 		}
@@ -261,31 +250,35 @@ func TestDeltaReplayModeNaive(t *testing.T) {
 	}
 }
 
+// selectBSet parses the tree and registers the select:b script query as
+// its one standing query.
+func selectBSet(t *testing.T, tr string) (*engine.TreeSet, engine.QueryID) {
+	t.Helper()
+	ut, err := tree.ParseUnranked(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := diffTreeQuery("select:b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return newTreeQuery(t, ut, q, engine.Options{})
+}
+
 // TestDeltaCoalescing starves the consumer while many batches publish:
 // the pending delta must coalesce (Coalesced set), the composed fold
 // must still land exactly on the final answer set, and with a tiny
 // resync limit the composition must degrade to a snapshot resync.
 func TestDeltaCoalescing(t *testing.T) {
-	build := func(t *testing.T) (*engine.TreeEngine, <-chan engine.Delta) {
-		ut, err := tree.ParseUnranked("(a (b) (c) (b) (c) (b) (c))")
+	build := func(t *testing.T) (*engine.TreeSet, engine.QueryID, <-chan engine.Delta) {
+		e, id := selectBSet(t, "(a (b) (c) (b) (c) (b) (c))")
+		ch, err := e.Subscribe(id)
 		if err != nil {
 			t.Fatal(err)
 		}
-		q, err := diffTreeQuery("select:b")
-		if err != nil {
-			t.Fatal(err)
-		}
-		e, err := engine.NewTree(ut, q, engine.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ch, err := e.Subscribe()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return e, ch
+		return e, id, ch
 	}
-	churn := func(t *testing.T, e *engine.TreeEngine) *engine.Snapshot {
+	churn := func(t *testing.T, e *engine.TreeSet, id engine.QueryID) *engine.Snapshot {
 		// Far more publications than channel capacity + pending slot can
 		// hold without the consumer draining: coalescing must engage.
 		var last *engine.Snapshot
@@ -294,20 +287,20 @@ func TestDeltaCoalescing(t *testing.T) {
 			if i%2 == 1 {
 				l = "c"
 			}
-			snap, _, err := e.ApplyBatch([]engine.Update{
+			m, _, err := e.ApplyBatch([]engine.Update{
 				{Op: engine.OpRelabel, Node: 1, Label: l},
 				{Op: engine.OpRelabel, Node: 3, Label: l},
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			last = snap
+			last = m.Query(id)
 		}
 		return last
 	}
 	t.Run("coalesce", func(t *testing.T) {
-		e, ch := build(t)
-		last := churn(t, e)
+		e, id, ch := build(t)
+		last := churn(t, e, id)
 		c := newDeltaConsumer(t, ch)
 		c.advance(t, last.Version())
 		if c.coalesced == 0 {
@@ -316,18 +309,18 @@ func TestDeltaCoalescing(t *testing.T) {
 		if want := resultKeys(last.Results()); !slices.Equal(c.keys(), want) {
 			t.Fatalf("coalesced replay diverges\nreplayed: %v\nfull: %v", c.keys(), want)
 		}
-		if st := e.Set().Stats(); st.DeltasCoalesced == 0 {
+		if st := e.Stats(); st.DeltasCoalesced == 0 {
 			t.Fatalf("Stats().DeltasCoalesced = 0 after coalescing run: %+v", st)
 		}
 	})
 	t.Run("resync", func(t *testing.T) {
-		e, ch := build(t)
-		e.Set().SetDeltaResyncLimit(1)
-		ch2, err := e.Subscribe()
+		e, id, ch := build(t)
+		e.SetDeltaResyncLimit(1)
+		ch2, err := e.Subscribe(id)
 		if err != nil {
 			t.Fatal(err)
 		}
-		last := churn(t, e)
+		last := churn(t, e, id)
 		for _, watch := range []<-chan engine.Delta{ch, ch2} {
 			c := newDeltaConsumer(t, watch)
 			c.advance(t, last.Version())
@@ -341,20 +334,9 @@ func TestDeltaCoalescing(t *testing.T) {
 // TestDeltaResyncEngages: with resync limit 1, any coalesced composition
 // with ≥2 changed answers must arrive as a Resync delta.
 func TestDeltaResyncEngages(t *testing.T) {
-	ut, err := tree.ParseUnranked("(a (b) (c) (b) (c))")
-	if err != nil {
-		t.Fatal(err)
-	}
-	q, err := diffTreeQuery("select:b")
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, err := engine.NewTree(ut, q, engine.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.Set().SetDeltaResyncLimit(1)
-	ch, err := e.Subscribe()
+	e, id := selectBSet(t, "(a (b) (c) (b) (c))")
+	e.SetDeltaResyncLimit(1)
+	ch, err := e.Subscribe(id)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -368,14 +350,14 @@ func TestDeltaResyncEngages(t *testing.T) {
 		if i%2 == 1 {
 			l = "c"
 		}
-		snap, _, err := e.ApplyBatch([]engine.Update{
+		m, _, err := e.ApplyBatch([]engine.Update{
 			{Op: engine.OpRelabel, Node: 1, Label: l},
 			{Op: engine.OpRelabel, Node: 3, Label: l},
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		last = snap
+		last = m.Query(id)
 	}
 	c.advance(t, last.Version())
 	if c.resyncs < 2 { // the seed resync plus at least one overflow
@@ -390,23 +372,12 @@ func TestDeltaResyncEngages(t *testing.T) {
 // TestDeltaUnregisterCloses: unregistering the query closes every
 // subscriber channel.
 func TestDeltaUnregisterCloses(t *testing.T) {
-	ut, err := tree.ParseUnranked("(a (b))")
+	e, id := selectBSet(t, "(a (b))")
+	ch, err := e.Subscribe(id)
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, err := diffTreeQuery("select:b")
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, err := engine.NewTree(ut, q, engine.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ch, err := e.Subscribe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Set().Unregister(e.ID()); err != nil {
+	if err := e.Unregister(id); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.After(deltaRecvTimeout)
@@ -424,29 +395,18 @@ func TestDeltaUnregisterCloses(t *testing.T) {
 
 // TestDeltaStats: a subscribed engine surfaces the delta counters.
 func TestDeltaStats(t *testing.T) {
-	ut, err := tree.ParseUnranked("(a (b) (c))")
+	e, id := selectBSet(t, "(a (b) (c))")
+	ch, err := e.Subscribe(id)
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, err := diffTreeQuery("select:b")
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, err := engine.NewTree(ut, q, engine.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ch, err := e.Subscribe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap, _, err := e.ApplyBatch([]engine.Update{{Op: engine.OpRelabel, Node: 2, Label: "b"}})
+	m, _, err := e.ApplyBatch([]engine.Update{{Op: engine.OpRelabel, Node: 2, Label: "b"}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	c := newDeltaConsumer(t, ch)
-	c.advance(t, snap.Version())
-	st := e.Set().Stats()
+	c.advance(t, m.Version())
+	st := e.Stats()
 	if st.DeltasEmitted == 0 {
 		t.Fatalf("DeltasEmitted = 0 after a subscribed publication: %+v", st)
 	}

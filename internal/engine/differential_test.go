@@ -12,7 +12,6 @@ import (
 	"testing"
 
 	"repro/internal/baseline"
-	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/mso"
 	"repro/internal/paths"
@@ -264,6 +263,32 @@ func diffWordQuery(spec string) (*tva.WVA, error) {
 		[]tree.Label{"a", "b", "c"})
 }
 
+// newTreeQuery registers q as the one standing query of a fresh
+// TreeSet: the single-query shape the differential suites drive.
+func newTreeQuery(t testing.TB, ut *tree.Unranked, q *tva.Unranked, opts engine.Options) (*engine.TreeSet, engine.QueryID) {
+	t.Helper()
+	s := engine.NewTreeSet(ut)
+	id, err := s.Register(q, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s, id
+}
+
+// newWordQuery registers q as the one standing query of a fresh WordSet.
+func newWordQuery(t testing.TB, letters []tree.Label, q *tva.WVA, opts engine.Options) (*engine.WordSet, engine.QueryID) {
+	t.Helper()
+	s, err := engine.NewWordSet(letters)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, err := s.Register(q, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s, id
+}
+
 // runDiffScript replays one script and fails the test on any divergence
 // between the engine and the rebuild oracle, or between At(j) and the
 // engine's own enumeration order.
@@ -281,15 +306,12 @@ func runDiffScript(t *testing.T, s *diffScript) {
 	if err != nil {
 		t.Fatalf("script tree: %v\nscript:\n%s", err, s)
 	}
-	oracle, err := baseline.NewRebuildEnumerator(ut.Clone(), q, core.Options{})
+	oracle, err := baseline.NewRebuildEnumerator(ut.Clone(), q, engine.Options{})
 	if err != nil {
 		t.Fatalf("oracle: %v\nscript:\n%s", err, s)
 	}
-	e, err := engine.NewTree(ut, q, engine.Options{})
-	if err != nil {
-		t.Fatalf("engine: %v\nscript:\n%s", err, s)
-	}
-	checkAgainstOracle(t, s, 0, e.Snapshot(), resultKeys(oracle.Results()))
+	e, id := newTreeQuery(t, ut, q, engine.Options{})
+	checkAgainstOracle(t, s, 0, e.Snapshot().Query(id), resultKeys(oracle.Results()))
 	for bi, raw := range s.batches {
 		batch := make([]engine.Update, 0, len(raw))
 		for _, ed := range raw {
@@ -299,48 +321,20 @@ func runDiffScript(t *testing.T, s *diffScript) {
 			}
 			batch = append(batch, u)
 		}
-		snap, _, err := e.ApplyBatch(batch)
+		m, _, err := e.ApplyBatch(batch)
 		if err != nil {
 			t.Fatalf("batch %d: %v\nscript:\n%s", bi, err, s)
 		}
-		if err := e.Set().CheckBalanceDeep(); err != nil {
+		if err := e.CheckBalanceDeep(); err != nil {
 			t.Fatalf("batch %d: height budget violated: %v\nscript:\n%s", bi, err, s)
 		}
 		for _, u := range batch {
-			if err := applyOracleEdit(oracle, u); err != nil {
+			if _, err := oracle.Apply(u); err != nil {
 				t.Fatalf("oracle batch %d: %v\nscript:\n%s", bi, err, s)
 			}
 		}
-		checkAgainstOracle(t, s, bi+1, snap, resultKeys(oracle.Results()))
+		checkAgainstOracle(t, s, bi+1, m.Query(id), resultKeys(oracle.Results()))
 	}
-}
-
-func applyOracleEdit(o *baseline.RebuildEnumerator, u engine.Update) error {
-	switch u.Op {
-	case engine.OpRelabel:
-		return o.Relabel(u.Node, u.Label)
-	case engine.OpInsertFirstChild:
-		_, err := o.InsertFirstChild(u.Node, u.Label)
-		return err
-	case engine.OpInsertRightSibling:
-		_, err := o.InsertRightSibling(u.Node, u.Label)
-		return err
-	case engine.OpDelete:
-		return o.Delete(u.Node)
-	case engine.OpDeleteSubtree:
-		return o.DeleteSubtree(u.Node)
-	case engine.OpMoveSubtreeFirstChild:
-		return o.MoveSubtreeFirstChild(u.Node, u.Dest)
-	case engine.OpMoveSubtreeRightSibling:
-		return o.MoveSubtreeRightSibling(u.Node, u.Dest)
-	case engine.OpInsertSubtreeFirstChild:
-		_, err := o.InsertSubtreeFirstChild(u.Node, u.Fragment)
-		return err
-	case engine.OpInsertSubtreeRightSibling:
-		_, err := o.InsertSubtreeRightSibling(u.Node, u.Fragment)
-		return err
-	}
-	return fmt.Errorf("bad oracle op %v", u.Op)
 }
 
 // checkAgainstOracle compares one snapshot with the oracle's sorted
@@ -405,21 +399,15 @@ func runDiffWord(t *testing.T, s *diffScript) {
 	if err != nil {
 		t.Fatalf("script query: %v\nscript:\n%s", err, s)
 	}
-	e, err := engine.NewWord(s.letters, q, engine.Options{})
-	if err != nil {
-		t.Fatalf("engine: %v\nscript:\n%s", err, s)
-	}
+	e, id := newWordQuery(t, s.letters, q, engine.Options{})
 	// The rebuilt oracle numbers letters positionally while the engine
 	// keeps stable letter IDs: map the oracle's positions onto the
 	// engine's current IDs before comparing.
 	oracleKeys := func() []string {
 		ids, labels := e.Word()
-		o, err := core.NewWordEnumerator(labels, q, core.Options{})
-		if err != nil {
-			t.Fatalf("oracle rebuild: %v\nscript:\n%s", err, s)
-		}
+		o, oid := newWordQuery(t, labels, q, engine.Options{})
 		var keys []string
-		for a := range o.Results() {
+		for a := range o.Snapshot().Query(oid).Results() {
 			mapped := make(tree.Assignment, len(a))
 			for i, sg := range a {
 				mapped[i] = tree.Singleton{Var: sg.Var, Node: ids[sg.Node]}
@@ -429,7 +417,7 @@ func runDiffWord(t *testing.T, s *diffScript) {
 		slices.Sort(keys)
 		return keys
 	}
-	checkAgainstOracle(t, s, 0, e.Snapshot(), oracleKeys())
+	checkAgainstOracle(t, s, 0, e.Snapshot().Query(id), oracleKeys())
 	for bi, raw := range s.batches {
 		batch := make([]engine.Update, 0, len(raw))
 		for _, ed := range raw {
@@ -439,14 +427,14 @@ func runDiffWord(t *testing.T, s *diffScript) {
 			}
 			batch = append(batch, u)
 		}
-		snap, _, err := e.ApplyBatch(batch)
+		m, _, err := e.ApplyBatch(batch)
 		if err != nil {
 			t.Fatalf("batch %d: %v\nscript:\n%s", bi, err, s)
 		}
-		if err := e.Set().CheckBalanceDeep(); err != nil {
+		if err := e.CheckBalanceDeep(); err != nil {
 			t.Fatalf("batch %d: height budget violated: %v\nscript:\n%s", bi, err, s)
 		}
-		checkAgainstOracle(t, s, bi+1, snap, oracleKeys())
+		checkAgainstOracle(t, s, bi+1, m.Query(id), oracleKeys())
 	}
 }
 

@@ -88,21 +88,18 @@ func TestAtMatchesResults(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(11))
 			ut := tva.RandomUnrankedTree(rng, 30, []tree.Label{"a", "b", "c"})
-			e, err := NewTree(ut, q, Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := e.Snapshot().DirectAccess(); got != wantDirect[name] {
+			e, qid := treeQuery(t, ut, q, Options{})
+			if got := e.Snapshot().Query(qid).DirectAccess(); got != wantDirect[name] {
 				t.Fatalf("DirectAccess = %v, want %v", got, wantDirect[name])
 			}
-			checkDirectAccess(t, e.Snapshot())
+			checkDirectAccess(t, e.Snapshot().Query(qid))
 			for step := 0; step < 12; step++ {
 				batch := randomTreeBatch(rng, e.Tree(), 4)
-				s, _, err := e.ApplyBatch(batch)
+				m, _, err := e.ApplyBatch(batch)
 				if err != nil {
 					t.Fatal(err)
 				}
-				checkDirectAccess(t, s)
+				checkDirectAccess(t, m.Query(qid))
 			}
 		})
 	}
@@ -144,8 +141,8 @@ func randomTreeBatch(rng *rand.Rand, ut *tree.Unranked, n int) []Update {
 func TestCountAndAtDoNoEnumeration(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	ut := tva.RandomUnrankedTree(rng, 4000, alphaAB)
-	e := mustTreeEngine(t, ut)
-	s := e.Snapshot()
+	e, qid := mustSelectB(t, ut)
+	s := e.Snapshot().Query(qid)
 	if !s.DirectAccess() {
 		t.Fatal("selectB snapshot should support direct access")
 	}
@@ -188,11 +185,8 @@ func TestAmbiguousQueryFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := NewTree(ut, paths.MustCompile("//a//b", alpha, 0), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := e.Snapshot()
+	e, qid := treeQuery(t, ut, paths.MustCompile("//a//b", alpha, 0), Options{})
+	s := e.Snapshot().Query(qid)
 	if s.DirectAccess() {
 		t.Fatal("path query //a//b must not be classified unambiguous")
 	}
@@ -222,11 +216,8 @@ func TestDirectAccessModes(t *testing.T) {
 		{"naive", enumerate.ModeNaive, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			e, err := NewTree(ut.Clone(), q, Options{Mode: tc.mode})
-			if err != nil {
-				t.Fatal(err)
-			}
-			s := e.Snapshot()
+			e, qid := treeQuery(t, ut.Clone(), q, Options{Mode: tc.mode})
+			s := e.Snapshot().Query(qid)
 			if s.DirectAccess() != tc.direct {
 				t.Fatalf("DirectAccess = %v, want %v", s.DirectAccess(), tc.direct)
 			}
@@ -253,31 +244,28 @@ func TestWordDirectAccess(t *testing.T) {
 	for i := range letters {
 		letters[i] = alpha[rng.Intn(2)]
 	}
-	e, err := NewWord(letters, q, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkDirectAccess(t, e.Snapshot())
+	e, qid := wordQuery(t, letters, q, Options{})
+	checkDirectAccess(t, e.Snapshot().Query(qid))
 	for step := 0; step < 15; step++ {
 		ids, _ := e.Word()
 		id := ids[rng.Intn(len(ids))]
-		var s *Snapshot
+		u := Update{Op: OpRelabel, Node: id}
 		switch rng.Intn(3) {
 		case 0:
-			s, err = e.Relabel(id, alpha[rng.Intn(2)])
+			u.Label = alpha[rng.Intn(2)]
 		case 1:
-			_, s, err = e.InsertAfter(id, alpha[rng.Intn(2)])
+			u.Op, u.Label = OpInsertAfter, alpha[rng.Intn(2)]
 		default:
-			if e.Len() > 1 {
-				s, err = e.Delete(id)
-			} else {
+			if e.Len() <= 1 {
 				continue
 			}
+			u.Op = OpDelete
 		}
+		m, _, err := e.ApplyBatch([]Update{u})
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkDirectAccess(t, s)
+		checkDirectAccess(t, m.Query(qid))
 	}
 }
 
@@ -295,12 +283,13 @@ func TestSemiringCountVsDrain(t *testing.T) {
 		rng := rand.New(rand.NewSource(300 + seed))
 		q := tva.RandomUnranked(rng, 2+int(seed%3), alpha, tree.VarSet(1), 0.25)
 		ut := tva.RandomUnrankedTree(rng, 12, alpha)
-		e, err := NewTree(ut, q, Options{})
+		e := NewTreeSet(ut)
+		qid, err := e.Register(q, Options{})
 		if err != nil {
 			continue // degenerate random automaton
 		}
 		for step := 0; step < 4; step++ {
-			s := e.Snapshot()
+			s := e.Snapshot().Query(qid)
 			drained := 0
 			for range s.Results() {
 				drained++
@@ -324,9 +313,7 @@ func TestSemiringCountVsDrain(t *testing.T) {
 				}
 			}
 			nodes := e.Tree().Nodes()
-			if _, err := e.Relabel(nodes[rng.Intn(len(nodes))].ID, alpha[rng.Intn(2)]); err != nil {
-				t.Fatal(err)
-			}
+			mustApply(t, &e.Engine, Update{Op: OpRelabel, Node: nodes[rng.Intn(len(nodes))].ID, Label: alpha[rng.Intn(2)]})
 		}
 	}
 	if unambiguousSeen == 0 || ambiguousSeen == 0 {
@@ -346,11 +333,8 @@ func TestSemiringCountVsDrain(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(9))
-	e, err := NewTree(tva.RandomUnrankedTree(rng, 30, alpha), q, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := e.Snapshot()
+	e, qid := treeQuery(t, tva.RandomUnrankedTree(rng, 30, alpha), q, Options{})
+	s := e.Snapshot().Query(qid)
 	if !s.DirectAccess() {
 		t.Fatal("MSO-compiled (determinized) query must be unambiguous")
 	}
@@ -396,8 +380,8 @@ func TestPageHugeLimit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := mustTreeEngine(t, ut)
-	s := e.Snapshot()
+	e, qid := mustSelectB(t, ut)
+	s := e.Snapshot().Query(qid)
 	got := s.Page(1, 1<<30)
 	if len(got) != 2 {
 		t.Fatalf("Page(1, huge) returned %d elements, want 2", len(got))

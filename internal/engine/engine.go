@@ -88,14 +88,30 @@
 // nothing needs to be; the -race churn stress tests
 // (TestParallelRegisterChurnStress and friends) enforce the discipline.
 //
-// TreeEngine and WordEngine remain as thin single-query shims over
-// TreeSet and WordSet for callers that serve one query per document.
+// ONE WRITE PATH. Every edit — the leaf edits of Definition 7.1 and the
+// structural subtree/range edits alike — is an Update applied by
+// ApplyBatch (Apply is a batch of one). Batches amortize the publication
+// work: all edits of a batch run back-to-back on the forest, the dirtied
+// trunk is deduplicated into one TrunkDelta, and boxes shared by several
+// edits' trunks are rebuilt once per pipeline instead of once per edit —
+// one publication per batch. A caller serving one query per document
+// registers it on a TreeSet / WordSet and reads its slice of each
+// MultiSnapshot with Query.
 //
-// Batched updates (ApplyBatch) amortize the publication work: all edits
-// of a batch run back-to-back on the forest, the dirtied trunk is
-// deduplicated into one TrunkDelta, and boxes shared by several edits'
-// trunks are rebuilt once per pipeline instead of once per edit — one
-// publication per batch.
+// THE PIPELINE (Theorem 8.1; Theorem 8.5 for words). Registration and
+// every publication run the paper's construction layer by layer:
+//
+//	tree  ──forest.New──▶ balanced term        (Lemma 7.4, encoding ω)
+//	query ──forest.Translate──▶ binary TVA     (Lemma 7.4, faithfulness)
+//	      ──Homogenize──▶ homogenized TVA      (Lemma 2.1)
+//	term  ──circuit.Builder──▶ assignment circuit, one box per term node
+//	                                           (Lemma 3.7)
+//	boxes ──enumerate.Wrap──▶ I(C)             (Definition 6.1, Lemma 6.3)
+//	      ──enumerate.Assignments──▶ results   (Theorem 6.5)
+//
+// Updates flow through the forest's hollowing trunks (Definition 7.2):
+// each pipeline rebuilds exactly the boxes and index entries of the
+// trunk, bottom-up, which is Lemma 7.3.
 package engine
 
 import (
@@ -416,9 +432,9 @@ func (p *pipeline) applyDelta(delta forest.TrunkDelta, pub pubInfo) *Snapshot {
 
 // Engine is the shared writer core of a query set: it owns the source's
 // trunk drain, the per-query pipelines, the worker pool bound, and the
-// published MultiSnapshot. All mutation goes through Mutate / Register /
-// Unregister, which serialize writers; Snapshot and Stats are safe from
-// any goroutine at any time.
+// published MultiSnapshot. All mutation goes through ApplyBatch /
+// Register / Unregister, which serialize writers; Snapshot and Stats are
+// safe from any goroutine at any time.
 type Engine struct {
 	mu      sync.Mutex
 	src     Source
@@ -426,6 +442,10 @@ type Engine struct {
 	order   []QueryID             // registered IDs, ascending (publication order)
 	nextID  QueryID
 	workers int
+
+	// edit applies one Update to src: the source-specific half of
+	// ApplyBatch, supplied by NewTreeSet / NewWordSet.
+	edit func(Update) (tree.NodeID, error)
 
 	// byKey is the multi-query optimizer's dedupe index: content key →
 	// standing shareable pipelines (a short chain, in case distinct
@@ -486,9 +506,10 @@ type Engine struct {
 // replay it — late registration walks the live term instead), and
 // installs the empty version-0 MultiSnapshot so Snapshot never returns
 // nil. The first registration publishes version 1. Called by NewTreeSet
-// / NewWordSet.
-func (e *Engine) initEngine(src Source) {
+// / NewWordSet, which supply the source's edit switch.
+func (e *Engine) initEngine(src Source, edit func(Update) (tree.NodeID, error)) {
 	e.src = src
+	e.edit = edit
 	e.pipes = map[QueryID]*pipeline{}
 	e.byKey = map[pipeKey][]*pipeline{}
 	e.workers = runtime.GOMAXPROCS(0)
@@ -601,7 +622,7 @@ func (e *Engine) register(builder *circuit.Builder, translated int, opts Options
 	}
 
 	// Short lock hold #1: pin the current term version and start
-	// recording deltas. Any trunk left undrained by a non-Mutate path is
+	// recording deltas. Any trunk left undrained by a non-publication path is
 	// absorbed first so the pinned walk sees exactly the live term
 	// (normally a no-op: every mutation drains before publishing).
 	e.mu.Lock()
@@ -687,17 +708,61 @@ func (e *Engine) Queries() []QueryID {
 	return slices.Clone(e.order)
 }
 
-// Mutate runs edit under the writer lock, drains the dirtied trunk into
-// one immutable delta, fans it out to every registered pipeline — in
-// parallel across the worker pool for k > 1 — and atomically publishes
-// the resulting MultiSnapshot. The returned snapshot reflects whatever
-// the edit managed to apply, also when it returns an error (forest edits
-// are atomic, so a failed single edit publishes an unchanged structure).
-func (e *Engine) Mutate(edit func() error) (*MultiSnapshot, error) {
+// ApplyBatch applies the updates in order under one writer-lock hold,
+// drains the dirtied trunk into one immutable delta, fans it out to
+// every registered pipeline — in parallel across the worker pool for
+// k > 1 — and atomically publishes ONE MultiSnapshot for the whole
+// batch. Box and index repair is amortized across the batch per query:
+// trunk nodes dirtied by several edits are rebuilt once, not once per
+// edit, so k clustered edits cost well below k single publications — and
+// the forest/term work is paid once regardless of how many queries
+// stand.
+//
+// The returned IDs give, per batch position, the ID the update created:
+// the new node of a tree insert (for subtree grafts, the copy's root),
+// the new letter of a word insert, and for OpInsertRange / OpConcat the
+// FIRST fresh letter — a range's letters get consecutive IDs, so label j
+// of Update.Labels is letter ids[i]+j. Every other position, and every
+// position not applied, holds tree.InvalidNode (node 0 is a valid ID,
+// the root of parsed trees). On the first failing update the batch
+// stops; the edits already applied are still published (each forest
+// edit is atomic), and the error identifies the position.
+func (e *Engine) ApplyBatch(batch []Update) (*MultiSnapshot, []tree.NodeID, error) {
+	m, ids, failed, err := e.applyBatch(batch)
+	if err != nil {
+		u := batch[failed]
+		err = fmt.Errorf("engine: batch update %d (%v n%d): %w", failed, u.Op, u.Node, err)
+	}
+	return m, ids, err
+}
+
+// Apply applies one update as a batch of one (see ApplyBatch) and
+// returns the ID it created, tree.InvalidNode if none; the error is the
+// edit's own, without a batch position. The resulting publication is
+// read back with Snapshot.
+func (e *Engine) Apply(u Update) (tree.NodeID, error) {
+	_, ids, _, err := e.applyBatch([]Update{u})
+	return ids[0], err
+}
+
+// applyBatch is the one edit loop behind ApplyBatch and Apply: it runs
+// the updates under the writer lock up to the first failure, whose
+// position it returns with the unwrapped error, and publishes once.
+func (e *Engine) applyBatch(batch []Update) (*MultiSnapshot, []tree.NodeID, int, error) {
+	ids := make([]tree.NodeID, len(batch))
+	for i := range ids {
+		ids[i] = tree.InvalidNode
+	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	err := edit()
-	return e.applyAndPublish(), err
+	for i, u := range batch {
+		v, err := e.edit(u)
+		if err != nil {
+			return e.applyAndPublish(), ids, i, err
+		}
+		ids[i] = v
+	}
+	return e.applyAndPublish(), ids, -1, nil
 }
 
 // Snapshot returns the currently published MultiSnapshot: one atomic

@@ -40,13 +40,11 @@ func resultKeys(rs iter.Seq[tree.Assignment]) []string {
 	return out
 }
 
-func mustTreeEngine(t *testing.T, ut *tree.Unranked) *TreeEngine {
+// mustSelectB registers selectB as the one standing query of a fresh
+// TreeSet.
+func mustSelectB(t *testing.T, ut *tree.Unranked) (*TreeSet, QueryID) {
 	t.Helper()
-	e, err := NewTree(ut, selectB(), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return e
+	return treeQuery(t, ut, selectB(), Options{})
 }
 
 // TestSnapshotMatchesTree cross-checks every published snapshot against
@@ -54,7 +52,7 @@ func mustTreeEngine(t *testing.T, ut *tree.Unranked) *TreeEngine {
 func TestSnapshotMatchesTree(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	ut := tva.RandomUnrankedTree(rng, 40, []tree.Label{"a", "b", "c"})
-	e := mustTreeEngine(t, ut)
+	e, id := mustSelectB(t, ut)
 	check := func(s *Snapshot) {
 		t.Helper()
 		want := expectedB(e.Tree())
@@ -62,33 +60,31 @@ func TestSnapshotMatchesTree(t *testing.T) {
 			t.Fatalf("snapshot v%d: got %v, want %v", s.Version(), got, want)
 		}
 	}
-	check(e.Snapshot())
+	check(e.Snapshot().Query(id))
 	for step := 0; step < 200; step++ {
 		nodes := e.Tree().Nodes()
 		n := nodes[rng.Intn(len(nodes))]
 		l := []tree.Label{"a", "b", "c"}[rng.Intn(3)]
-		var s *Snapshot
-		var err error
+		u := Update{Op: OpRelabel, Node: n.ID, Label: l}
 		switch rng.Intn(4) {
-		case 0:
-			s, err = e.Relabel(n.ID, l)
 		case 1:
-			_, s, err = e.InsertFirstChild(n.ID, l)
+			u.Op = OpInsertFirstChild
 		case 2:
 			if n.Parent == nil {
 				continue
 			}
-			_, s, err = e.InsertRightSibling(n.ID, l)
-		default:
+			u.Op = OpInsertRightSibling
+		case 3:
 			if !n.IsLeaf() || n.Parent == nil {
 				continue
 			}
-			s, err = e.Delete(n.ID)
+			u.Op = OpDelete
 		}
+		m, _, err := e.ApplyBatch([]Update{u})
 		if err != nil {
 			t.Fatal(err)
 		}
-		check(s)
+		check(m.Query(id))
 	}
 }
 
@@ -99,9 +95,9 @@ func TestSnapshotMatchesTree(t *testing.T) {
 func TestSnapshotIsolationMidIteration(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	ut := tva.RandomUnrankedTree(rng, 120, []tree.Label{"a", "b"})
-	e := mustTreeEngine(t, ut)
+	e, id := mustSelectB(t, ut)
 
-	snap := e.Snapshot()
+	snap := e.Snapshot().Query(id)
 	want := resultKeys(snap.Results())
 	if len(want) < 10 {
 		t.Fatalf("test tree too small: %d results", len(want))
@@ -122,15 +118,11 @@ func TestSnapshotIsolationMidIteration(t *testing.T) {
 	// delete leaves. The paused iteration must not notice.
 	for _, n := range e.Tree().Nodes() {
 		if n.Label == "b" {
-			if _, err := e.Relabel(n.ID, "a"); err != nil {
-				t.Fatal(err)
-			}
+			mustApply(t, &e.Engine, Update{Op: OpRelabel, Node: n.ID, Label: "a"})
 		}
 	}
 	for i := 0; i < 30; i++ {
-		if _, _, err := e.InsertFirstChild(e.Tree().Root.ID, "b"); err != nil {
-			t.Fatal(err)
-		}
+		mustApply(t, &e.Engine, Update{Op: OpInsertFirstChild, Node: e.Tree().Root.ID, Label: "b"})
 	}
 
 	for {
@@ -149,7 +141,7 @@ func TestSnapshotIsolationMidIteration(t *testing.T) {
 		t.Fatal("old snapshot changed after updates")
 	}
 	// And the latest snapshot sees the new state.
-	if got := resultKeys(e.Snapshot().Results()); len(got) != 30 {
+	if got := resultKeys(e.Snapshot().Query(id).Results()); len(got) != 30 {
 		t.Fatalf("latest snapshot has %d results, want 30", len(got))
 	}
 }
@@ -161,8 +153,8 @@ func TestApplyBatchMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	ut := tva.RandomUnrankedTree(rng, 60, []tree.Label{"a", "b", "c"})
 
-	eBatch := mustTreeEngine(t, ut.Clone())
-	eSeq := mustTreeEngine(t, ut.Clone())
+	eBatch, idB := mustSelectB(t, ut.Clone())
+	eSeq, idS := mustSelectB(t, ut.Clone())
 	if eBatch.Snapshot().Version() != 1 {
 		t.Fatalf("initial version = %d, want 1", eBatch.Snapshot().Version())
 	}
@@ -175,22 +167,20 @@ func TestApplyBatchMatchesSequential(t *testing.T) {
 		n := nodes[rng.Intn(10)%len(nodes)]
 		batch = append(batch, Update{Op: OpRelabel, Node: n.ID, Label: []tree.Label{"a", "b", "c"}[rng.Intn(3)]})
 	}
-	base := eBatch.BoxesRebuilt()
-	snapB, _, err := eBatch.ApplyBatch(batch)
+	base := eBatch.Stats().BoxesRebuilt
+	mB, _, err := eBatch.ApplyBatch(batch)
 	if err != nil {
 		t.Fatal(err)
 	}
-	batchWork := eBatch.BoxesRebuilt() - base
+	batchWork := eBatch.Stats().BoxesRebuilt - base
 
-	base = eSeq.BoxesRebuilt()
-	var snapS *Snapshot
+	base = eSeq.Stats().BoxesRebuilt
 	for _, u := range batch {
-		if snapS, err = eSeq.Relabel(u.Node, u.Label); err != nil {
-			t.Fatal(err)
-		}
+		mustApply(t, &eSeq.Engine, u)
 	}
-	seqWork := eSeq.BoxesRebuilt() - base
+	seqWork := eSeq.Stats().BoxesRebuilt - base
 
+	snapB, snapS := mB.Query(idB), eSeq.Snapshot().Query(idS)
 	if got, want := resultKeys(snapB.Results()), resultKeys(snapS.Results()); !slices.Equal(got, want) {
 		t.Fatalf("batch result %v != sequential result %v", got, want)
 	}
@@ -207,9 +197,9 @@ func TestApplyBatchMatchesSequential(t *testing.T) {
 // stop-at-first-error contract.
 func TestApplyBatchInsertIDsAndErrors(t *testing.T) {
 	ut := tree.NewUnranked("a")
-	e := mustTreeEngine(t, ut)
+	e, id := mustSelectB(t, ut)
 
-	snap, ids, err := e.ApplyBatch([]Update{
+	m, ids, err := e.ApplyBatch([]Update{
 		{Op: OpInsertFirstChild, Node: ut.Root.ID, Label: "b"},
 		{Op: OpInsertRightSibling, Node: ut.Root.ID, Label: "b"}, // invalid: the root has no siblings
 	})
@@ -223,11 +213,11 @@ func TestApplyBatchInsertIDsAndErrors(t *testing.T) {
 		t.Fatalf("unapplied position should stay InvalidNode, got %d", ids[1])
 	}
 	// The first edit was applied and published despite the later error.
-	if got := resultKeys(snap.Results()); len(got) != 1 {
+	if got := resultKeys(m.Query(id).Results()); len(got) != 1 {
 		t.Fatalf("partial batch published %d results, want 1", len(got))
 	}
 
-	snap2, ids2, err := e.ApplyBatch([]Update{
+	m2, ids2, err := e.ApplyBatch([]Update{
 		{Op: OpInsertFirstChild, Node: ut.Root.ID, Label: "b"},
 		{Op: OpRelabel, Node: ids[0], Label: "a"},
 		{Op: OpDelete, Node: ids[0]},
@@ -240,7 +230,7 @@ func TestApplyBatchInsertIDsAndErrors(t *testing.T) {
 	}
 	// The old b-child was relabeled away and deleted; only the batch's
 	// fresh insert remains.
-	if got := resultKeys(snap2.Results()); len(got) != 1 {
+	if got := resultKeys(m2.Query(id).Results()); len(got) != 1 {
 		t.Fatalf("got %d results, want 1", len(got))
 	}
 
@@ -248,11 +238,19 @@ func TestApplyBatchInsertIDsAndErrors(t *testing.T) {
 	if _, _, err := e.ApplyBatch([]Update{{Op: OpInsertAfter, Node: 0, Label: "b"}}); err == nil {
 		t.Fatal("expected error for a word op on a tree engine")
 	}
+	// Apply is a batch of one: same ID and error contract.
+	v, err := e.Apply(Update{Op: OpInsertFirstChild, Node: ut.Root.ID, Label: "b"})
+	if err != nil || v < 0 {
+		t.Fatalf("Apply insert = %d, %v", v, err)
+	}
+	if v, err := e.Apply(Update{Op: OpDelete, Node: ut.Root.ID}); err == nil || v != tree.InvalidNode {
+		t.Fatalf("Apply of a root delete = %d, %v; want InvalidNode and an error", v, err)
+	}
 }
 
-// TestWordEngineBatchAndSnapshots covers the word side: batched letter
-// edits, snapshot isolation, MoveRange as one publication.
-func TestWordEngineBatchAndSnapshots(t *testing.T) {
+// wordOneB is the test WVA accepting any word with exactly one marked b
+// (X0 on it).
+func wordOneB() *tva.WVA {
 	q := &tva.WVA{
 		NumStates: 2,
 		Alphabet:  alphaAB,
@@ -260,7 +258,6 @@ func TestWordEngineBatchAndSnapshots(t *testing.T) {
 		Initial:   []tva.State{0},
 		Final:     []tva.State{1},
 	}
-	// Accept any word with exactly one marked b (X0 on it).
 	for _, l := range alphaAB {
 		q.Trans = append(q.Trans,
 			tva.WTrans{From: 0, Label: l, Set: 0, To: 0},
@@ -268,18 +265,20 @@ func TestWordEngineBatchAndSnapshots(t *testing.T) {
 		)
 	}
 	q.Trans = append(q.Trans, tva.WTrans{From: 0, Label: "b", Set: tree.NewVarSet(0), To: 1})
+	return q
+}
 
-	e, err := NewWord([]tree.Label{"a", "b", "a"}, q, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := e.Snapshot()
+// TestWordEngineBatchAndSnapshots covers the word side: batched letter
+// edits, snapshot isolation, MoveRange as one publication.
+func TestWordEngineBatchAndSnapshots(t *testing.T) {
+	e, id := wordQuery(t, []tree.Label{"a", "b", "a"}, wordOneB(), Options{})
+	before := e.Snapshot().Query(id)
 	if before.Count() != 1 {
 		t.Fatalf("initial count = %d, want 1", before.Count())
 	}
 
 	ids, _ := e.Word()
-	snap, newIDs, err := e.ApplyBatch([]Update{
+	m, newIDs, err := e.ApplyBatch([]Update{
 		{Op: OpInsertAfter, Node: ids[2], Label: "b"},
 		{Op: OpInsertBefore, Node: ids[0], Label: "b"},
 		{Op: OpRelabel, Node: ids[1], Label: "a"},
@@ -290,6 +289,7 @@ func TestWordEngineBatchAndSnapshots(t *testing.T) {
 	if newIDs[0] == newIDs[1] {
 		t.Fatal("insert IDs must be distinct")
 	}
+	snap := m.Query(id)
 	if snap.Count() != 2 {
 		t.Fatalf("after batch count = %d, want 2", snap.Count())
 	}
@@ -302,10 +302,11 @@ func TestWordEngineBatchAndSnapshots(t *testing.T) {
 
 	// MoveRange: one publication, stable IDs.
 	v := snap.Version()
-	moved, err := e.MoveRange(0, 2, 2)
+	mm, _, err := e.ApplyBatch([]Update{{Op: OpMoveRange, From: 0, K: 2, To: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	moved := mm.Query(id)
 	if moved.Version() != v+1 {
 		t.Fatalf("MoveRange published %d snapshots, want 1", moved.Version()-v)
 	}
@@ -314,19 +315,57 @@ func TestWordEngineBatchAndSnapshots(t *testing.T) {
 	}
 }
 
+// TestApplyBatchRangeInsertIDs pins the ID contract of the word range
+// inserts: the batch reports the FIRST fresh letter of an OpInsertRange
+// or OpConcat, and the range's letters carry consecutive IDs from it.
+func TestApplyBatchRangeInsertIDs(t *testing.T) {
+	e, id := wordQuery(t, []tree.Label{"a", "a", "a"}, wordOneB(), Options{})
+	ins := []tree.Label{"a", "b", "a"}
+	cat := []tree.Label{"a", "a"}
+	m, ids, err := e.ApplyBatch([]Update{
+		{Op: OpInsertRange, From: 1, Labels: ins},
+		{Op: OpRelabel, Node: 0, Label: "a"},
+		{Op: OpConcat, Labels: cat},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ids[0] == tree.InvalidNode || ids[2] == tree.InvalidNode || ids[1] != tree.InvalidNode {
+		t.Fatalf("ids = %v: want fresh IDs at the range inserts only", ids)
+	}
+	letters, _ := e.Word()
+	for j := range ins {
+		if got := letters[1+j]; got != ids[0]+tree.NodeID(j) {
+			t.Fatalf("inserted letter %d has ID %d, want %d", j, got, ids[0]+tree.NodeID(j))
+		}
+	}
+	for j := range cat {
+		if got := letters[len(letters)-len(cat)+j]; got != ids[2]+tree.NodeID(j) {
+			t.Fatalf("concatenated letter %d has ID %d, want %d", j, got, ids[2]+tree.NodeID(j))
+		}
+	}
+	// The one b (inserted at position 2) is the only answer, at the ID
+	// the contract predicts.
+	res := m.Query(id).All()
+	if len(res) != 1 || res[0][0].Node != ids[0]+1 {
+		t.Fatalf("results = %v, want the b at letter %d", res, ids[0]+1)
+	}
+	// A failing range insert reports InvalidNode.
+	_, ids, err = e.ApplyBatch([]Update{{Op: OpInsertRange, From: 99, Labels: ins}})
+	if err == nil || ids[0] != tree.InvalidNode {
+		t.Fatalf("out-of-range insert: ids %v, err %v", ids, err)
+	}
+}
+
 // TestStatsAndVersioning sanity-checks the monotone version counter and
 // the lazily computed stats.
 func TestStatsAndVersioning(t *testing.T) {
 	ut := tree.NewUnranked("a")
-	e := mustTreeEngine(t, ut)
+	e, id := mustSelectB(t, ut)
 	var last uint64
 	for i := 0; i < 5; i++ {
-		s, _, err := e.InsertFirstChild(ut.Root.ID, "b")
-		_ = s
-		snap := e.Snapshot()
-		if err != nil {
-			t.Fatal(err)
-		}
+		mustApply(t, &e.Engine, Update{Op: OpInsertFirstChild, Node: ut.Root.ID, Label: "b"})
+		snap := e.Snapshot().Query(id)
 		if snap.Version() <= last {
 			t.Fatalf("version not increasing: %d after %d", snap.Version(), last)
 		}
@@ -349,33 +388,31 @@ func TestStatsAndVersioning(t *testing.T) {
 func TestAttachTracksLiveTerm(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	ut := tva.RandomUnrankedTree(rng, 30, []tree.Label{"a", "b"})
-	e := mustTreeEngine(t, ut)
+	e, id := mustSelectB(t, ut)
 	labels := []tree.Label{"a", "b"}
 	for i := 0; i < 3000; i++ {
 		nodes := e.Tree().Nodes()
 		n := nodes[rng.Intn(len(nodes))]
-		var err error
+		u := Update{Op: OpRelabel, Node: n.ID}
 		switch rng.Intn(4) {
 		case 0:
-			_, err = e.Relabel(n.ID, labels[rng.Intn(2)])
+			u.Label = labels[rng.Intn(2)]
 		case 1:
-			_, _, err = e.InsertFirstChild(n.ID, labels[rng.Intn(2)])
+			u.Op, u.Label = OpInsertFirstChild, labels[rng.Intn(2)]
 		case 2:
 			if n.Parent == nil {
 				continue
 			}
-			_, _, err = e.InsertRightSibling(n.ID, labels[rng.Intn(2)])
+			u.Op, u.Label = OpInsertRightSibling, labels[rng.Intn(2)]
 		default:
 			if !n.IsLeaf() || n.Parent == nil {
 				continue
 			}
-			_, err = e.Delete(n.ID)
+			u.Op = OpDelete
 		}
-		if err != nil {
-			t.Fatal(err)
-		}
+		mustApply(t, &e.Engine, u)
 	}
-	attach := e.set.pipes[e.id].attach
+	attach := e.pipes[id].attach
 	live := 0
 	var rec func(n *forest.Node)
 	rec = func(n *forest.Node) {
@@ -389,23 +426,24 @@ func TestAttachTracksLiveTerm(t *testing.T) {
 		rec(n.Left)
 		rec(n.Right)
 	}
-	rec(e.set.f.TermRoot())
+	rec(e.f.TermRoot())
 	if len(attach) != live {
 		t.Fatalf("attach map has %d entries for %d live term nodes (leak)", len(attach), live)
 	}
 	want := expectedB(e.Tree())
-	if got := resultKeys(e.Snapshot().Results()); !slices.Equal(got, want) {
+	if got := resultKeys(e.Snapshot().Query(id).Results()); !slices.Equal(got, want) {
 		t.Fatalf("post-storm results wrong: got %d, want %d", len(got), len(want))
 	}
 }
 
-func ExampleTreeEngine_ApplyBatch() {
+func ExampleTreeSet_ApplyBatch() {
 	ut := tree.NewUnranked("a")
-	e, _ := NewTree(ut, tva.SelectLabel([]tree.Label{"a", "b"}, "b", 0), Options{})
-	snap, _, _ := e.ApplyBatch([]Update{
+	s := NewTreeSet(ut)
+	id, _ := s.Register(tva.SelectLabel([]tree.Label{"a", "b"}, "b", 0), Options{})
+	m, _, _ := s.ApplyBatch([]Update{
 		{Op: OpInsertFirstChild, Node: ut.Root.ID, Label: "b"},
 		{Op: OpInsertFirstChild, Node: ut.Root.ID, Label: "b"},
 	})
-	fmt.Println(snap.Count())
+	fmt.Println(m.Query(id).Count())
 	// Output: 2
 }

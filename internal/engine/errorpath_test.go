@@ -8,7 +8,7 @@ import (
 	"repro/internal/tva"
 )
 
-// This file audits the error paths of Mutate/ApplyBatch: a failing edit
+// This file audits the error paths of ApplyBatch: a failing edit
 // mid-batch must still publish a MultiSnapshot that reflects exactly
 // the applied prefix, consistently across every registered query — no
 // torn state, no stale version, and the engine must keep accepting
@@ -29,11 +29,8 @@ func checkSetAgainstFresh(t *testing.T, qs *TreeSet, ids []QueryID) {
 	t.Helper()
 	m := qs.Snapshot()
 	for qi, q := range auditQueries() {
-		fresh, err := NewTree(qs.Tree().Clone(), q, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := resultKeys(fresh.Snapshot().Results())
+		fresh, fid := treeQuery(t, qs.Tree().Clone(), q, Options{})
+		want := resultKeys(fresh.Snapshot().Query(fid).Results())
 		got := resultKeys(m.Query(ids[qi]).Results())
 		if !slices.Equal(got, want) {
 			t.Fatalf("query %d: snapshot diverges from prefix state\ngot:  %v\nwant: %v", qi, got, want)
@@ -106,7 +103,7 @@ func TestTreeBatchFailureMidBatch(t *testing.T) {
 			}
 			checkSetAgainstFresh(t, qs, ids)
 			// The engine must remain usable after the failure.
-			if _, err := qs.Relabel(0, "b"); err != nil {
+			if _, err := qs.Apply(Update{Op: OpRelabel, Node: 0, Label: "b"}); err != nil {
 				t.Fatalf("engine unusable after failed batch: %v", err)
 			}
 			checkSetAgainstFresh(t, qs, ids)
@@ -177,7 +174,7 @@ func TestWordBatchFailureMidBatch(t *testing.T) {
 		if len(ids2) != 1 {
 			t.Fatalf("word length %d, want 1", len(ids2))
 		}
-		m2, err := ws.Delete(ids2[0])
+		m2, _, err := ws.ApplyBatch([]Update{{Op: OpDelete, Node: ids2[0]}})
 		if err == nil {
 			t.Fatal("deleting the last letter must fail")
 		}

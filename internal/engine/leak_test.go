@@ -17,27 +17,22 @@ import (
 // starts a delivery goroutine that must die on Unregister, even with an
 // undelivered pending delta and no consumer). Run under -race in CI.
 
-func leakEngine(t *testing.T, n int) *engine.TreeEngine {
+func leakEngine(t *testing.T, n int) (*engine.TreeSet, engine.QueryID) {
 	t.Helper()
 	ut, err := workload.Tree(workload.ShapeRandom, n, rand.New(rand.NewSource(7)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := tva.SelectLabel([]tree.Label{"a", "b", "c"}, "b", 0)
-	e, err := engine.NewTree(ut, q, engine.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return e
+	return newTreeQuery(t, ut, tva.SelectLabel([]tree.Label{"a", "b", "c"}, "b", 0), engine.Options{})
 }
 
 // TestLeakChunksEarlyBreak breaks out of a fanned-out Chunks stream
 // after the first chunk; the producer workers behind it must wind down.
 func TestLeakChunksEarlyBreak(t *testing.T) {
-	e := leakEngine(t, 2000)
+	e, id := leakEngine(t, 2000)
 	leaktest.Check(t, func() {
 		for range 20 {
-			snap := e.Snapshot()
+			snap := e.Snapshot().Query(id)
 			for chunk := range snap.Chunks(4, 8) {
 				_ = chunk
 				break // early break: workers + feeder must terminate
@@ -52,10 +47,10 @@ func TestLeakChunksEarlyBreak(t *testing.T) {
 func TestLeakSubscribeUnregisterChurn(t *testing.T) {
 	leaktest.Check(t, func() {
 		for range 10 {
-			e := leakEngine(t, 200)
+			e, id := leakEngine(t, 200)
 			var chans []<-chan engine.Delta
 			for range 5 {
-				ch, err := e.Subscribe()
+				ch, err := e.Subscribe(id)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -72,7 +67,7 @@ func TestLeakSubscribeUnregisterChurn(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if err := e.Set().Unregister(e.ID()); err != nil {
+			if err := e.Unregister(id); err != nil {
 				t.Fatal(err)
 			}
 			// Channels must be closed — drain to the close without help
@@ -89,8 +84,8 @@ func TestLeakSubscribeUnregisterChurn(t *testing.T) {
 // consumer drains until close; after Unregister nothing survives.
 func TestLeakSubscribeWithActiveConsumer(t *testing.T) {
 	leaktest.Check(t, func() {
-		e := leakEngine(t, 500)
-		ch, err := e.Subscribe()
+		e, id := leakEngine(t, 500)
+		ch, err := e.Subscribe(id)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -109,7 +104,7 @@ func TestLeakSubscribeWithActiveConsumer(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if err := e.Set().Unregister(e.ID()); err != nil {
+		if err := e.Unregister(id); err != nil {
 			t.Fatal(err)
 		}
 		<-done

@@ -46,27 +46,15 @@ func assignmentKeys(as []tree.Assignment) []string {
 // (no oracle) and hands every published snapshot to fn.
 func forEachScriptSnapshot(t *testing.T, s *diffScript, mode enumerate.Mode, fn func(step int, snap *engine.Snapshot)) {
 	t.Helper()
-	var (
-		snap  *engine.Snapshot
-		apply func(batch []engine.Update) *engine.Snapshot
-	)
+	var e *engine.Engine
+	var id engine.QueryID
 	if s.isWord {
 		q, err := diffWordQuery(s.query)
 		if err != nil {
 			t.Fatal(err)
 		}
-		e, err := engine.NewWord(s.letters, q, engine.Options{Mode: mode})
-		if err != nil {
-			t.Fatal(err)
-		}
-		snap = e.Snapshot()
-		apply = func(batch []engine.Update) *engine.Snapshot {
-			sn, _, err := e.ApplyBatch(batch)
-			if err != nil {
-				t.Fatalf("batch: %v\nscript:\n%s", err, s)
-			}
-			return sn
-		}
+		we, wid := newWordQuery(t, s.letters, q, engine.Options{Mode: mode})
+		e, id = &we.Engine, wid
 	} else {
 		q, err := diffTreeQuery(s.query)
 		if err != nil {
@@ -76,20 +64,17 @@ func forEachScriptSnapshot(t *testing.T, s *diffScript, mode enumerate.Mode, fn 
 		if err != nil {
 			t.Fatal(err)
 		}
-		e, err := engine.NewTree(ut, q, engine.Options{Mode: mode})
-		if err != nil {
-			t.Fatal(err)
-		}
-		snap = e.Snapshot()
-		apply = func(batch []engine.Update) *engine.Snapshot {
-			sn, _, err := e.ApplyBatch(batch)
-			if err != nil {
-				t.Fatalf("batch: %v\nscript:\n%s", err, s)
-			}
-			return sn
-		}
+		te, tid := newTreeQuery(t, ut, q, engine.Options{Mode: mode})
+		e, id = &te.Engine, tid
 	}
-	fn(0, snap)
+	apply := func(batch []engine.Update) *engine.Snapshot {
+		m, _, err := e.ApplyBatch(batch)
+		if err != nil {
+			t.Fatalf("batch: %v\nscript:\n%s", err, s)
+		}
+		return m.Query(id)
+	}
+	fn(0, e.Snapshot().Query(id))
 	for bi, raw := range s.batches {
 		batch := make([]engine.Update, 0, len(raw))
 		for _, ed := range raw {
@@ -243,11 +228,8 @@ func wideTree(t *testing.T, n int) *tree.Unranked {
 // read path shares nothing mutable with the writer.
 func TestParallelDrainSnapshotIsolation(t *testing.T) {
 	const kids = 240
-	e, err := engine.NewTree(wideTree(t, kids), tva.SelectLabel([]tree.Label{"a", "b", "c"}, "b", 0), engine.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap0 := e.Snapshot()
+	e, id := newTreeQuery(t, wideTree(t, kids), tva.SelectLabel([]tree.Label{"a", "b", "c"}, "b", 0), engine.Options{})
+	snap0 := e.Snapshot().Query(id)
 	want := assignmentKeys(snap0.All())
 	if len(want) != kids/2 {
 		t.Fatalf("seed answer count = %d, want %d", len(want), kids/2)
@@ -309,11 +291,8 @@ func TestParallelDrainSnapshotIsolation(t *testing.T) {
 // a large answer set).
 func TestParallelDrainAllocations(t *testing.T) {
 	const kids = 4000
-	e, err := engine.NewTree(wideTree(t, kids), tva.SelectLabel([]tree.Label{"a", "b", "c"}, "b", 0), engine.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap := e.Snapshot()
+	e, id := newTreeQuery(t, wideTree(t, kids), tva.SelectLabel([]tree.Label{"a", "b", "c"}, "b", 0), engine.Options{})
+	snap := e.Snapshot().Query(id)
 	if !snap.DirectAccess() {
 		t.Fatal("select query lost direct access")
 	}
@@ -335,13 +314,10 @@ func TestParallelDrainAllocations(t *testing.T) {
 // AnswersEnumerated from every read API, and exactly the fanned-out
 // drains bump ParallelDrains.
 func TestReadStats(t *testing.T) {
-	e, err := engine.NewTree(wideTree(t, 64), tva.SelectLabel([]tree.Label{"a", "b", "c"}, "b", 0), engine.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap := e.Snapshot()
+	e, id := newTreeQuery(t, wideTree(t, 64), tva.SelectLabel([]tree.Label{"a", "b", "c"}, "b", 0), engine.Options{})
+	snap := e.Snapshot().Query(id)
 	n := snap.Count()
-	stats := func() engine.EngineStats { return e.Set().Stats() }
+	stats := e.Stats
 
 	base := stats()
 	if got := assignmentKeys(snap.All()); len(got) != n {

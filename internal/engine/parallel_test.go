@@ -438,13 +438,6 @@ func TestEngineStatsSurface(t *testing.T) {
 	if st.BoxesRebuilt != st.QueryBoxesRebuilt[qa]+st.QueryBoxesRebuilt[qb] {
 		t.Fatalf("BoxesRebuilt %d is not the per-query sum %v", st.BoxesRebuilt, st.QueryBoxesRebuilt)
 	}
-	// Deprecated wrappers read the same publication.
-	if s.BoxesRebuilt() != st.BoxesRebuilt || s.PathCopies() != st.PathCopies || s.Rebalances() != st.Rebalances {
-		t.Fatal("deprecated counter wrappers disagree with Stats()")
-	}
-	if n, ok := s.QueryBoxesRebuilt(qa); !ok || n != st.QueryBoxesRebuilt[qa] {
-		t.Fatal("QueryBoxesRebuilt wrapper disagrees with Stats()")
-	}
 
 	for i := 0; i < 30; i++ {
 		randomEdit(t, s, rng)
@@ -476,7 +469,7 @@ func TestEngineStatsSurface(t *testing.T) {
 	}
 	// The returned map is the caller's copy.
 	st3.QueryBoxesRebuilt[qa] = -1
-	if n, _ := s.QueryBoxesRebuilt(qa); n == -1 {
+	if s.Stats().QueryBoxesRebuilt[qa] == -1 {
 		t.Fatal("Stats() leaked the engine's internal map")
 	}
 }

@@ -108,54 +108,38 @@ func runPrunedVsFull(t *testing.T, s *diffScript) {
 		}
 		return out
 	}
+	// Both twins are driven through the shared Engine half of either set.
+	var pruned, full *engine.Engine
+	var pid, fid engine.QueryID
 	if s.isWord {
 		q, err := diffWordQuery(s.query)
 		if err != nil {
 			t.Fatalf("script query: %v\nscript:\n%s", err, s)
 		}
-		pruned, err := engine.NewWord(s.letters, q, engine.Options{})
+		pw, p := newWordQuery(t, s.letters, q, engine.Options{})
+		fw, f := newWordQuery(t, s.letters, q, engine.Options{FullRebuild: true})
+		pruned, pid, full, fid = &pw.Engine, p, &fw.Engine, f
+	} else {
+		q, err := diffTreeQuery(s.query)
 		if err != nil {
-			t.Fatalf("engine: %v\nscript:\n%s", err, s)
+			t.Fatalf("script query: %v\nscript:\n%s", err, s)
 		}
-		full, err := engine.NewWord(s.letters, q, engine.Options{FullRebuild: true})
+		ut, err := tree.ParseUnranked(s.tree)
 		if err != nil {
-			t.Fatalf("engine: %v\nscript:\n%s", err, s)
+			t.Fatalf("script tree: %v\nscript:\n%s", err, s)
 		}
-		comparePrunedFull(t, s, 0, pruned.Snapshot(), full.Snapshot())
-		for bi, batch := range mkBatches() {
-			psnap, _, perr := pruned.ApplyBatch(batch)
-			fsnap, _, ferr := full.ApplyBatch(batch)
-			if (perr == nil) != (ferr == nil) {
-				t.Fatalf("batch %d: errors diverge: %v vs %v\nscript:\n%s", bi, perr, ferr, s)
-			}
-			comparePrunedFull(t, s, bi+1, psnap, fsnap)
-		}
-		return
+		pt, p := newTreeQuery(t, ut.Clone(), q, engine.Options{})
+		ft, f := newTreeQuery(t, ut, q, engine.Options{FullRebuild: true})
+		pruned, pid, full, fid = &pt.Engine, p, &ft.Engine, f
 	}
-	q, err := diffTreeQuery(s.query)
-	if err != nil {
-		t.Fatalf("script query: %v\nscript:\n%s", err, s)
-	}
-	ut, err := tree.ParseUnranked(s.tree)
-	if err != nil {
-		t.Fatalf("script tree: %v\nscript:\n%s", err, s)
-	}
-	pruned, err := engine.NewTree(ut.Clone(), q, engine.Options{})
-	if err != nil {
-		t.Fatalf("engine: %v\nscript:\n%s", err, s)
-	}
-	full, err := engine.NewTree(ut, q, engine.Options{FullRebuild: true})
-	if err != nil {
-		t.Fatalf("engine: %v\nscript:\n%s", err, s)
-	}
-	comparePrunedFull(t, s, 0, pruned.Snapshot(), full.Snapshot())
+	comparePrunedFull(t, s, 0, pruned.Snapshot().Query(pid), full.Snapshot().Query(fid))
 	for bi, batch := range mkBatches() {
-		psnap, _, perr := pruned.ApplyBatch(batch)
-		fsnap, _, ferr := full.ApplyBatch(batch)
+		pm, _, perr := pruned.ApplyBatch(batch)
+		fm, _, ferr := full.ApplyBatch(batch)
 		if (perr == nil) != (ferr == nil) {
 			t.Fatalf("batch %d: errors diverge: %v vs %v\nscript:\n%s", bi, perr, ferr, s)
 		}
-		comparePrunedFull(t, s, bi+1, psnap, fsnap)
+		comparePrunedFull(t, s, bi+1, pm.Query(pid), fm.Query(fid))
 	}
 }
 
@@ -215,13 +199,19 @@ func TestPruningEngagesOnNeutralRelabels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pruned, err := engine.NewTree(ut.Clone(), q, engine.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	full, err := engine.NewTree(ut.Clone(), q, engine.Options{FullRebuild: true})
-	if err != nil {
-		t.Fatal(err)
+	pruned, pid := newTreeQuery(t, ut.Clone(), q, engine.Options{})
+	full, fid := newTreeQuery(t, ut.Clone(), q, engine.Options{FullRebuild: true})
+	// relabel applies one relabel to both twins and returns their
+	// resulting snapshots.
+	relabel := func(id tree.NodeID, l tree.Label) (*engine.Snapshot, *engine.Snapshot) {
+		t.Helper()
+		u := []engine.Update{{Op: engine.OpRelabel, Node: id, Label: l}}
+		pm, _, perr := pruned.ApplyBatch(u)
+		fm, _, ferr := full.ApplyBatch(u)
+		if perr != nil || ferr != nil {
+			t.Fatalf("relabel: %v / %v", perr, ferr)
+		}
+		return pm.Query(pid), fm.Query(fid)
 	}
 	var neutral []tree.NodeID
 	for _, n := range pruned.Tree().Nodes() {
@@ -232,7 +222,7 @@ func TestPruningEngagesOnNeutralRelabels(t *testing.T) {
 	if len(neutral) == 0 {
 		t.Fatal("test tree has no neutral nodes")
 	}
-	base := pruned.Set().Stats()
+	base := pruned.Stats()
 	rebuiltBase := base.BoxesRebuilt
 	for i := 0; i < 40; i++ {
 		id := neutral[rng.Intn(len(neutral))]
@@ -240,25 +230,21 @@ func TestPruningEngagesOnNeutralRelabels(t *testing.T) {
 		if rng.Intn(2) == 0 {
 			l = "c"
 		}
-		psnap, perr := pruned.Relabel(id, l)
-		fsnap, ferr := full.Relabel(id, l)
-		if perr != nil || ferr != nil {
-			t.Fatalf("relabel: %v / %v", perr, ferr)
-		}
+		psnap, fsnap := relabel(id, l)
 		comparePrunedFull(t, &diffScript{tree: "(neutral stream)", query: "select:b"}, i+1, psnap, fsnap)
 	}
-	st := pruned.Set().Stats()
+	st := pruned.Stats()
 	if st.BoxesReused == 0 {
 		t.Fatal("neutral relabels should reuse trunk boxes (BoxesReused stayed 0)")
 	}
 	if st.BoxesRebuilt != rebuiltBase {
 		t.Fatalf("neutral relabels rebuilt %d boxes, want 0", st.BoxesRebuilt-rebuiltBase)
 	}
-	if fst := full.Set().Stats(); fst.BoxesReused != 0 {
+	if fst := full.Stats(); fst.BoxesReused != 0 {
 		t.Fatalf("FullRebuild engine reused %d boxes, want 0", fst.BoxesReused)
 	}
 	// The snapshot-side stats carry the same counter.
-	if snapReused := pruned.Snapshot().Stats().BoxesReused; snapReused != st.BoxesReused {
+	if snapReused := pruned.Snapshot().Query(pid).Stats().BoxesReused; snapReused != st.BoxesReused {
 		t.Fatalf("snapshot BoxesReused %d disagrees with engine stats %d", snapReused, st.BoxesReused)
 	}
 
@@ -274,20 +260,13 @@ func TestPruningEngagesOnNeutralRelabels(t *testing.T) {
 	if bNode == tree.InvalidNode {
 		t.Skip("no b-labeled node left to relabel")
 	}
-	before := pruned.Snapshot().Count()
-	psnap, err := pruned.Relabel(bNode, "a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	fsnap, err := full.Relabel(bNode, "a")
-	if err != nil {
-		t.Fatal(err)
-	}
+	before := pruned.Snapshot().Query(pid).Count()
+	psnap, fsnap := relabel(bNode, "a")
 	comparePrunedFull(t, &diffScript{tree: "(visible relabel)", query: "select:b"}, 999, psnap, fsnap)
 	if psnap.Count() != before-1 {
 		t.Fatalf("visible relabel: count %d, want %d", psnap.Count(), before-1)
 	}
-	if after := pruned.Set().Stats(); after.BoxesRebuilt == st.BoxesRebuilt {
+	if after := pruned.Stats(); after.BoxesRebuilt == st.BoxesRebuilt {
 		t.Fatal("visible relabel should rebuild trunk boxes")
 	}
 }

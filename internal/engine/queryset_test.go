@@ -37,27 +37,22 @@ func randomEdit(t *testing.T, s *TreeSet, rng *rand.Rand) {
 	labels := []tree.Label{"a", "b", "c"}
 	nodes := s.Tree().Nodes()
 	n := nodes[rng.Intn(len(nodes))]
-	l := labels[rng.Intn(3)]
-	var err error
+	u := Update{Op: OpRelabel, Node: n.ID, Label: labels[rng.Intn(3)]}
 	switch rng.Intn(4) {
-	case 0:
-		_, err = s.Relabel(n.ID, l)
 	case 1:
-		_, _, err = s.InsertFirstChild(n.ID, l)
+		u.Op = OpInsertFirstChild
 	case 2:
 		if n.Parent == nil {
 			return
 		}
-		_, _, err = s.InsertRightSibling(n.ID, l)
-	default:
+		u.Op = OpInsertRightSibling
+	case 3:
 		if !n.IsLeaf() || n.Parent == nil {
 			return
 		}
-		_, err = s.Delete(n.ID)
+		u.Op = OpDelete
 	}
-	if err != nil {
-		t.Fatal(err)
-	}
+	mustApply(t, &s.Engine, u)
 }
 
 // TestLateRegistrationMatchesFresh is the property test of runtime
@@ -85,11 +80,8 @@ func TestLateRegistrationMatchesFresh(t *testing.T) {
 		m := s.Snapshot()
 
 		// The late query answers as a fresh engine at this version would.
-		fresh, err := NewTree(s.Tree().Clone(), selectLabel("a"), Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := resultKeys(fresh.Snapshot().Results())
+		fresh, fid := treeQuery(t, s.Tree().Clone(), selectLabel("a"), Options{})
+		want := resultKeys(fresh.Snapshot().Query(fid).Results())
 		if got := resultKeys(m.Query(late).Results()); !slices.Equal(got, want) {
 			t.Fatalf("seed %d: late registration got %d results, fresh engine %d", seed, len(got), len(want))
 		}
@@ -154,7 +146,8 @@ func TestQuerySetSharesTermWork(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-		return single.PathCopies(), single.Rebalances()
+		st := single.Stats()
+		return st.PathCopies, st.Rebalances
 	}
 
 	pc1, rb1 := run(1)
@@ -165,13 +158,9 @@ func TestQuerySetSharesTermWork(t *testing.T) {
 	}
 
 	// k independent engines: the same stream costs k× the term work.
-	engines := make([]*TreeEngine, k)
+	engines := make([]*TreeSet, k)
 	for i := range engines {
-		e, err := NewTree(ut.Clone(), queries[i], Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		engines[i] = e
+		engines[i], _ = treeQuery(t, ut.Clone(), queries[i], Options{})
 	}
 	stream(func(batch []Update) {
 		for _, e := range engines {
@@ -182,7 +171,7 @@ func TestQuerySetSharesTermWork(t *testing.T) {
 	})
 	total := 0
 	for _, e := range engines {
-		total += e.Set().PathCopies()
+		total += e.Stats().PathCopies
 	}
 	if total != k*pc1 {
 		t.Fatalf("independent engines did %d path copies, want %d×%d = %d", total, k, pc1, k*pc1)
@@ -206,12 +195,12 @@ func TestUnregisterReleasesPipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := s.Snapshot()
-	boxesBefore := s.BoxesRebuilt()
+	boxesBefore := s.Stats().BoxesRebuilt
 
 	if err := s.Unregister(qa); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.BoxesRebuilt(); got < boxesBefore {
+	if got := s.Stats().BoxesRebuilt; got < boxesBefore {
 		t.Fatalf("BoxesRebuilt went backwards across unregister: %d -> %d", boxesBefore, got)
 	}
 	if err := s.Unregister(qa); err == nil {
@@ -300,27 +289,26 @@ func TestWordSetLateRegistrationAndUnregister(t *testing.T) {
 	for i := 0; i < 60; i++ {
 		ids, _ := s.Word()
 		id := ids[rng.Intn(len(ids))]
-		l := []tree.Label{"a", "b"}[rng.Intn(2)]
+		u := Update{Op: OpRelabel, Node: id, Label: []tree.Label{"a", "b"}[rng.Intn(2)]}
 		switch rng.Intn(5) {
-		case 0:
-			_, err = s.Relabel(id, l)
 		case 1:
-			_, _, err = s.InsertAfter(id, l)
+			u.Op = OpInsertAfter
 		case 2:
-			_, _, err = s.InsertBefore(id, l)
+			u.Op = OpInsertBefore
 		case 3:
-			if s.Len() > 1 {
-				_, err = s.Delete(id)
+			if s.Len() <= 1 {
+				continue
 			}
-		default:
-			if n := s.Len(); n >= 4 {
-				from, k := rng.Intn(n-2), 1+rng.Intn(2)
-				_, err = s.MoveRange(from, k, rng.Intn(n-k+1)-1)
+			u.Op = OpDelete
+		case 4:
+			n := s.Len()
+			if n < 4 {
+				continue
 			}
+			from, k := rng.Intn(n-2), 1+rng.Intn(2)
+			u = Update{Op: OpMoveRange, From: from, K: k, To: rng.Intn(n-k+1) - 1}
 		}
-		if err != nil {
-			t.Fatal(err)
-		}
+		mustApply(t, &s.Engine, u)
 	}
 	if got := resultKeys(s.Snapshot().Query(qb).Results()); !slices.Equal(got, expectedLetters(s, "b")) {
 		t.Fatal("standing word query wrong after edit storm")
@@ -342,9 +330,7 @@ func TestWordSetLateRegistrationAndUnregister(t *testing.T) {
 		t.Fatal(err)
 	}
 	ids, _ := s.Word()
-	if _, _, err := s.InsertAfter(ids[0], "a"); err != nil {
-		t.Fatal(err)
-	}
+	mustApply(t, &s.Engine, Update{Op: OpInsertAfter, Node: ids[0], Label: "a"})
 	m = s.Snapshot()
 	if m.Query(qb) != nil {
 		t.Fatal("unregistered word query still published")

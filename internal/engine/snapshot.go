@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/bitset"
 	"repro/internal/circuit"
+	"repro/internal/counting"
 	"repro/internal/enumerate"
 	"repro/internal/tree"
 )
@@ -153,6 +154,26 @@ func (s *Snapshot) Derivations() *big.Int {
 		return big.NewInt(0) // zero-value snapshots of tests
 	}
 	return new(big.Int).Set(s.count)
+}
+
+// MinResultSize returns the smallest |S| over the satisfying
+// assignments S, and false if there are none: one fold of the tropical
+// (min, +) semiring (counting.MinSize) over the frozen circuit, with no
+// enumeration. The fold visits every box, O(|T|·poly(|Q|)) per call.
+func (s *Snapshot) MinResultSize() (int, bool) { return s.sizeFold(counting.MinSize{}) }
+
+// MaxResultSize returns the largest |S| over the satisfying assignments,
+// and false if there are none (counting.MaxSize; cost as MinResultSize).
+func (s *Snapshot) MaxResultSize() (int, bool) { return s.sizeFold(counting.MaxSize{}) }
+
+// sizeFold evaluates a size semiring on the accepting root gates.
+func (s *Snapshot) sizeFold(sr counting.Semiring[int64]) (int, bool) {
+	root, gamma, emptyOK := s.Accepting()
+	v := counting.NewEvaluator(sr).Gamma(root, gamma, emptyOK)
+	if counting.IsInfinite(v) {
+		return 0, false
+	}
+	return int(v), true
 }
 
 // DirectAccess reports whether Count, At and Page take the fast paths

@@ -157,36 +157,3 @@ func (e *Engine) publishStats() {
 	}
 	e.stats.Store(st)
 }
-
-// BoxesRebuilt returns the cumulative number of circuit boxes built
-// across all pipelines.
-//
-// Deprecated: read Stats().BoxesRebuilt; this wrapper remains so
-// existing callers compile.
-func (e *Engine) BoxesRebuilt() int { return e.stats.Load().BoxesRebuilt }
-
-// QueryBoxesRebuilt returns the cumulative box-construction count of one
-// registered query's pipeline; ok is false if the query is not
-// registered.
-//
-// Deprecated: read Stats().QueryBoxesRebuilt; this wrapper remains so
-// existing callers compile.
-func (e *Engine) QueryBoxesRebuilt(id QueryID) (count int, ok bool) {
-	count, ok = e.stats.Load().QueryBoxesRebuilt[id]
-	return count, ok
-}
-
-// PathCopies returns the cumulative number of fresh term nodes the
-// source handed to the engine (shared term work; see
-// EngineStats.PathCopies).
-//
-// Deprecated: read Stats().PathCopies; this wrapper remains so existing
-// callers compile.
-func (e *Engine) PathCopies() int { return e.stats.Load().PathCopies }
-
-// Rebalances returns the source's cumulative scapegoat rebuild count as
-// of the latest publication.
-//
-// Deprecated: read Stats().Rebalances; this wrapper remains so existing
-// callers compile.
-func (e *Engine) Rebalances() int { return e.stats.Load().Rebalances }

@@ -29,7 +29,7 @@ func TestSnapshotIsolationStress(t *testing.T) {
 	)
 	rng := rand.New(rand.NewSource(42))
 	ut := tva.RandomUnrankedTree(rng, 150, []tree.Label{"a", "b", "c"})
-	e := mustTreeEngine(t, ut)
+	e, id := mustSelectB(t, ut)
 
 	// expected maps snapshot version -> sorted result keys. Written only
 	// by the writer goroutine; readers skip versions not yet recorded.
@@ -48,7 +48,7 @@ func TestSnapshotIsolationStress(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for !done.Load() {
-				snap := e.Snapshot()
+				snap := e.Snapshot().Query(id)
 				want, ok := expected.Load(snap.Version())
 				got := resultKeys(snap.Results()) // enumerate regardless: races would trip -race
 				if !ok {
@@ -133,8 +133,8 @@ func TestSnapshotIsolationStress(t *testing.T) {
 func TestConcurrentReadersOneSnapshot(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	ut := tva.RandomUnrankedTree(rng, 200, []tree.Label{"a", "b"})
-	e := mustTreeEngine(t, ut)
-	snap := e.Snapshot()
+	e, id := mustSelectB(t, ut)
+	snap := e.Snapshot().Query(id)
 	want := resultKeys(snap.Results())
 
 	var wg sync.WaitGroup
@@ -158,7 +158,7 @@ func TestConcurrentReadersOneSnapshot(t *testing.T) {
 		for i := 0; i < 300; i++ {
 			nodes := e.Tree().Nodes()
 			n := nodes[wrng.Intn(len(nodes))]
-			if _, err := e.Relabel(n.ID, []tree.Label{"a", "b"}[wrng.Intn(2)]); err != nil {
+			if _, err := e.Apply(Update{Op: OpRelabel, Node: n.ID, Label: []tree.Label{"a", "b"}[wrng.Intn(2)]}); err != nil {
 				errs <- err.Error()
 				return
 			}

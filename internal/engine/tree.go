@@ -12,8 +12,9 @@ import (
 // TreeSet is the multi-query engine of Theorem 8.1 over one dynamic
 // unranked tree: it maintains the satisfying assignments of any number
 // of standing stepwise-TVA queries, registered and unregistered at
-// runtime, under the edit operations of Definition 7.1. Edits (single or
-// batched) go through the writer API below and publish ONE MultiSnapshot
+// runtime, under the edit operations of Definition 7.1 and the
+// structural subtree edits. Every edit is an Update applied by
+// ApplyBatch (or Apply, a batch of one), publishing ONE MultiSnapshot
 // covering every standing query; any number of goroutines read via
 // Snapshot. The term/forest work of an edit is shared across all
 // queries — only the logarithmic box/index repair scales with the query
@@ -28,7 +29,7 @@ type TreeSet struct {
 // an empty MultiSnapshot. Queries are added with Register.
 func NewTreeSet(t *tree.Unranked) *TreeSet {
 	s := &TreeSet{f: forest.New(t)}
-	s.initEngine(s.f)
+	s.initEngine(s.f, s.edit)
 	return s
 }
 
@@ -56,249 +57,28 @@ func (s *TreeSet) Register(query *tva.Unranked, opts Options) (QueryID, error) {
 // work from snapshots, which are self-contained).
 func (s *TreeSet) Tree() *tree.Unranked { return s.f.Tree }
 
-// Relabel implements relabel(n, l) with O(log|T|·poly(|Q|)·queries) work
-// and publishes the resulting MultiSnapshot.
-func (s *TreeSet) Relabel(id tree.NodeID, l tree.Label) (*MultiSnapshot, error) {
-	return s.Mutate(func() error { return s.f.Relabel(id, l) })
-}
-
-// InsertFirstChild implements insert(n, l), returning the new node's ID
-// and the resulting MultiSnapshot.
-func (s *TreeSet) InsertFirstChild(id tree.NodeID, l tree.Label) (tree.NodeID, *MultiSnapshot, error) {
-	var v tree.NodeID
-	m, err := s.Mutate(func() error {
-		var err error
-		v, err = s.f.InsertFirstChild(id, l)
-		return err
-	})
-	return v, m, err
-}
-
-// InsertRightSibling implements insertR(n, l), returning the new node's
-// ID and the resulting MultiSnapshot.
-func (s *TreeSet) InsertRightSibling(id tree.NodeID, l tree.Label) (tree.NodeID, *MultiSnapshot, error) {
-	var v tree.NodeID
-	m, err := s.Mutate(func() error {
-		var err error
-		v, err = s.f.InsertRightSibling(id, l)
-		return err
-	})
-	return v, m, err
-}
-
-// Delete implements delete(n) for leaves and publishes the resulting
-// MultiSnapshot.
-func (s *TreeSet) Delete(id tree.NodeID) (*MultiSnapshot, error) {
-	return s.Mutate(func() error { return s.f.Delete(id) })
-}
-
-// DeleteSubtree implements deleteSub(n): the whole subtree of n is
-// removed and one MultiSnapshot is published; repair cost is O(log|T| +
-// releasing the dropped boxes) per query.
-func (s *TreeSet) DeleteSubtree(id tree.NodeID) (*MultiSnapshot, error) {
-	return s.Mutate(func() error { return s.f.DeleteSubtree(id) })
-}
-
-// MoveSubtreeFirstChild implements moveSub(n, d): the subtree of n
-// becomes the first child subtree of d. The moved subtree's frozen
-// boxes are reused wholesale (TrunkDelta.Moved), so per-query repair is
-// O(log|T| + boundary), independent of the subtree size.
-func (s *TreeSet) MoveSubtreeFirstChild(id, dest tree.NodeID) (*MultiSnapshot, error) {
-	return s.Mutate(func() error { return s.f.MoveSubtreeFirstChild(id, dest) })
-}
-
-// MoveSubtreeRightSibling implements moveSubR(n, d): the subtree of n
-// becomes the right-sibling subtree of d (same reuse as
-// MoveSubtreeFirstChild).
-func (s *TreeSet) MoveSubtreeRightSibling(id, dest tree.NodeID) (*MultiSnapshot, error) {
-	return s.Mutate(func() error { return s.f.MoveSubtreeRightSibling(id, dest) })
-}
-
-// InsertSubtreeFirstChild implements insertSub(n, F): a copy of the
-// fragment becomes the first child subtree of n (bulk-built balanced
-// term, one splice). Returns the copy's root ID.
-func (s *TreeSet) InsertSubtreeFirstChild(id tree.NodeID, frag *tree.Unranked) (tree.NodeID, *MultiSnapshot, error) {
-	var v tree.NodeID
-	m, err := s.Mutate(func() error {
-		var err error
-		v, err = s.f.InsertSubtreeFirstChild(id, frag)
-		return err
-	})
-	return v, m, err
-}
-
-// InsertSubtreeRightSibling implements insertSubR(n, F): a copy of the
-// fragment becomes the right-sibling subtree of n.
-func (s *TreeSet) InsertSubtreeRightSibling(id tree.NodeID, frag *tree.Unranked) (tree.NodeID, *MultiSnapshot, error) {
-	var v tree.NodeID
-	m, err := s.Mutate(func() error {
-		var err error
-		v, err = s.f.InsertSubtreeRightSibling(id, frag)
-		return err
-	})
-	return v, m, err
-}
-
-// ApplyBatch applies the updates in order under one writer-lock hold and
-// publishes ONE MultiSnapshot for the whole batch. Box and index repair
-// is amortized across the batch per query: trunk nodes dirtied by
-// several edits are rebuilt once, not once per edit, so k clustered
-// edits cost well below k single publications — and the forest/term work
-// is paid once regardless of how many queries stand.
-//
-// The returned IDs give, per batch position, the node created by an
-// insert operation (tree.InvalidNode for relabels, deletes and unapplied
-// positions; node 0 is a valid ID, the root of parsed trees). On the
-// first failing update the batch stops; the edits already applied are
-// still published (each forest edit is atomic), and the error identifies
-// the position.
-func (s *TreeSet) ApplyBatch(batch []Update) (*MultiSnapshot, []tree.NodeID, error) {
-	ids := make([]tree.NodeID, len(batch))
-	for i := range ids {
-		ids[i] = tree.InvalidNode
+// edit applies one tree update to the forest (the tree half of
+// ApplyBatch's edit switch), returning the ID it created.
+func (s *TreeSet) edit(u Update) (tree.NodeID, error) {
+	switch u.Op {
+	case OpRelabel:
+		return tree.InvalidNode, s.f.Relabel(u.Node, u.Label)
+	case OpInsertFirstChild:
+		return s.f.InsertFirstChild(u.Node, u.Label)
+	case OpInsertRightSibling:
+		return s.f.InsertRightSibling(u.Node, u.Label)
+	case OpDelete:
+		return tree.InvalidNode, s.f.Delete(u.Node)
+	case OpDeleteSubtree:
+		return tree.InvalidNode, s.f.DeleteSubtree(u.Node)
+	case OpMoveSubtreeFirstChild:
+		return tree.InvalidNode, s.f.MoveSubtreeFirstChild(u.Node, u.Dest)
+	case OpMoveSubtreeRightSibling:
+		return tree.InvalidNode, s.f.MoveSubtreeRightSibling(u.Node, u.Dest)
+	case OpInsertSubtreeFirstChild:
+		return s.f.InsertSubtreeFirstChild(u.Node, u.Fragment)
+	case OpInsertSubtreeRightSibling:
+		return s.f.InsertSubtreeRightSibling(u.Node, u.Fragment)
 	}
-	m, err := s.Mutate(func() error {
-		for i, u := range batch {
-			var v tree.NodeID
-			var err error
-			switch u.Op {
-			case OpRelabel:
-				err = s.f.Relabel(u.Node, u.Label)
-			case OpInsertFirstChild:
-				v, err = s.f.InsertFirstChild(u.Node, u.Label)
-			case OpInsertRightSibling:
-				v, err = s.f.InsertRightSibling(u.Node, u.Label)
-			case OpDelete:
-				err = s.f.Delete(u.Node)
-			case OpDeleteSubtree:
-				err = s.f.DeleteSubtree(u.Node)
-			case OpMoveSubtreeFirstChild:
-				err = s.f.MoveSubtreeFirstChild(u.Node, u.Dest)
-			case OpMoveSubtreeRightSibling:
-				err = s.f.MoveSubtreeRightSibling(u.Node, u.Dest)
-			case OpInsertSubtreeFirstChild:
-				v, err = s.f.InsertSubtreeFirstChild(u.Node, u.Fragment)
-			case OpInsertSubtreeRightSibling:
-				v, err = s.f.InsertSubtreeRightSibling(u.Node, u.Fragment)
-			default:
-				err = fmt.Errorf("engine: update %v is not a tree operation", u.Op)
-			}
-			if err != nil {
-				return fmt.Errorf("engine: batch update %d (%v n%d): %w", i, u.Op, u.Node, err)
-			}
-			switch u.Op {
-			case OpInsertFirstChild, OpInsertRightSibling,
-				OpInsertSubtreeFirstChild, OpInsertSubtreeRightSibling:
-				ids[i] = v
-			}
-		}
-		return nil
-	})
-	return m, ids, err
-}
-
-// TreeEngine is the single-query shim over TreeSet (the Theorem 8.1
-// engine most callers want): one standing query, the same writer API,
-// and plain Snapshot results. It is a thin projection — the underlying
-// TreeSet is reachable via Set for callers that later add more standing
-// queries to the same document.
-type TreeEngine struct {
-	shim
-	set   *TreeSet
-	query *tva.Unranked
-}
-
-// NewTree preprocesses the tree and the query: it builds the shared term
-// once and registers the single standing query, publishing the first
-// snapshot. Preprocessing is linear in |T| (up to the balancing's O(log)
-// factor) and polynomial in |Q|.
-func NewTree(t *tree.Unranked, query *tva.Unranked, opts Options) (*TreeEngine, error) {
-	s := NewTreeSet(t)
-	id, err := s.Register(query, opts)
-	if err != nil {
-		return nil, err
-	}
-	return &TreeEngine{shim: shim{eng: &s.Engine, id: id}, set: s, query: query}, nil
-}
-
-// Set returns the underlying multi-query engine; further queries
-// registered on it share this engine's term and update stream. Do NOT
-// unregister this engine's own query (ID) through it: the shim has no
-// other query to project and fails fast (panics) on its next use.
-func (e *TreeEngine) Set() *TreeSet { return e.set }
-
-// Tree returns the underlying tree (writer-side view; see TreeSet.Tree).
-func (e *TreeEngine) Tree() *tree.Unranked { return e.set.Tree() }
-
-// Query returns the standing query automaton.
-func (e *TreeEngine) Query() *tva.Unranked { return e.query }
-
-// Relabel implements relabel(n, l) with O(log|T|·poly(|Q|)) work and
-// publishes the resulting snapshot.
-func (e *TreeEngine) Relabel(id tree.NodeID, l tree.Label) (*Snapshot, error) {
-	m, err := e.set.Relabel(id, l)
-	return e.project(m), err
-}
-
-// InsertFirstChild implements insert(n, l), returning the new node's ID
-// and the resulting snapshot.
-func (e *TreeEngine) InsertFirstChild(id tree.NodeID, l tree.Label) (tree.NodeID, *Snapshot, error) {
-	v, m, err := e.set.InsertFirstChild(id, l)
-	return v, e.project(m), err
-}
-
-// InsertRightSibling implements insertR(n, l), returning the new node's
-// ID and the resulting snapshot.
-func (e *TreeEngine) InsertRightSibling(id tree.NodeID, l tree.Label) (tree.NodeID, *Snapshot, error) {
-	v, m, err := e.set.InsertRightSibling(id, l)
-	return v, e.project(m), err
-}
-
-// Delete implements delete(n) for leaves and publishes the resulting
-// snapshot.
-func (e *TreeEngine) Delete(id tree.NodeID) (*Snapshot, error) {
-	m, err := e.set.Delete(id)
-	return e.project(m), err
-}
-
-// DeleteSubtree implements deleteSub(n) (see TreeSet.DeleteSubtree).
-func (e *TreeEngine) DeleteSubtree(id tree.NodeID) (*Snapshot, error) {
-	m, err := e.set.DeleteSubtree(id)
-	return e.project(m), err
-}
-
-// MoveSubtreeFirstChild implements moveSub(n, d) (see
-// TreeSet.MoveSubtreeFirstChild).
-func (e *TreeEngine) MoveSubtreeFirstChild(id, dest tree.NodeID) (*Snapshot, error) {
-	m, err := e.set.MoveSubtreeFirstChild(id, dest)
-	return e.project(m), err
-}
-
-// MoveSubtreeRightSibling implements moveSubR(n, d) (see
-// TreeSet.MoveSubtreeRightSibling).
-func (e *TreeEngine) MoveSubtreeRightSibling(id, dest tree.NodeID) (*Snapshot, error) {
-	m, err := e.set.MoveSubtreeRightSibling(id, dest)
-	return e.project(m), err
-}
-
-// InsertSubtreeFirstChild implements insertSub(n, F), returning the
-// fragment copy's root ID.
-func (e *TreeEngine) InsertSubtreeFirstChild(id tree.NodeID, frag *tree.Unranked) (tree.NodeID, *Snapshot, error) {
-	v, m, err := e.set.InsertSubtreeFirstChild(id, frag)
-	return v, e.project(m), err
-}
-
-// InsertSubtreeRightSibling implements insertSubR(n, F), returning the
-// fragment copy's root ID.
-func (e *TreeEngine) InsertSubtreeRightSibling(id tree.NodeID, frag *tree.Unranked) (tree.NodeID, *Snapshot, error) {
-	v, m, err := e.set.InsertSubtreeRightSibling(id, frag)
-	return v, e.project(m), err
-}
-
-// ApplyBatch applies the updates in order under one writer-lock hold and
-// publishes once for the whole batch (see TreeSet.ApplyBatch for the
-// amortization, InvalidNode-sentinel ID and error contracts).
-func (e *TreeEngine) ApplyBatch(batch []Update) (*Snapshot, []tree.NodeID, error) {
-	m, ids, err := e.set.ApplyBatch(batch)
-	return e.project(m), ids, err
+	return tree.InvalidNode, fmt.Errorf("engine: update %v is not a tree operation", u.Op)
 }

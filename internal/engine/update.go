@@ -26,7 +26,9 @@ const (
 	// OpDeleteSubtree removes the whole subtree of Node (trees only).
 	OpDeleteSubtree
 	// OpMoveSubtreeFirstChild moves the subtree of Node to be the first
-	// child subtree of Dest (trees only).
+	// child subtree of Dest (trees only). The moved subtree keeps its
+	// frozen boxes (TrunkDelta.Moved), so per-query repair is
+	// O(log|T| + boundary), independent of the subtree size.
 	OpMoveSubtreeFirstChild
 	// OpMoveSubtreeRightSibling moves the subtree of Node to be the
 	// right-sibling subtree of Dest (trees only).
@@ -41,9 +43,12 @@ const (
 	// Structural word edits (positions, not letter IDs).
 
 	// OpMoveRange moves the K letters from position From after position
-	// To of the remaining word, To = -1 prepending (words only).
+	// To of the remaining word, To = -1 prepending (words only). Letter
+	// IDs are kept and the range travels as one shared piece, so
+	// per-query repair is O(log n) regardless of K.
 	OpMoveRange
-	// OpInsertRange inserts Labels at position From (words only).
+	// OpInsertRange inserts Labels at position From (words only); the
+	// fresh letters get consecutive IDs (see ApplyBatch).
 	OpInsertRange
 	// OpDeleteRange removes the K letters from position From (words
 	// only).

@@ -27,7 +27,7 @@ func NewWordSet(letters []tree.Label) (*WordSet, error) {
 		return nil, err
 	}
 	s := &WordSet{w: w}
-	s.initEngine(w)
+	s.initEngine(w, s.edit)
 	return s, nil
 }
 
@@ -55,214 +55,36 @@ func (s *WordSet) IDAt(i int) (tree.NodeID, error) { return s.w.IDAt(i) }
 // Len returns the word length.
 func (s *WordSet) Len() int { return s.w.Len() }
 
-// Relabel replaces the letter with the given ID and publishes the
-// resulting MultiSnapshot.
-func (s *WordSet) Relabel(id tree.NodeID, l tree.Label) (*MultiSnapshot, error) {
-	return s.Mutate(func() error { return s.w.Relabel(id, l) })
-}
-
-// InsertAfter inserts a letter after the given ID.
-func (s *WordSet) InsertAfter(id tree.NodeID, l tree.Label) (tree.NodeID, *MultiSnapshot, error) {
-	var v tree.NodeID
-	m, err := s.Mutate(func() error {
-		var err error
-		v, err = s.w.InsertAfter(id, l)
-		return err
-	})
-	return v, m, err
-}
-
-// InsertBefore inserts a letter before the given ID (needed to prepend
-// at position 0).
-func (s *WordSet) InsertBefore(id tree.NodeID, l tree.Label) (tree.NodeID, *MultiSnapshot, error) {
-	var v tree.NodeID
-	m, err := s.Mutate(func() error {
-		var err error
-		v, err = s.w.InsertBefore(id, l)
-		return err
-	})
-	return v, m, err
-}
-
-// Delete removes a letter (the word must stay nonempty).
-func (s *WordSet) Delete(id tree.NodeID) (*MultiSnapshot, error) {
-	return s.Mutate(func() error { return s.w.Delete(id) })
-}
-
-// MoveRange is the bulk word update sketched in the paper's conclusion:
-// it moves the k letters starting at position from so that they follow
-// position dest of the remaining word (dest = -1 prepends). Letter IDs
-// are preserved and the range travels as ONE shared rope piece
-// (TrunkDelta.Moved), so per-query repair is O(log n) regardless of k.
-func (s *WordSet) MoveRange(from, k, dest int) (*MultiSnapshot, error) {
-	return s.Mutate(func() error { return s.w.MoveRange(from, k, dest) })
-}
-
-// InsertRange inserts the labels at position pos (one bulk-built
-// balanced piece, one publication), returning the fresh letter IDs.
-func (s *WordSet) InsertRange(pos int, labels []tree.Label) ([]tree.NodeID, *MultiSnapshot, error) {
-	var ids []tree.NodeID
-	m, err := s.Mutate(func() error {
-		var err error
-		ids, err = s.w.InsertRange(pos, labels)
-		return err
-	})
-	return ids, m, err
-}
-
-// Concat appends the labels at the end of the word (forest
-// concatenation), returning the fresh letter IDs.
-func (s *WordSet) Concat(labels []tree.Label) ([]tree.NodeID, *MultiSnapshot, error) {
-	var ids []tree.NodeID
-	m, err := s.Mutate(func() error {
-		var err error
-		ids, err = s.w.Concat(labels)
-		return err
-	})
-	return ids, m, err
-}
-
-// DeleteRange removes the k letters from position from; the word must
-// stay nonempty.
-func (s *WordSet) DeleteRange(from, k int) (*MultiSnapshot, error) {
-	return s.Mutate(func() error { return s.w.DeleteRange(from, k) })
-}
-
-// ApplyBatch applies the letter updates in order under one writer-lock
-// hold and publishes ONE MultiSnapshot for the whole batch (see
-// TreeSet.ApplyBatch for the amortization, InvalidNode-sentinel ID and
-// error contracts).
-func (s *WordSet) ApplyBatch(batch []Update) (*MultiSnapshot, []tree.NodeID, error) {
-	ids := make([]tree.NodeID, len(batch))
-	for i := range ids {
-		ids[i] = tree.InvalidNode
+// edit applies one word update (the word half of ApplyBatch's edit
+// switch), returning the ID it created: the new letter of a single
+// insert, the first fresh letter of a range insert or concat.
+func (s *WordSet) edit(u Update) (tree.NodeID, error) {
+	switch u.Op {
+	case OpRelabel:
+		return tree.InvalidNode, s.w.Relabel(u.Node, u.Label)
+	case OpInsertAfter:
+		return s.w.InsertAfter(u.Node, u.Label)
+	case OpInsertBefore:
+		return s.w.InsertBefore(u.Node, u.Label)
+	case OpDelete:
+		return tree.InvalidNode, s.w.Delete(u.Node)
+	case OpMoveRange:
+		return tree.InvalidNode, s.w.MoveRange(u.From, u.K, u.To)
+	case OpDeleteRange:
+		return tree.InvalidNode, s.w.DeleteRange(u.From, u.K)
+	case OpInsertRange:
+		return firstID(s.w.InsertRange(u.From, u.Labels))
+	case OpConcat:
+		return firstID(s.w.Concat(u.Labels))
 	}
-	m, err := s.Mutate(func() error {
-		for i, u := range batch {
-			var v tree.NodeID
-			var err error
-			switch u.Op {
-			case OpRelabel:
-				err = s.w.Relabel(u.Node, u.Label)
-			case OpInsertAfter:
-				v, err = s.w.InsertAfter(u.Node, u.Label)
-			case OpInsertBefore:
-				v, err = s.w.InsertBefore(u.Node, u.Label)
-			case OpDelete:
-				err = s.w.Delete(u.Node)
-			case OpMoveRange:
-				err = s.w.MoveRange(u.From, u.K, u.To)
-			case OpInsertRange:
-				_, err = s.w.InsertRange(u.From, u.Labels)
-			case OpDeleteRange:
-				err = s.w.DeleteRange(u.From, u.K)
-			case OpConcat:
-				_, err = s.w.Concat(u.Labels)
-			default:
-				err = fmt.Errorf("engine: update %v is not a word operation", u.Op)
-			}
-			if err != nil {
-				return fmt.Errorf("engine: batch update %d (%v n%d): %w", i, u.Op, u.Node, err)
-			}
-			if u.Op == OpInsertAfter || u.Op == OpInsertBefore {
-				ids[i] = v
-			}
-		}
-		return nil
-	})
-	return m, ids, err
+	return tree.InvalidNode, fmt.Errorf("engine: update %v is not a word operation", u.Op)
 }
 
-// WordEngine is the single-query shim over WordSet: one standing word
-// query, plain Snapshot results.
-type WordEngine struct {
-	shim
-	set *WordSet
-}
-
-// NewWord preprocesses the word and the WVA and publishes the first
-// snapshot.
-func NewWord(letters []tree.Label, query *tva.WVA, opts Options) (*WordEngine, error) {
-	s, err := NewWordSet(letters)
+// firstID reduces a range insert's fresh IDs to the first one; the rest
+// follow consecutively (see ApplyBatch).
+func firstID(ids []tree.NodeID, err error) (tree.NodeID, error) {
 	if err != nil {
-		return nil, err
+		return tree.InvalidNode, err
 	}
-	id, err := s.Register(query, opts)
-	if err != nil {
-		return nil, err
-	}
-	return &WordEngine{shim: shim{eng: &s.Engine, id: id}, set: s}, nil
-}
-
-// Set returns the underlying multi-query engine; further queries
-// registered on it share this engine's term and update stream. Do NOT
-// unregister this engine's own query (ID) through it: the shim has no
-// other query to project and fails fast (panics) on its next use.
-func (e *WordEngine) Set() *WordSet { return e.set }
-
-// Word returns the current word content as (letter IDs, labels).
-// Writer-side view: concurrent readers should work from snapshots.
-func (e *WordEngine) Word() ([]tree.NodeID, []tree.Label) { return e.set.Word() }
-
-// IDAt resolves a 0-based position to its stable letter ID in O(log n).
-func (e *WordEngine) IDAt(i int) (tree.NodeID, error) { return e.set.IDAt(i) }
-
-// Len returns the word length.
-func (e *WordEngine) Len() int { return e.set.Len() }
-
-// Relabel replaces the letter with the given ID and publishes the
-// resulting snapshot.
-func (e *WordEngine) Relabel(id tree.NodeID, l tree.Label) (*Snapshot, error) {
-	m, err := e.set.Relabel(id, l)
-	return e.project(m), err
-}
-
-// InsertAfter inserts a letter after the given ID.
-func (e *WordEngine) InsertAfter(id tree.NodeID, l tree.Label) (tree.NodeID, *Snapshot, error) {
-	v, m, err := e.set.InsertAfter(id, l)
-	return v, e.project(m), err
-}
-
-// InsertBefore inserts a letter before the given ID.
-func (e *WordEngine) InsertBefore(id tree.NodeID, l tree.Label) (tree.NodeID, *Snapshot, error) {
-	v, m, err := e.set.InsertBefore(id, l)
-	return v, e.project(m), err
-}
-
-// Delete removes a letter (the word must stay nonempty).
-func (e *WordEngine) Delete(id tree.NodeID) (*Snapshot, error) {
-	m, err := e.set.Delete(id)
-	return e.project(m), err
-}
-
-// MoveRange moves k letters (see WordSet.MoveRange), publishing once.
-func (e *WordEngine) MoveRange(from, k, dest int) (*Snapshot, error) {
-	m, err := e.set.MoveRange(from, k, dest)
-	return e.project(m), err
-}
-
-// InsertRange inserts labels at a position (see WordSet.InsertRange).
-func (e *WordEngine) InsertRange(pos int, labels []tree.Label) ([]tree.NodeID, *Snapshot, error) {
-	ids, m, err := e.set.InsertRange(pos, labels)
-	return ids, e.project(m), err
-}
-
-// Concat appends labels at the end (see WordSet.Concat).
-func (e *WordEngine) Concat(labels []tree.Label) ([]tree.NodeID, *Snapshot, error) {
-	ids, m, err := e.set.Concat(labels)
-	return ids, e.project(m), err
-}
-
-// DeleteRange removes k letters from a position (see
-// WordSet.DeleteRange).
-func (e *WordEngine) DeleteRange(from, k int) (*Snapshot, error) {
-	m, err := e.set.DeleteRange(from, k)
-	return e.project(m), err
-}
-
-// ApplyBatch applies the letter updates under one lock hold, publishing
-// once (see WordSet.ApplyBatch).
-func (e *WordEngine) ApplyBatch(batch []Update) (*Snapshot, []tree.NodeID, error) {
-	m, ids, err := e.set.ApplyBatch(batch)
-	return e.project(m), ids, err
+	return ids[0], nil
 }

@@ -135,10 +135,7 @@ func Build(quick bool) BuildBaseline {
 		runtime.GC()
 		a0 := mallocs()
 		t0 := time.Now()
-		eng, err := engine.NewTree(ut.Clone(), q, engine.Options{})
-		if err != nil {
-			panic(err)
-		}
+		eng := newOneQuery(ut.Clone(), q, engine.Options{})
 		dt := time.Since(t0)
 		da := mallocs() - a0
 		if i == 0 {
@@ -146,7 +143,7 @@ func Build(quick bool) BuildBaseline {
 		}
 		buildNanos += float64(dt.Nanoseconds())
 		buildAllocs += float64(da)
-		boxes = eng.Snapshot().Stats().Boxes
+		boxes = eng.snap().Stats().Boxes
 	}
 	buildNanos /= float64(builds)
 	buildAllocs /= float64(builds)
@@ -177,10 +174,7 @@ func Build(quick bool) BuildBaseline {
 // means. The stream draws from its own fixed seed so every row edits the
 // same (node, label) sequence up to the label pool.
 func measureRepair(ut *tree.Unranked, q *tva.Unranked, name string, labels []tree.Label, fullRebuild bool, edits int) BuildRepairPoint {
-	eng, err := engine.NewTree(ut.Clone(), q, engine.Options{FullRebuild: fullRebuild})
-	if err != nil {
-		panic(err)
-	}
+	eng := newOneQuery(ut.Clone(), q, engine.Options{FullRebuild: fullRebuild})
 	neutral := name == "relabel-neutral"
 	var ids []tree.NodeID
 	for _, node := range eng.Tree().Nodes() {
@@ -191,7 +185,7 @@ func measureRepair(ut *tree.Unranked, q *tva.Unranked, name string, labels []tre
 	}
 	erng := rand.New(rand.NewSource(152))
 	step := func() {
-		if _, err := eng.Relabel(ids[erng.Intn(len(ids))], labels[erng.Intn(len(labels))]); err != nil {
+		if _, err := eng.Apply(engine.Update{Op: engine.OpRelabel, Node: ids[erng.Intn(len(ids))], Label: labels[erng.Intn(len(labels))]}); err != nil {
 			panic(err)
 		}
 	}
@@ -201,7 +195,7 @@ func measureRepair(ut *tree.Unranked, q *tva.Unranked, name string, labels []tre
 		step()
 	}
 	runtime.GC()
-	st0 := eng.Set().Stats()
+	st0 := eng.TreeSet.Stats()
 	a0 := mallocs()
 	t0 := time.Now()
 	for i := 0; i < edits; i++ {
@@ -209,7 +203,7 @@ func measureRepair(ut *tree.Unranked, q *tva.Unranked, name string, labels []tre
 	}
 	dt := time.Since(t0)
 	da := mallocs() - a0
-	st1 := eng.Set().Stats()
+	st1 := eng.TreeSet.Stats()
 	return BuildRepairPoint{
 		Workload:      name,
 		FullRebuild:   fullRebuild,

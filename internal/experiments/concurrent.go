@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/engine"
-	"repro/internal/tree"
 	"repro/internal/workload"
 )
 
@@ -64,10 +63,7 @@ func ConcurrentReaders(quick bool) ConcurrentBaseline {
 		Query:      "ancestor (E1-E4 standing query)",
 	}
 	for _, readers := range []int{1, 4, 16} {
-		eng, err := engine.NewTree(ut.Clone(), q, engine.Options{})
-		if err != nil {
-			panic(err)
-		}
+		eng := newOneQuery(ut.Clone(), q, engine.Options{})
 		var (
 			results atomic.Int64
 			enums   atomic.Int64
@@ -75,18 +71,26 @@ func ConcurrentReaders(quick bool) ConcurrentBaseline {
 			stop    atomic.Bool
 			wg      sync.WaitGroup
 		)
-		// Writer: continuous random single updates.
+		// Writer: continuous random single updates. The measurement
+		// window opens once the writer has applied its first update:
+		// started before it, the readers can starve the writer's
+		// goroutine for the whole window on a small, loaded box, and the
+		// row would measure readers without the update stream it claims.
+		writing := make(chan struct{})
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			ed := workload.NewEditor(treeMutator{eng}, rand.New(rand.NewSource(78)))
+			ed := workload.NewEditor(eng, rand.New(rand.NewSource(78)))
 			for !stop.Load() {
 				if err := ed.Step(); err != nil {
 					panic(err)
 				}
-				updates.Add(1)
+				if updates.Add(1) == 1 {
+					close(writing)
+				}
 			}
 		}()
+		<-writing
 		// Readers: latest snapshot, full enumeration, repeat.
 		for r := 0; r < readers; r++ {
 			wg.Add(1)
@@ -94,7 +98,7 @@ func ConcurrentReaders(quick bool) ConcurrentBaseline {
 				defer wg.Done()
 				for !stop.Load() {
 					k := int64(0)
-					for range eng.Snapshot().Results() {
+					for range eng.snap().Results() {
 						k++
 					}
 					results.Add(k)
@@ -120,59 +124,6 @@ func ConcurrentReaders(quick bool) ConcurrentBaseline {
 		base.Points[i].SpeedupVsOne = base.Points[i].ResultsPerSecond / base.Points[0].ResultsPerSecond
 	}
 	return base
-}
-
-// treeMutator adapts the engine's writer API (which returns snapshots)
-// to workload.TreeMutator.
-type treeMutator struct{ e *engine.TreeEngine }
-
-func (m treeMutator) Tree() *tree.Unranked { return m.e.Tree() }
-
-func (m treeMutator) Relabel(id tree.NodeID, l tree.Label) error {
-	_, err := m.e.Relabel(id, l)
-	return err
-}
-
-func (m treeMutator) InsertFirstChild(id tree.NodeID, l tree.Label) (tree.NodeID, error) {
-	v, _, err := m.e.InsertFirstChild(id, l)
-	return v, err
-}
-
-func (m treeMutator) InsertRightSibling(id tree.NodeID, l tree.Label) (tree.NodeID, error) {
-	v, _, err := m.e.InsertRightSibling(id, l)
-	return v, err
-}
-
-func (m treeMutator) Delete(id tree.NodeID) error {
-	_, err := m.e.Delete(id)
-	return err
-}
-
-// The structural half of workload.StructuralTreeMutator.
-
-func (m treeMutator) DeleteSubtree(id tree.NodeID) error {
-	_, err := m.e.DeleteSubtree(id)
-	return err
-}
-
-func (m treeMutator) MoveSubtreeFirstChild(id, dest tree.NodeID) error {
-	_, err := m.e.MoveSubtreeFirstChild(id, dest)
-	return err
-}
-
-func (m treeMutator) MoveSubtreeRightSibling(id, dest tree.NodeID) error {
-	_, err := m.e.MoveSubtreeRightSibling(id, dest)
-	return err
-}
-
-func (m treeMutator) InsertSubtreeFirstChild(id tree.NodeID, frag *tree.Unranked) (tree.NodeID, error) {
-	v, _, err := m.e.InsertSubtreeFirstChild(id, frag)
-	return v, err
-}
-
-func (m treeMutator) InsertSubtreeRightSibling(id tree.NodeID, frag *tree.Unranked) (tree.NodeID, error) {
-	v, _, err := m.e.InsertSubtreeRightSibling(id, frag)
-	return v, err
 }
 
 // Table renders the baseline as a markdown table for the benchtables

@@ -72,32 +72,28 @@ type DeltaBaseline struct {
 // flip/unflip relabel batches that change exactly k answers per
 // publication.
 type deltaPair struct {
-	push    *engine.TreeEngine
-	pull    *engine.TreeEngine
+	push    oneQuery
+	pull    oneQuery
 	ch      <-chan engine.Delta
 	answers int
 }
 
 func newDeltaPair(n int, seed int64) deltaPair {
-	build := func() *engine.TreeEngine {
+	build := func() oneQuery {
 		ut, err := workload.Tree(workload.ShapeRandom, n, rand.New(rand.NewSource(seed)))
 		if err != nil {
 			panic(err)
 		}
-		e, err := engine.NewTree(ut, tva.SelectLabel([]tree.Label{"a", "b", "c"}, "b", 0), engine.Options{})
-		if err != nil {
-			panic(err)
-		}
-		return e
+		return newOneQuery(ut, tva.SelectLabel([]tree.Label{"a", "b", "c"}, "b", 0), engine.Options{})
 	}
 	p := deltaPair{push: build(), pull: build()}
-	ch, err := p.push.Subscribe()
+	ch, err := p.push.Subscribe(p.push.id)
 	if err != nil {
 		panic(err)
 	}
 	p.ch = ch
 	<-ch // the seed resync; from here every recv is a per-publication delta
-	p.answers = p.push.Snapshot().Count()
+	p.answers = p.push.snap().Count()
 	return p
 }
 
@@ -168,7 +164,7 @@ func (p deltaPair) measure(k, reps int, rng *rand.Rand) DeltaPoint {
 		panic(err)
 	}
 	for d := range p.ch {
-		if d.Version >= p.push.Snapshot().Version() {
+		if d.Version >= p.push.snap().Version() {
 			break
 		}
 	}
@@ -210,7 +206,7 @@ func (p deltaPair) measure(k, reps int, rng *rand.Rand) DeltaPoint {
 		}
 		t1 := time.Now()
 		got := 0
-		for range s.Results() {
+		for range s.Query(p.pull.id).Results() {
 			got++
 		}
 		t2 := time.Now()
@@ -255,7 +251,7 @@ func Delta(quick bool) DeltaBaseline {
 	for _, k := range ks {
 		base.Points = append(base.Points, p.measure(k, reps, rng))
 	}
-	p.push.Set().Unregister(p.push.ID())
+	p.push.Unregister(p.push.id)
 
 	for _, sn := range scaleNs {
 		sp := newDeltaPair(sn, 191+int64(sn))
@@ -268,7 +264,7 @@ func Delta(quick bool) DeltaBaseline {
 			DrainNs:   pt.DrainNs,
 			Speedup:   pt.Speedup,
 		})
-		sp.push.Set().Unregister(sp.push.ID())
+		sp.push.Unregister(sp.push.id)
 	}
 	return base
 }

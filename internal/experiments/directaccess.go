@@ -54,18 +54,15 @@ func DirectAccess(quick bool) DirectAccessBaseline {
 			panic(err)
 		}
 		q := tva.SelectLabel([]tree.Label{"a", "b", "c"}, "b", 0)
-		eng, err := engine.NewTree(ut, q, engine.Options{})
-		if err != nil {
-			panic(err)
-		}
+		eng := newOneQuery(ut, q, engine.Options{})
 		// Exercise the maintenance path before measuring.
-		ed := workload.NewEditor(treeMutator{eng}, rand.New(rand.NewSource(43)))
+		ed := workload.NewEditor(eng, rand.New(rand.NewSource(43)))
 		for i := 0; i < 64; i++ {
 			if err := ed.Step(); err != nil {
 				panic(err)
 			}
 		}
-		s := eng.Snapshot()
+		s := eng.snap()
 		if !s.DirectAccess() {
 			panic("direct-access experiment query must be unambiguous")
 		}

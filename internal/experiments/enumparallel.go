@@ -61,11 +61,8 @@ func EnumParallel(quick bool) EnumParallelBaseline {
 	if err != nil {
 		panic(err)
 	}
-	e, err := engine.NewTree(ut, tva.SelectLabel([]tree.Label{"a", "b", "c"}, "b", 0), engine.Options{})
-	if err != nil {
-		panic(err)
-	}
-	snap := e.Snapshot()
+	e := newOneQuery(ut, tva.SelectLabel([]tree.Label{"a", "b", "c"}, "b", 0), engine.Options{})
+	snap := e.snap()
 	answers := snap.Count()
 
 	base := EnumParallelBaseline{

@@ -17,7 +17,7 @@ import (
 	"repro/internal/baseline"
 	"repro/internal/bitset"
 	"repro/internal/circuit"
-	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/enumerate"
 	"repro/internal/forest"
 	"repro/internal/markedanc"
@@ -67,6 +67,29 @@ func percentile(ds []time.Duration, p float64) time.Duration {
 	i := int(p * float64(len(s)-1))
 	return s[i]
 }
+
+// oneQuery is one standing query on a TreeSet — the single-query shape
+// most experiments measure: edits through Apply / ApplyBatch, reads
+// through the query's slice of the latest publication.
+type oneQuery struct {
+	*engine.TreeSet
+	id engine.QueryID
+}
+
+// newOneQuery registers q as the one standing query of a fresh TreeSet.
+// Experiment inputs are fixed, so a registration error is a bug: it
+// panics like the rest of the harness.
+func newOneQuery(t *tree.Unranked, q *tva.Unranked, opts engine.Options) oneQuery {
+	s := engine.NewTreeSet(t)
+	id, err := s.Register(q, opts)
+	if err != nil {
+		panic(err)
+	}
+	return oneQuery{s, id}
+}
+
+// snap returns the query's slice of the latest publication.
+func (e oneQuery) snap() *engine.Snapshot { return e.Snapshot().Query(e.id) }
 
 // delaySamples measures the time between consecutive results, up to
 // limit samples.
@@ -125,10 +148,7 @@ func E1Table1(quick bool) Table {
 		if err != nil {
 			panic(err)
 		}
-		ours, err := core.NewTreeEnumerator(ut.Clone(), q, core.Options{})
-		if err != nil {
-			panic(err)
-		}
+		ours := newOneQuery(ut.Clone(), q, engine.Options{})
 		editor := workload.NewEditor(ours, rng)
 		const nEdits = 200
 		start := time.Now()
@@ -138,15 +158,12 @@ func E1Table1(quick bool) Table {
 			}
 		}
 		updOurs := time.Since(start) / nEdits
-		delayOurs := median(delaySamples(ours, 2000))
+		delayOurs := median(delaySamples(ours.snap(), 2000))
 
-		naive, err := core.NewTreeEnumerator(ut.Clone(), q, core.Options{Mode: enumerate.ModeNaive})
-		if err != nil {
-			panic(err)
-		}
-		delayNaive := median(delaySamples(naive, 2000))
+		naive := newOneQuery(ut.Clone(), q, engine.Options{Mode: enumerate.ModeNaive})
+		delayNaive := median(delaySamples(naive.snap(), 2000))
 
-		reb, err := baseline.NewRebuildEnumerator(ut.Clone(), q, core.Options{})
+		reb, err := baseline.NewRebuildEnumerator(ut.Clone(), q, engine.Options{})
 		if err != nil {
 			panic(err)
 		}
@@ -183,9 +200,7 @@ func E2Preprocessing(quick bool) Table {
 				panic(err)
 			}
 			start := time.Now()
-			if _, err := core.NewTreeEnumerator(ut, q, core.Options{}); err != nil {
-				panic(err)
-			}
+			newOneQuery(ut, q, engine.Options{})
 			el := time.Since(start)
 			t.Rows = append(t.Rows, []string{
 				shape, fmt.Sprint(n), dur(el), fmt.Sprintf("%.0f", float64(el.Nanoseconds())/float64(n)),
@@ -210,11 +225,8 @@ func E3Delay(quick bool) Table {
 		if err != nil {
 			panic(err)
 		}
-		e, err := core.NewTreeEnumerator(ut, q, core.Options{})
-		if err != nil {
-			panic(err)
-		}
-		ds := delaySamples(e, 20000)
+		e := newOneQuery(ut, q, engine.Options{})
+		ds := delaySamples(e.snap(), 20000)
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprint(n), fmt.Sprint(len(ds)), dur(median(ds)), dur(percentile(ds, 0.99)),
 		})
@@ -237,11 +249,8 @@ func E4Updates(quick bool) Table {
 		if err != nil {
 			panic(err)
 		}
-		e, err := core.NewTreeEnumerator(ut, q, core.Options{})
-		if err != nil {
-			panic(err)
-		}
-		before := e.Stats()
+		e := newOneQuery(ut, q, engine.Options{})
+		before := e.snap().Stats()
 		editor := workload.NewEditor(e, rng)
 		const nEdits = 500
 		start := time.Now()
@@ -251,7 +260,7 @@ func E4Updates(quick bool) Table {
 			}
 		}
 		el := time.Since(start) / nEdits
-		after := e.Stats()
+		after := e.snap().Stats()
 		boxes := float64(after.BoxesRebuilt-before.BoxesRebuilt) / float64(nEdits)
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprint(n), dur(el),
@@ -284,12 +293,9 @@ func E5Combined(quick bool) Table {
 		q := tva.DescendantAtDepth(alpha, "b", k, 0)
 		ut := tva.RandomUnrankedTree(rng, 2000, alpha)
 		start := time.Now()
-		e, err := core.NewTreeEnumerator(ut.Clone(), q, core.Options{})
-		if err != nil {
-			panic(err)
-		}
+		e := newOneQuery(ut.Clone(), q, engine.Options{})
 		oursT := time.Since(start)
-		oursStates := e.Stats().TranslatedStates
+		oursStates := e.snap().Stats().TranslatedStates
 
 		start = time.Now()
 		_, st, err := baseline.DeterminizeFirst(q)
@@ -323,7 +329,11 @@ func E6Words(quick bool) Table {
 	for _, n := range sizesFor(quick, []int{1000, 4000, 16000, 64000, 256000}) {
 		letters := workload.Word(n, rng)
 		start := time.Now()
-		e, err := core.NewWordEnumerator(letters, q, core.Options{})
+		e, err := engine.NewWordSet(letters)
+		if err != nil {
+			panic(err)
+		}
+		qid, err := e.Register(q, engine.Options{})
 		if err != nil {
 			panic(err)
 		}
@@ -336,25 +346,24 @@ func E6Words(quick bool) Table {
 			if err != nil {
 				panic(err)
 			}
+			u := engine.Update{Op: engine.OpRelabel, Node: id}
 			switch rng.Intn(3) {
 			case 0:
-				if err := e.Relabel(id, workload.Word(1, rng)[0]); err != nil {
-					panic(err)
-				}
+				u.Label = workload.Word(1, rng)[0]
 			case 1:
-				if _, err := e.InsertAfter(id, workload.Word(1, rng)[0]); err != nil {
-					panic(err)
-				}
+				u.Op, u.Label = engine.OpInsertAfter, workload.Word(1, rng)[0]
 			default:
-				if e.Len() > 1 {
-					if err := e.Delete(id); err != nil {
-						panic(err)
-					}
+				if e.Len() <= 1 {
+					continue
 				}
+				u.Op = engine.OpDelete
+			}
+			if _, err := e.Apply(u); err != nil {
+				panic(err)
 			}
 		}
 		upd := time.Since(start) / edits
-		ds := delaySamples(e, 10000)
+		ds := delaySamples(e.Snapshot().Query(qid), 10000)
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprint(n), dur(pre), fmt.Sprintf("%.0f", float64(pre.Nanoseconds())/float64(n)),
 			dur(upd), dur(median(ds)),
@@ -520,11 +529,8 @@ func E9CircuitSize(quick bool) Table {
 		if err != nil {
 			panic(err)
 		}
-		e, err := core.NewTreeEnumerator(ut, q, core.Options{})
-		if err != nil {
-			panic(err)
-		}
-		st := e.Stats()
+		e := newOneQuery(ut, q, engine.Options{})
+		st := e.snap().Stats()
 		gates := st.UnionGates + st.TimesGates + st.VarGates
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprint(n), fmt.Sprint(st.Boxes), fmt.Sprint(gates),

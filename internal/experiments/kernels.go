@@ -166,10 +166,7 @@ func Kernels(quick bool) KernelsBaseline {
 	if err != nil {
 		panic(err)
 	}
-	eng, err := engine.NewTree(ut.Clone(), q, engine.Options{Workers: 1})
-	if err != nil {
-		panic(err)
-	}
+	eng := newOneQuery(ut.Clone(), q, engine.Options{Workers: 1})
 	labels := []tree.Label{"a", "b", "c"}
 	var ids []tree.NodeID
 	for _, node := range eng.Tree().Nodes() {
@@ -178,13 +175,13 @@ func Kernels(quick bool) KernelsBaseline {
 	erng := rand.New(rand.NewSource(172))
 	repair := func() float64 {
 		for i := 0; i < edits/4; i++ { // warm-up / settle
-			if _, err := eng.Relabel(ids[erng.Intn(len(ids))], labels[erng.Intn(len(labels))]); err != nil {
+			if _, err := eng.Apply(engine.Update{Op: engine.OpRelabel, Node: ids[erng.Intn(len(ids))], Label: labels[erng.Intn(len(labels))]}); err != nil {
 				panic(err)
 			}
 		}
 		t0 := time.Now()
 		for i := 0; i < edits; i++ {
-			if _, err := eng.Relabel(ids[erng.Intn(len(ids))], labels[erng.Intn(len(labels))]); err != nil {
+			if _, err := eng.Apply(engine.Update{Op: engine.OpRelabel, Node: ids[erng.Intn(len(ids))], Label: labels[erng.Intn(len(labels))]}); err != nil {
 				panic(err)
 			}
 		}
@@ -200,7 +197,7 @@ func Kernels(quick bool) KernelsBaseline {
 	}
 
 	drain := func() float64 {
-		snap := eng.Snapshot()
+		snap := eng.snap()
 		answers := 0
 		t0 := time.Now()
 		for range snap.Results() {

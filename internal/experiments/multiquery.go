@@ -191,23 +191,20 @@ func MultiQuery(quick bool) MultiQueryBaseline {
 			}
 		}
 		// Independent: k single-query engines, each with its own term.
-		indep := make([]*engine.TreeEngine, k)
+		indep := make([]*engine.TreeSet, k)
 		for i := 0; i < k; i++ {
-			e, err := engine.NewTree(ut.Clone(), queries[i], engine.Options{})
-			if err != nil {
-				panic(err)
-			}
-			indep[i] = e
+			indep[i] = newOneQuery(ut.Clone(), queries[i], engine.Options{}).TreeSet
 		}
 
 		// Counters are reported as update-phase deltas: subtract the
 		// initial-build baselines captured here.
-		sharedPC0, sharedRB0, sharedBX0 := shared.PathCopies(), shared.Rebalances(), shared.BoxesRebuilt()
+		sharedSt0 := shared.Stats()
 		var indepPC0, indepRB0, indepBX0 int
 		for _, e := range indep {
-			indepPC0 += e.Set().PathCopies()
-			indepRB0 += e.Set().Rebalances()
-			indepBX0 += e.Set().BoxesRebuilt()
+			st := e.Stats()
+			indepPC0 += st.PathCopies
+			indepRB0 += st.Rebalances
+			indepBX0 += st.BoxesRebuilt
 		}
 
 		// One update stream, replayed on every engine: the batch is drawn
@@ -232,16 +229,18 @@ func MultiQuery(quick bool) MultiQueryBaseline {
 			indepTime += time.Since(t0)
 		}
 
+		sharedSt := shared.Stats()
 		p := MultiQueryPoint{
 			Queries:            k,
-			SharedPathCopies:   shared.PathCopies() - sharedPC0,
-			SharedRebalances:   shared.Rebalances() - sharedRB0,
-			SharedBoxesRebuilt: shared.BoxesRebuilt() - sharedBX0,
+			SharedPathCopies:   sharedSt.PathCopies - sharedSt0.PathCopies,
+			SharedRebalances:   sharedSt.Rebalances - sharedSt0.Rebalances,
+			SharedBoxesRebuilt: sharedSt.BoxesRebuilt - sharedSt0.BoxesRebuilt,
 		}
 		for _, e := range indep {
-			p.IndepPathCopies += e.Set().PathCopies()
-			p.IndepRebalances += e.Set().Rebalances()
-			p.IndepBoxesRebuilt += e.Set().BoxesRebuilt()
+			st := e.Stats()
+			p.IndepPathCopies += st.PathCopies
+			p.IndepRebalances += st.Rebalances
+			p.IndepBoxesRebuilt += st.BoxesRebuilt
 		}
 		p.IndepPathCopies -= indepPC0
 		p.IndepRebalances -= indepRB0

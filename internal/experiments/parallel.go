@@ -124,7 +124,7 @@ func Parallel(quick bool) ParallelBaseline {
 			// collections) don't look faster for reasons unrelated to the
 			// worker pool.
 			for i := 0; i < edits/4; i++ {
-				if _, err := qs.Relabel(ids[erng.Intn(len(ids))], labels[erng.Intn(3)]); err != nil {
+				if _, err := qs.Apply(engine.Update{Op: engine.OpRelabel, Node: ids[erng.Intn(len(ids))], Label: labels[erng.Intn(3)]}); err != nil {
 					panic(err)
 				}
 			}
@@ -134,7 +134,7 @@ func Parallel(quick bool) ParallelBaseline {
 				id := ids[erng.Intn(len(ids))]
 				l := labels[erng.Intn(3)]
 				t0 := time.Now()
-				if _, err := qs.Relabel(id, l); err != nil {
+				if _, err := qs.Apply(engine.Update{Op: engine.OpRelabel, Node: id, Label: l}); err != nil {
 					panic(err)
 				}
 				ds = append(ds, time.Since(t0))

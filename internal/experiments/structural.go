@@ -121,11 +121,8 @@ func Structural(quick bool) StructuralBaseline {
 	for _, m := range subSizes {
 		rng := rand.New(rand.NewSource(71))
 		t, sub, d1, d2 := structuralMoveTree(n, m, rng)
-		eng, err := engine.NewTree(t, workload.AncestorQuery(), engine.Options{})
-		if err != nil {
-			panic(err)
-		}
-		prev := eng.Set().Stats()
+		eng := newOneQuery(t, workload.AncestorQuery(), engine.Options{})
+		prev := eng.TreeSet.Stats()
 		ds := make([]time.Duration, 0, moves)
 		for i := 0; i < moves; i++ {
 			dest := d2
@@ -133,12 +130,12 @@ func Structural(quick bool) StructuralBaseline {
 				dest = d1
 			}
 			t0 := time.Now()
-			if _, err := eng.MoveSubtreeFirstChild(sub, dest); err != nil {
+			if _, err := eng.Apply(engine.Update{Op: engine.OpMoveSubtreeFirstChild, Node: sub, Dest: dest}); err != nil {
 				panic(err)
 			}
 			ds = append(ds, time.Since(t0))
 		}
-		cur := eng.Set().Stats()
+		cur := eng.TreeSet.Stats()
 		base.Moves = append(base.Moves, StructuralMovePoint{
 			TreeNodes:   n,
 			SubtreeSize: m,
@@ -200,12 +197,9 @@ func Structural(quick bool) StructuralBaseline {
 			panic(err)
 		}
 		relabelXMLish(ut) // the ancestor query runs over {a,b,c}
-		eng, err := engine.NewTree(ut, workload.AncestorQuery(), engine.Options{})
-		if err != nil {
-			panic(err)
-		}
-		prev := eng.Set().Stats()
-		ed := workload.NewStructuralEditor(treeMutator{eng}, workload.DefaultStructuralWeights(), rng)
+		eng := newOneQuery(ut, workload.AncestorQuery(), engine.Options{})
+		prev := eng.TreeSet.Stats()
+		ed := workload.NewStructuralEditor(eng, workload.DefaultStructuralWeights(), rng)
 		ds := make([]time.Duration, 0, edits)
 		for i := 0; i < edits; i++ {
 			t0 := time.Now()
@@ -214,7 +208,7 @@ func Structural(quick bool) StructuralBaseline {
 			}
 			ds = append(ds, time.Since(t0))
 		}
-		cur := eng.Set().Stats()
+		cur := eng.TreeSet.Stats()
 		structural := ed.Counts[workload.KindInsertSubtree] + ed.Counts[workload.KindDeleteSubtree] + ed.Counts[workload.KindMoveSubtree]
 		leaf := ed.Counts[workload.KindRelabel] + ed.Counts[workload.KindInsertLeaf] + ed.Counts[workload.KindDeleteLeaf]
 		base.Mix = append(base.Mix, StructuralMixPoint{

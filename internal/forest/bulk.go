@@ -105,7 +105,8 @@ func (w *Word) MoveRange(from, k, dest int) error {
 
 // InsertRange inserts the given letters at position pos (existing
 // letters from pos on shift right), bulk-building one balanced piece and
-// joining it in: O(m + log n) for m letters. Returns the fresh IDs.
+// joining it in: O(m + log n) for m letters. Returns the fresh IDs,
+// which are consecutive (newLetter numbers letters in order).
 func (w *Word) InsertRange(pos int, labels []tree.Label) ([]tree.NodeID, error) {
 	if len(labels) == 0 {
 		return nil, fmt.Errorf("forest: InsertRange: empty range")

@@ -138,6 +138,10 @@ func (c *editCore) drainFresh() []*Node {
 			out = append(out, n)
 		}
 	}
+	// Clear before truncating: stale pointers left in the backing array
+	// (every node of the bulk build included) would keep retired trunks
+	// alive, and retired nodes' Parent pointers reach into later versions.
+	clear(c.created)
 	c.created = c.created[:0]
 	return out
 }

@@ -11,7 +11,7 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/tree"
 	"repro/internal/tva"
 )
@@ -38,46 +38,61 @@ const (
 // the probe node special, asks whether the enumeration is nonempty, and
 // restores the label. Both operations cost O(log n · poly(|Q|)).
 type EnumerationSolver struct {
-	e *core.TreeEnumerator
+	s  *engine.TreeSet
+	id engine.QueryID
 }
 
 // NewEnumerationSolver builds the solver over a copy-free view of the
 // tree, which must use the Unmarked label everywhere initially.
 func NewEnumerationSolver(t *tree.Unranked) (*EnumerationSolver, error) {
-	q := tva.MarkedAncestor(Marked, Unmarked, Special, 0)
-	e, err := core.NewTreeEnumerator(t, q, core.Options{})
+	s := engine.NewTreeSet(t)
+	id, err := s.Register(tva.MarkedAncestor(Marked, Unmarked, Special, 0), engine.Options{})
 	if err != nil {
 		return nil, err
 	}
-	return &EnumerationSolver{e: e}, nil
+	return &EnumerationSolver{s: s, id: id}, nil
+}
+
+// relabel applies one relabel update and returns the resulting snapshot
+// of the reduction's query.
+func (s *EnumerationSolver) relabel(id tree.NodeID, l tree.Label) (*engine.Snapshot, error) {
+	m, _, err := s.s.ApplyBatch([]engine.Update{{Op: engine.OpRelabel, Node: id, Label: l}})
+	return m.Query(s.id), err
 }
 
 // Mark marks a node (relabel to m).
-func (s *EnumerationSolver) Mark(id tree.NodeID) error { return s.e.Relabel(id, Marked) }
+func (s *EnumerationSolver) Mark(id tree.NodeID) error {
+	_, err := s.relabel(id, Marked)
+	return err
+}
 
 // Unmark unmarks a node (relabel to u).
-func (s *EnumerationSolver) Unmark(id tree.NodeID) error { return s.e.Relabel(id, Unmarked) }
+func (s *EnumerationSolver) Unmark(id tree.NodeID) error {
+	_, err := s.relabel(id, Unmarked)
+	return err
+}
 
 // Query relabels the node to special, tests nonemptiness of Φ, and
 // restores the node.
 func (s *EnumerationSolver) Query(id tree.NodeID) (bool, error) {
-	n := s.e.Tree().Node(id)
+	n := s.s.Tree().Node(id)
 	if n == nil {
 		return false, fmt.Errorf("markedanc: node %d does not exist", id)
 	}
 	old := n.Label
-	if err := s.e.Relabel(id, Special); err != nil {
+	snap, err := s.relabel(id, Special)
+	if err != nil {
 		return false, err
 	}
-	ans := s.e.NonEmpty()
-	if err := s.e.Relabel(id, old); err != nil {
+	ans := snap.NonEmpty()
+	if _, err := s.relabel(id, old); err != nil {
 		return false, err
 	}
 	return ans, nil
 }
 
-// Stats exposes the underlying enumerator's stats.
-func (s *EnumerationSolver) Stats() core.Stats { return s.e.Stats() }
+// Stats exposes the underlying query's stats.
+func (s *EnumerationSolver) Stats() engine.Stats { return s.s.Snapshot().Query(s.id).Stats() }
 
 // WalkSolver is the trivial baseline: O(1) updates, O(depth) queries by
 // walking to the root. On the deep instances of experiment E7 its query

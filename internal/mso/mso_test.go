@@ -4,7 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/tree"
 	"repro/internal/tva"
 )
@@ -187,12 +187,14 @@ func TestEndToEndCorollary83(t *testing.T) {
 		t.Fatal(err)
 	}
 	ut, _ := tree.ParseUnranked("(a (b) (a (a)))")
-	e, err := core.NewTreeEnumerator(ut, q, core.Options{})
+	e := engine.NewTreeSet(ut)
+	id, err := e.Register(q, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.Count() != 1 {
-		t.Fatalf("count = %d, want 1", e.Count())
+	count := func() int { return e.Snapshot().Query(id).Count() }
+	if count() != 1 {
+		t.Fatalf("count = %d, want 1", count())
 	}
 	// Relabel the deepest a to b: its parent now qualifies too.
 	var deepest tree.NodeID
@@ -201,11 +203,11 @@ func TestEndToEndCorollary83(t *testing.T) {
 			deepest = n.ID
 		}
 	}
-	if err := e.Relabel(deepest, "b"); err != nil {
+	if _, err := e.Apply(engine.Update{Op: engine.OpRelabel, Node: deepest, Label: "b"}); err != nil {
 		t.Fatal(err)
 	}
-	if e.Count() != 2 {
-		t.Fatalf("after relabel: count = %d, want 2", e.Count())
+	if count() != 2 {
+		t.Fatalf("after relabel: count = %d, want 2", count())
 	}
 	// Check against the oracle.
 	want, err := q.SatisfyingAssignments(e.Tree(), 7)

@@ -5,7 +5,7 @@ import (
 	"sort"
 	"testing"
 
-	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/tree"
 	"repro/internal/tva"
 )
@@ -90,7 +90,8 @@ func TestPathsDynamic(t *testing.T) {
 	alpha := []tree.Label{"a", "b", "c"}
 	a := MustCompile("//a/b", alpha, 0)
 	ut := tva.RandomUnrankedTree(rng, 5, alpha)
-	e, err := core.NewTreeEnumerator(ut, a, core.Options{})
+	e := engine.NewTreeSet(ut)
+	id, err := e.Register(a, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,28 +99,26 @@ func TestPathsDynamic(t *testing.T) {
 	for step := 0; step < 40; step++ {
 		nodes := e.Tree().Nodes()
 		n := nodes[rng.Intn(len(nodes))]
+		var batch []engine.Update
 		switch rng.Intn(3) {
 		case 0:
-			if err := e.Relabel(n.ID, alpha[rng.Intn(3)]); err != nil {
-				t.Fatal(err)
-			}
+			batch = []engine.Update{{Op: engine.OpRelabel, Node: n.ID, Label: alpha[rng.Intn(3)]}}
 		case 1:
 			if e.Tree().Size() < 40 {
-				if _, err := e.InsertFirstChild(n.ID, alpha[rng.Intn(3)]); err != nil {
-					t.Fatal(err)
-				}
+				batch = []engine.Update{{Op: engine.OpInsertFirstChild, Node: n.ID, Label: alpha[rng.Intn(3)]}}
 			}
 		default:
 			if n.IsLeaf() && n.Parent != nil {
-				if err := e.Delete(n.ID); err != nil {
-					t.Fatal(err)
-				}
+				batch = []engine.Update{{Op: engine.OpDelete, Node: n.ID}}
 			}
+		}
+		if _, _, err := e.ApplyBatch(batch); err != nil {
+			t.Fatal(err)
 		}
 		want := Select(q, e.Tree())
 		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
 		var got []tree.NodeID
-		for _, asg := range e.All() {
+		for _, asg := range e.Snapshot().Query(id).All() {
 			got = append(got, asg[0].Node)
 		}
 		sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })

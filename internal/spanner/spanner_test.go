@@ -4,7 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/tree"
 	"repro/internal/tva"
 )
@@ -188,36 +188,38 @@ func TestDynamicSpanner(t *testing.T) {
 		t.Fatal(err)
 	}
 	letters := []tree.Label{"a", "b", "a"}
-	e, err := core.NewWordEnumerator(letters, q, core.Options{})
+	e, err := engine.NewWordSet(letters)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, err := e.Register(q, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for step := 0; step < 30; step++ {
 		ids, labs := e.Word()
+		var batch []engine.Update
 		switch rng.Intn(3) {
 		case 0:
-			if err := e.Relabel(ids[rng.Intn(len(ids))], alphaAB[rng.Intn(2)]); err != nil {
-				t.Fatal(err)
-			}
+			batch = []engine.Update{{Op: engine.OpRelabel, Node: ids[rng.Intn(len(ids))], Label: alphaAB[rng.Intn(2)]}}
 		case 1:
 			if len(ids) < 8 {
-				if _, err := e.InsertAfter(ids[rng.Intn(len(ids))], alphaAB[rng.Intn(2)]); err != nil {
-					t.Fatal(err)
-				}
+				batch = []engine.Update{{Op: engine.OpInsertAfter, Node: ids[rng.Intn(len(ids))], Label: alphaAB[rng.Intn(2)]}}
 			}
 		default:
 			if len(ids) > 1 {
-				if err := e.Delete(ids[rng.Intn(len(ids))]); err != nil {
-					t.Fatal(err)
-				}
+				batch = []engine.Update{{Op: engine.OpDelete, Node: ids[rng.Intn(len(ids))]}}
 			}
+		}
+		if _, _, err := e.ApplyBatch(batch); err != nil {
+			t.Fatal(err)
 		}
 		ids, labs = e.Word()
 		want, err := q.SatisfyingAssignments(labs, ids, 9)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := e.All()
+		got := e.Snapshot().Query(id).All()
 		if len(got) != len(want) {
 			t.Fatalf("step %d: got %d, want %d (word %v)", step, len(got), len(want), labs)
 		}

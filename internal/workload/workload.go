@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"repro/internal/engine"
 	"repro/internal/tree"
 	"repro/internal/tva"
 )
@@ -96,14 +97,36 @@ func Word(n int, rng *rand.Rand) []tree.Label {
 	return out
 }
 
-// TreeMutator is the edit interface shared by the real enumerator and
-// the rebuild baseline, so update streams apply to both.
+// TreeMutator applies engine updates to a tree and returns the ID each
+// creates (tree.InvalidNode if none). engine.TreeSet and
+// baseline.RebuildEnumerator both implement it, so one update stream —
+// leaf or structural — drives both sides of a comparison.
 type TreeMutator interface {
 	Tree() *tree.Unranked
-	Relabel(id tree.NodeID, l tree.Label) error
-	InsertFirstChild(id tree.NodeID, l tree.Label) (tree.NodeID, error)
-	InsertRightSibling(id tree.NodeID, l tree.Label) (tree.NodeID, error)
-	Delete(id tree.NodeID) error
+	Apply(u engine.Update) (tree.NodeID, error)
+}
+
+// Leaf-edit update constructors, shared by the editors below.
+func relabel(id tree.NodeID, l tree.Label) engine.Update {
+	return engine.Update{Op: engine.OpRelabel, Node: id, Label: l}
+}
+
+func insertFirstChild(id tree.NodeID, l tree.Label) engine.Update {
+	return engine.Update{Op: engine.OpInsertFirstChild, Node: id, Label: l}
+}
+
+func insertRightSibling(id tree.NodeID, l tree.Label) engine.Update {
+	return engine.Update{Op: engine.OpInsertRightSibling, Node: id, Label: l}
+}
+
+func deleteLeaf(id tree.NodeID) engine.Update {
+	return engine.Update{Op: engine.OpDelete, Node: id}
+}
+
+// applyErr applies an update whose created ID the caller does not need.
+func applyErr(m TreeMutator, u engine.Update) error {
+	_, err := m.Apply(u)
+	return err
 }
 
 // Edit is one update of a reproducible stream.
@@ -130,19 +153,17 @@ func Apply(m TreeMutator, ed Edit) error {
 	n := nodes[ed.Index%len(nodes)]
 	switch ed.Kind {
 	case 1:
-		_, err := m.InsertFirstChild(n.ID, ed.Label)
-		return err
+		return applyErr(m, insertFirstChild(n.ID, ed.Label))
 	case 2:
 		if n.Parent != nil {
-			_, err := m.InsertRightSibling(n.ID, ed.Label)
-			return err
+			return applyErr(m, insertRightSibling(n.ID, ed.Label))
 		}
 	case 3:
 		if n.IsLeaf() && n.Parent != nil {
-			return m.Delete(n.ID)
+			return applyErr(m, deleteLeaf(n.ID))
 		}
 	}
-	return m.Relabel(n.ID, ed.Label)
+	return applyErr(m, relabel(n.ID, ed.Label))
 }
 
 // Editor applies random edits in O(1) bookkeeping per step (unlike
@@ -177,9 +198,9 @@ func (ed *Editor) Step() error {
 		l := pick(ed.rng, "a", "b", "c")
 		switch ed.rng.Intn(4) {
 		case 0:
-			return ed.m.Relabel(id, l)
+			return applyErr(ed.m, relabel(id, l))
 		case 1:
-			v, err := ed.m.InsertFirstChild(id, l)
+			v, err := ed.m.Apply(insertFirstChild(id, l))
 			if err == nil {
 				ed.ids = append(ed.ids, v)
 			}
@@ -188,7 +209,7 @@ func (ed *Editor) Step() error {
 			if n.Parent == nil {
 				continue
 			}
-			v, err := ed.m.InsertRightSibling(id, l)
+			v, err := ed.m.Apply(insertRightSibling(id, l))
 			if err == nil {
 				ed.ids = append(ed.ids, v)
 			}
@@ -197,7 +218,7 @@ func (ed *Editor) Step() error {
 			if !n.IsLeaf() || n.Parent == nil {
 				continue
 			}
-			if err := ed.m.Delete(id); err != nil {
+			if err := applyErr(ed.m, deleteLeaf(id)); err != nil {
 				return err
 			}
 			ed.ids[i] = ed.ids[len(ed.ids)-1]
@@ -206,21 +227,7 @@ func (ed *Editor) Step() error {
 		}
 	}
 	// Fall back to a relabel of the root, which always exists.
-	return ed.m.Relabel(ed.m.Tree().Root.ID, pick(ed.rng, "a", "b", "c"))
-}
-
-// StructuralTreeMutator extends TreeMutator with the subtree edits of
-// the structural edit language: whole-subtree delete, move and graft.
-// Implemented by baseline.RebuildEnumerator and (via snapshot-dropping
-// adapters) by the engine writers, so the structural update streams
-// drive both sides of a differential run.
-type StructuralTreeMutator interface {
-	TreeMutator
-	DeleteSubtree(id tree.NodeID) error
-	MoveSubtreeFirstChild(id, dest tree.NodeID) error
-	MoveSubtreeRightSibling(id, dest tree.NodeID) error
-	InsertSubtreeFirstChild(id tree.NodeID, frag *tree.Unranked) (tree.NodeID, error)
-	InsertSubtreeRightSibling(id tree.NodeID, frag *tree.Unranked) (tree.NodeID, error)
+	return applyErr(ed.m, relabel(ed.m.Tree().Root.ID, pick(ed.rng, "a", "b", "c")))
 }
 
 // RandomFragment builds a small random tree of n nodes over {a, b, c},
@@ -269,7 +276,7 @@ const (
 // its rng. Like Editor it tracks live node IDs itself (lazily dropping
 // stale ones) so per-step bookkeeping stays sublinear in the tree.
 type StructuralEditor struct {
-	m      StructuralTreeMutator
+	m      TreeMutator
 	rng    *rand.Rand
 	w      EditWeights
 	ids    []tree.NodeID
@@ -277,7 +284,7 @@ type StructuralEditor struct {
 }
 
 // NewStructuralEditor indexes the current nodes of the mutator's tree.
-func NewStructuralEditor(m StructuralTreeMutator, w EditWeights, rng *rand.Rand) *StructuralEditor {
+func NewStructuralEditor(m TreeMutator, w EditWeights, rng *rand.Rand) *StructuralEditor {
 	if w.MaxFragment <= 0 {
 		w.MaxFragment = 8
 	}
@@ -349,17 +356,13 @@ func (ed *StructuralEditor) Step() error {
 		switch ed.drawKind() {
 		case KindRelabel:
 			ed.Counts[KindRelabel]++
-			return ed.m.Relabel(n.ID, l)
+			return applyErr(ed.m, relabel(n.ID, l))
 		case KindInsertLeaf:
+			u := insertRightSibling(n.ID, l)
 			if ed.rng.Intn(2) == 0 || n.Parent == nil {
-				v, err := ed.m.InsertFirstChild(n.ID, l)
-				if err == nil {
-					ed.ids = append(ed.ids, v)
-					ed.Counts[KindInsertLeaf]++
-				}
-				return err
+				u = insertFirstChild(n.ID, l)
 			}
-			v, err := ed.m.InsertRightSibling(n.ID, l)
+			v, err := ed.m.Apply(u)
 			if err == nil {
 				ed.ids = append(ed.ids, v)
 				ed.Counts[KindInsertLeaf]++
@@ -369,20 +372,18 @@ func (ed *StructuralEditor) Step() error {
 			if !n.IsLeaf() || n.Parent == nil {
 				continue
 			}
-			if err := ed.m.Delete(n.ID); err != nil {
+			if err := applyErr(ed.m, deleteLeaf(n.ID)); err != nil {
 				return err
 			}
 			ed.Counts[KindDeleteLeaf]++
 			return nil
 		case KindInsertSubtree:
-			frag := RandomFragment(ed.rng, 1+ed.rng.Intn(ed.w.MaxFragment))
-			var v tree.NodeID
-			var err error
+			u := engine.Update{Op: engine.OpInsertSubtreeRightSibling, Node: n.ID,
+				Fragment: RandomFragment(ed.rng, 1+ed.rng.Intn(ed.w.MaxFragment))}
 			if ed.rng.Intn(2) == 0 || n.Parent == nil {
-				v, err = ed.m.InsertSubtreeFirstChild(n.ID, frag)
-			} else {
-				v, err = ed.m.InsertSubtreeRightSibling(n.ID, frag)
+				u.Op = engine.OpInsertSubtreeFirstChild
 			}
+			v, err := ed.m.Apply(u)
 			if err == nil {
 				ed.trackSubtree(v)
 				ed.Counts[KindInsertSubtree]++
@@ -397,7 +398,7 @@ func (ed *StructuralEditor) Step() error {
 			if t.SubtreeSize(n.ID) > t.Size()/ed.w.MaxDeleteRatio {
 				continue
 			}
-			if err := ed.m.DeleteSubtree(n.ID); err != nil {
+			if err := applyErr(ed.m, engine.Update{Op: engine.OpDeleteSubtree, Node: n.ID}); err != nil {
 				return err
 			}
 			ed.Counts[KindDeleteSubtree]++
@@ -410,12 +411,11 @@ func (ed *StructuralEditor) Step() error {
 			if t.InSubtree(n.ID, dest.ID) {
 				continue
 			}
-			var err error
+			u := engine.Update{Op: engine.OpMoveSubtreeRightSibling, Node: n.ID, Dest: dest.ID}
 			if ed.rng.Intn(2) == 0 || dest.Parent == nil {
-				err = ed.m.MoveSubtreeFirstChild(n.ID, dest.ID)
-			} else {
-				err = ed.m.MoveSubtreeRightSibling(n.ID, dest.ID)
+				u.Op = engine.OpMoveSubtreeFirstChild
 			}
+			err := applyErr(ed.m, u)
 			if err == nil {
 				ed.Counts[KindMoveSubtree]++
 			}
@@ -423,7 +423,7 @@ func (ed *StructuralEditor) Step() error {
 		}
 	}
 	ed.Counts[KindRelabel]++
-	return ed.m.Relabel(t.Root.ID, pick(ed.rng, "a", "b", "c"))
+	return applyErr(ed.m, relabel(t.Root.ID, pick(ed.rng, "a", "b", "c")))
 }
 
 // AncestorQuery returns the standing query of experiments E1-E4 over the

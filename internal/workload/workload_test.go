@@ -4,7 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/tree"
 )
 
@@ -69,13 +69,22 @@ func TestAncestorQuerySemantics(t *testing.T) {
 	}
 }
 
-func TestApplyEditStream(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	ut, _ := Tree(ShapeRandom, 30, rng)
-	e, err := core.NewTreeEnumerator(ut, AncestorQuery(), core.Options{})
+// ancestorSet registers AncestorQuery as the one standing query on a
+// fresh TreeSet.
+func ancestorSet(t *testing.T, ut *tree.Unranked) (*engine.TreeSet, engine.QueryID) {
+	t.Helper()
+	s := engine.NewTreeSet(ut)
+	id, err := s.Register(AncestorQuery(), engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	return s, id
+}
+
+func TestApplyEditStream(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	ut, _ := Tree(ShapeRandom, 30, rng)
+	e, id := ancestorSet(t, ut)
 	edits := RandomEdits(100, rng)
 	for _, ed := range edits {
 		if err := Apply(e, ed); err != nil {
@@ -89,21 +98,18 @@ func TestApplyEditStream(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := e.Count(); got != len(want) {
+		if got := e.Snapshot().Query(id).Count(); got != len(want) {
 			t.Fatalf("count %d, want %d", got, len(want))
 		}
 	} else {
-		_ = e.Count()
+		_ = e.Snapshot().Query(id).Count()
 	}
 }
 
 func TestEditorStorm(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	ut, _ := Tree(ShapeRandom, 6, rng)
-	e, err := core.NewTreeEnumerator(ut, AncestorQuery(), core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	e, id := ancestorSet(t, ut)
 	ed := NewEditor(e, rng)
 	for i := 0; i < 120; i++ {
 		if err := ed.Step(); err != nil {
@@ -114,7 +120,7 @@ func TestEditorStorm(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := e.Count(); got != len(want) {
+			if got := e.Snapshot().Query(id).Count(); got != len(want) {
 				t.Fatalf("step %d: count %d, want %d", i, got, len(want))
 			}
 		}
