@@ -547,6 +547,34 @@ func BenchmarkDirectAccess(b *testing.B) {
 	})
 }
 
+// BenchmarkPage measures one Page(offset, 100) of the ancestor query on
+// a 20k-node document at random offsets: one count-guided seek to the
+// offset plus 100 enumeration steps, O(log|T|·poly|Q|) + 100·delay,
+// whatever the offset.
+func BenchmarkPage(b *testing.B) {
+	const limit = 100
+	rng := rand.New(rand.NewSource(41))
+	ut := tva.RandomUnrankedTree(rng, 20000, []tree.Label{"a", "b", "c"})
+	if err := ut.Relabel(ut.Root.ID, "a"); err != nil {
+		b.Fatal(err)
+	}
+	snap := mustEnum(b, ut, workload.AncestorQuery(), engine.Options{}).snap()
+	if !snap.DirectAccess() {
+		b.Fatal("ancestor query must be direct-access capable")
+	}
+	n := snap.Count()
+	if n < limit {
+		b.Fatalf("answer set too small: %d", n)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if got := snap.Page(rng.Intn(n-limit), limit); len(got) != limit {
+			b.Fatal("short page")
+		}
+	}
+}
+
 // BenchmarkParallelAll mirrors experiment E1-par: full-result
 // materialization through the sequential drain vs rank-partitioned
 // parallel drains at several worker counts, plus the order-preserving

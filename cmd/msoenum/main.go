@@ -55,16 +55,18 @@
 //	-count          print only the result count per query, read from the
 //	                maintained counting semiring in O(poly|Q|) when the
 //	                query is unambiguous (marked "direct")
-//	-page OFF:LIM   print results OFF..OFF+LIM-1 by count-guided descent
-//	                — "page 1000000:20" costs the same as "0:20" on
+//	-page OFF:LIM   print results OFF..OFF+LIM-1: one count-guided seek
+//	                to OFF, then LIM enumeration steps — "page
+//	                1000000:20" costs the same as "0:20" on
 //	                direct-access queries
 //
 // Parallel enumeration:
 //
 //	-jobs N         drain full result sets with N workers (0 = all
-//	                cores): the rank range [0, Count()) is partitioned
-//	                across per-worker count-guided descents and streamed
-//	                back in enumeration order via Snapshot.Chunks
+//	                cores): the rank range [0, Count()) is cut into
+//	                chunks, each served by one seek plus streaming, and
+//	                streamed back in enumeration order via
+//	                Snapshot.Chunks
 //
 // Answer-delta streaming:
 //
@@ -473,9 +475,10 @@ func printResults(w io.Writer, snap *enumtrees.Snapshot, v printView) {
 	}
 	n := 0
 	if v.jobs != 1 {
-		// Parallel drain: workers materialize disjoint rank ranges by
-		// count-guided descent; Chunks streams them back in enumeration
-		// order, so the printed prefix is identical to Results().
+		// Parallel drain: workers materialize disjoint rank ranges, each
+		// by one seek plus streaming; Chunks streams them back in
+		// enumeration order, so the printed prefix is identical to
+		// Results().
 		for chunk := range snap.Chunks(v.jobs, 256) {
 			for _, asg := range chunk {
 				if n < v.max {

@@ -81,7 +81,8 @@
 // index (Section 4 multiset remark): Count is an O(poly|Q|) lookup,
 // and At/Page jump to a rank by count-guided descent — exact for
 // unambiguous automata (Snapshot.DirectAccess), with a transparent
-// enumeration fallback otherwise.
+// enumeration fallback otherwise. A page seeks once to its offset and
+// then streams: O(log|T|·poly|Q|) + limit·delay.
 //
 //	n := snap.Count()            // no enumeration
 //	page := snap.Page(1000, 20)  // answers 1000..1019, stateless
@@ -91,8 +92,8 @@
 //
 // Because ranked access is stateless, bulk enumeration is
 // embarrassingly parallel: Snapshot.ParallelAll(w) splits the rank
-// range [0, Count()) across w workers, each draining its slice by
-// count-guided descent with its own reusable scratch, and
+// range [0, Count()) across w workers, each seeking once to the start
+// of its slice and streaming it with its own reusable scratch, and
 // Snapshot.Chunks(w, size) streams the same partition back in
 // enumeration order with bounded buffering. Both return exactly the
 // Results() order on any snapshot (a sharded drain covers ambiguous

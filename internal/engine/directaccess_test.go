@@ -390,3 +390,68 @@ func TestPageHugeLimit(t *testing.T) {
 		t.Fatalf("Page past the end returned %d elements", len(got))
 	}
 }
+
+// TestSizeAggregatesCached checks MinResultSize/MaxResultSize against
+// the answer sizes of a drain, and that the fold behind them runs once
+// per snapshot: repeated calls agree and allocate nothing.
+func TestSizeAggregatesCached(t *testing.T) {
+	for name, q := range directAccessQueries(t) {
+		t.Run(name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(23))
+			ut := tva.RandomUnrankedTree(rng, 40, []tree.Label{"a", "b", "c"})
+			e, qid := treeQuery(t, ut, q, Options{})
+			s := e.Snapshot().Query(qid)
+			all := s.All()
+			if len(all) == 0 {
+				t.Fatal("empty answer set: the sizes are not exercised")
+			}
+			wantMin, wantMax := len(all[0]), len(all[0])
+			for _, a := range all {
+				wantMin, wantMax = min(wantMin, len(a)), max(wantMax, len(a))
+			}
+			mn, okMin := s.MinResultSize()
+			mx, okMax := s.MaxResultSize()
+			if !okMin || !okMax || mn != wantMin || mx != wantMax {
+				t.Fatalf("min/max = %d,%v/%d,%v, want %d/%d", mn, okMin, mx, okMax, wantMin, wantMax)
+			}
+			allocs := testing.AllocsPerRun(10, func() {
+				mn2, ok2 := s.MinResultSize()
+				mx2, ok3 := s.MaxResultSize()
+				if mn2 != mn || mx2 != mx || !ok2 || !ok3 {
+					t.Fatalf("repeated call: min/max = %d/%d, want %d/%d", mn2, mx2, mn, mx)
+				}
+			})
+			if allocs != 0 {
+				t.Fatalf("repeated MinResultSize/MaxResultSize allocate %.0f times", allocs)
+			}
+		})
+	}
+}
+
+// TestPageAllocsIndependentOfOffset is the offset-independence guard of
+// the seek: a page deep into a large answer set allocates within a small
+// constant of the first page, so Page does no O(offset) work — no
+// answers before the offset are produced (skipping them would cost
+// several allocations per skipped answer, thousands here). The slack
+// covers what does vary with the offset: the seek's trail, one frame
+// per level of the O(log|T|)-deep descent, each replayed once.
+func TestPageAllocsIndependentOfOffset(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	ut := tva.RandomUnrankedTree(rng, 4000, []tree.Label{"a", "b", "c"})
+	e, qid := treeQuery(t, ut, tva.MarkedAncestor("a", "b", "c", 0), Options{})
+	s := e.Snapshot().Query(qid)
+	count := s.Count()
+	if !s.DirectAccess() || count < 1000 {
+		t.Fatalf("want a large direct-access answer set, got %d (direct=%v)", count, s.DirectAccess())
+	}
+	const lim, slack = 20, 64
+	first := testing.AllocsPerRun(20, func() { s.Page(0, lim) })
+	for _, off := range []int{count / 2, count - lim} {
+		deep := testing.AllocsPerRun(20, func() { s.Page(off, lim) })
+		t.Logf("allocs: Page(0, %d) %.0f, Page(%d, %d) %.0f", lim, first, off, lim, deep)
+		if deep > first+slack || first > deep+slack {
+			t.Fatalf("Page(%d, %d) allocates %.0f times, Page(0, %d) %.0f: the seek is not offset-independent",
+				off, lim, deep, lim, first)
+		}
+	}
+}

@@ -726,7 +726,8 @@ func (e *Engine) Queries() []QueryID {
 // position not applied, holds tree.InvalidNode (node 0 is a valid ID,
 // the root of parsed trees). On the first failing update the batch
 // stops; the edits already applied are still published (each forest
-// edit is atomic), and the error identifies the position.
+// edit is atomic), and the error identifies the position. An empty
+// batch publishes nothing and returns the current MultiSnapshot.
 func (e *Engine) ApplyBatch(batch []Update) (*MultiSnapshot, []tree.NodeID, error) {
 	m, ids, failed, err := e.applyBatch(batch)
 	if err != nil {
@@ -747,8 +748,13 @@ func (e *Engine) Apply(u Update) (tree.NodeID, error) {
 
 // applyBatch is the one edit loop behind ApplyBatch and Apply: it runs
 // the updates under the writer lock up to the first failure, whose
-// position it returns with the unwrapped error, and publishes once.
+// position it returns with the unwrapped error, and publishes once. An
+// empty batch changes nothing, so it publishes nothing: it returns the
+// current MultiSnapshot, and subscribers see no delta.
 func (e *Engine) applyBatch(batch []Update) (*MultiSnapshot, []tree.NodeID, int, error) {
+	if len(batch) == 0 {
+		return e.Snapshot(), nil, -1, nil
+	}
 	ids := make([]tree.NodeID, len(batch))
 	for i := range ids {
 		ids[i] = tree.InvalidNode

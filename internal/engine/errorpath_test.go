@@ -3,6 +3,7 @@ package engine
 import (
 	"slices"
 	"testing"
+	"time"
 
 	"repro/internal/tree"
 	"repro/internal/tva"
@@ -109,6 +110,57 @@ func TestTreeBatchFailureMidBatch(t *testing.T) {
 			checkSetAgainstFresh(t, qs, ids)
 			_ = tc.applied
 		})
+	}
+}
+
+// TestEmptyBatchPublishesNothing: an empty batch changes nothing, so it
+// must not move the version, must hand back the current publication,
+// and must offer no delta — the subscriber's next delta after its seed
+// is the next real edit's, uncoalesced.
+func TestEmptyBatchPublishesNothing(t *testing.T) {
+	ut, err := tree.ParseUnranked("(a (b) (c))")
+	if err != nil {
+		t.Fatal(err)
+	}
+	qs, id := treeQuery(t, ut, auditQueries()[0], Options{})
+	ch, err := qs.Subscribe(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recv := func() (Delta, bool) {
+		select {
+		case d := <-ch:
+			return d, true
+		case <-time.After(200 * time.Millisecond):
+			return Delta{}, false
+		}
+	}
+	before := qs.Snapshot()
+	if seed, ok := recv(); !ok || seed.Resync == nil || seed.Version != before.Version() {
+		t.Fatalf("seed delta = %+v (received %v), want a resync at v%d", seed, ok, before.Version())
+	}
+	for _, batch := range [][]Update{nil, {}} {
+		m, ids, err := qs.ApplyBatch(batch)
+		if err != nil || len(ids) != 0 {
+			t.Fatalf("empty batch: ids %v, err %v", ids, err)
+		}
+		if m != before || qs.Snapshot() != before {
+			t.Fatalf("empty batch published v%d over v%d", qs.Snapshot().Version(), before.Version())
+		}
+	}
+	if d, ok := recv(); ok {
+		t.Fatalf("empty batches offered a delta: %+v", d)
+	}
+	m, _, err := qs.ApplyBatch([]Update{{Op: OpRelabel, Node: 2, Label: "b"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Version() != before.Version()+1 {
+		t.Fatalf("edit after empty batches published v%d, want v%d", m.Version(), before.Version()+1)
+	}
+	d, ok := recv()
+	if !ok || d.Version != m.Version() || d.Coalesced || len(d.Added) != 1 {
+		t.Fatalf("delta after the edit = %+v (received %v), want v%d with one added answer", d, ok, m.Version())
 	}
 }
 

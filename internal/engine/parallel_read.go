@@ -6,16 +6,18 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/enumerate"
 	"repro/internal/tree"
 )
 
 // This file is the rank-partitioned parallel bulk-enumeration layer:
-// because direct access is STATELESS — Snapshot.At(j) reaches any rank
-// by count-guided descent with no shared cursor — bulk materialization
-// is embarrassingly parallel: split [0, Count()) into per-worker rank
-// ranges and drain each range concurrently, one enumerate.Descender
-// (goroutine-confined descent scratch) per worker. ParallelAll is the
+// because direct access is STATELESS — a count-guided descent reaches
+// any rank with no shared cursor — bulk materialization is
+// embarrassingly parallel: split [0, Count()) into per-worker rank
+// ranges, and let each worker seek once to the start of its range and
+// stream the range from there (Snapshot.fillFrom, with a pooled
+// goroutine-confined enumerate.Descender as seek scratch). A
+// range of m answers costs one O(log|T|·poly|Q|) seek plus m·delay, so
+// W workers add only W seeks to the sequential drain. ParallelAll is the
 // scatter into a preallocated slice; Chunks is the order-preserving
 // streaming variant (scatter over chunk ranks, bounded-channel gather
 // with a reorder buffer). Snapshots without direct access (ambiguous
@@ -57,10 +59,10 @@ func (s *Snapshot) noteParallelDrain() {
 
 // ParallelAll materializes every result in Results' order across the
 // given number of workers (<= 0 means GOMAXPROCS). On direct-access
-// snapshots worker k drains the rank range [k·n/W, (k+1)·n/W) by
-// count-guided descent with its own reusable scratch, writing into
-// disjoint regions of one preallocated slice — no locks, no channels,
-// wall-clock n/W·O(log|T|·poly|Q|) on W free cores. Other snapshots
+// snapshots worker k seeks once to rank k·n/W and streams the range
+// [k·n/W, (k+1)·n/W) from there, writing into disjoint regions of one
+// preallocated slice — no locks, no channels, wall-clock
+// O(log|T|·poly|Q|) + n/W·delay on W free cores. Other snapshots
 // take the sharded-drain fallback (see shardedAll). The result is
 // exactly All(): same answers, same order.
 func (s *Snapshot) ParallelAll(workers int) []tree.Assignment {
@@ -88,14 +90,8 @@ func (s *Snapshot) ParallelAll(workers int) []tree.Assignment {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			d := enumerate.NewDescender()
-			for j := lo; j < hi; j++ {
-				a, err := s.atRank(d, j)
-				if err != nil {
-					failed.Store(true)
-					return
-				}
-				out[j] = a
+			if got, err := s.fillFrom(lo, out[lo:hi]); err != nil || got != hi-lo {
+				failed.Store(true)
 			}
 		}()
 	}
@@ -169,12 +165,13 @@ type chunkRes struct {
 // (<= 0 means GOMAXPROCS). It is the streaming complement of
 // ParallelAll: chunks are produced out of order by the workers —
 // direct-access snapshots claim chunk indices dynamically and serve
-// each by count-guided descent; others shard chunks over independent
-// rope drains (each worker materializes only its own chunks) — and
-// reassembled in order by a bounded gather: a channel of capacity ~2W
-// plus a reorder buffer, so an abandoned iteration stops the workers
-// and total buffering stays O(W·chunkSize) no matter how large the
-// answer set is. Concatenating the chunks yields exactly All().
+// each by one seek to its first rank plus chunkSize enumeration steps;
+// others shard chunks over independent rope drains (each worker
+// materializes only its own chunks) — and reassembled in order by a
+// bounded gather: a channel of capacity ~2W plus a reorder buffer, so
+// an abandoned iteration stops the workers and total buffering stays
+// O(W·chunkSize) no matter how large the answer set is. Concatenating
+// the chunks yields exactly All().
 func (s *Snapshot) Chunks(workers, chunkSize int) iter.Seq[[]tree.Assignment] {
 	return func(yield func([]tree.Assignment) bool) {
 		if chunkSize <= 0 {
@@ -200,7 +197,7 @@ func (s *Snapshot) Chunks(workers, chunkSize int) iter.Seq[[]tree.Assignment] {
 		if workers == 1 {
 			// One worker: no gather needed, serve chunks in order off the
 			// consumer's own goroutine.
-			s.sequentialChunks(n, chunkSize, yield)
+			s.sequentialChunks(chunkSize, yield)
 			return
 		}
 
@@ -244,24 +241,9 @@ func (s *Snapshot) Chunks(workers, chunkSize int) iter.Seq[[]tree.Assignment] {
 }
 
 // sequentialChunks serves the single-worker (or single-chunk) case of
-// Chunks with no goroutines: in-order pages on direct-access snapshots,
-// a straight batched drain otherwise.
-func (s *Snapshot) sequentialChunks(n, chunkSize int, yield func([]tree.Assignment) bool) {
-	if s.DirectAccess() {
-		d := enumerate.NewDescender()
-		for lo := 0; lo < n; lo += chunkSize {
-			hi := min(lo+chunkSize, n)
-			data, err := s.pageWith(d, lo, hi-lo)
-			if err != nil || len(data) == 0 {
-				return
-			}
-			s.noteAnswers(len(data))
-			if !yield(data) {
-				return
-			}
-		}
-		return
-	}
+// Chunks with no goroutines: one in-order drain of Results, cut into
+// chunks.
+func (s *Snapshot) sequentialChunks(chunkSize int, yield func([]tree.Assignment) bool) {
 	data := make([]tree.Assignment, 0, chunkSize)
 	for a := range s.Results() {
 		data = append(data, a)
@@ -279,10 +261,9 @@ func (s *Snapshot) sequentialChunks(n, chunkSize int, yield func([]tree.Assignme
 
 // chunkWorkerDirect is one scatter worker of the direct-access Chunks
 // path: claim the next unserved chunk index, materialize its rank range
-// by count-guided descent, hand it to the gather channel. Dynamic
+// by one seek plus streaming, hand it to the gather channel. Dynamic
 // claiming load-balances automatically when chunks cost unevenly.
 func (s *Snapshot) chunkWorkerDirect(n, chunkSize, chunks int, next *atomic.Int64, out chan<- chunkRes, done <-chan struct{}) {
-	d := enumerate.NewDescender()
 	for {
 		c := int(next.Add(1)) - 1
 		if c >= chunks {
@@ -290,13 +271,9 @@ func (s *Snapshot) chunkWorkerDirect(n, chunkSize, chunks int, next *atomic.Int6
 		}
 		lo := c * chunkSize
 		hi := min(lo+chunkSize, n)
-		data := make([]tree.Assignment, 0, hi-lo)
-		for j := lo; j < hi; j++ {
-			a, err := s.atRank(d, j)
-			if err != nil {
-				return // count inconsistency; chunk withheld, stream ends short
-			}
-			data = append(data, a)
+		data := make([]tree.Assignment, hi-lo)
+		if got, err := s.fillFrom(lo, data); err != nil || got != hi-lo {
+			return // count inconsistency; chunk withheld, stream ends short
 		}
 		select {
 		case out <- chunkRes{idx: c, data: data}:

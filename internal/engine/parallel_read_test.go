@@ -89,9 +89,10 @@ func forEachScriptSnapshot(t *testing.T, s *diffScript, mode enumerate.Mode, fn 
 }
 
 // checkParallelReads is the per-snapshot property: All() must equal the
-// Results order (the All-via-Page rewrite), ParallelAll(w) must equal
-// All() for every worker count, and the Chunks stream must concatenate
-// to exactly the same sequence at awkward chunk sizes.
+// Results order, ParallelAll(w) must equal All() for every worker
+// count, the Chunks stream must concatenate to exactly the same
+// sequence at awkward chunk sizes, and Page(off, lim) must be the slice
+// All()[off:off+lim].
 func checkParallelReads(t *testing.T, s *diffScript, step int, snap *engine.Snapshot) {
 	t.Helper()
 	want := orderedKeys(snap)
@@ -122,6 +123,22 @@ func checkParallelReads(t *testing.T, s *diffScript, step int, snap *engine.Snap
 	// Abandoning the stream early must neither deadlock nor panic.
 	for range snap.Chunks(3, 2) {
 		break
+	}
+	// Every page — one seek plus a streamed range on direct-access
+	// snapshots — is the same slice of the full sequence, at the
+	// boundary offsets and past the end.
+	n := len(want)
+	for _, off := range []int{0, 1, n / 3, n - 1, n, n + 5} {
+		for _, lim := range []int{1, 7, n + 1} {
+			if off < 0 {
+				continue
+			}
+			got := assignmentKeys(snap.Page(off, lim))
+			if w := want[min(off, n):min(off+lim, n)]; !equalStrings(got, w) {
+				t.Fatalf("step %d: Page(%d, %d) diverges from All()[%d:%d] (direct=%v)\ngot:  %v\nwant: %v\nscript:\n%s",
+					step, off, lim, off, off+lim, snap.DirectAccess(), got, w, s)
+			}
+		}
 	}
 }
 
@@ -197,6 +214,36 @@ func TestParallelAllMatchesSequentialRandom(t *testing.T) {
 			checkParallelReads(t, s, step, snap)
 		})
 	})
+}
+
+// TestParallelAllMatchesPagesStructural is the seek differential over
+// random structural scripts (subtree and range moves, grafts, deletes):
+// trees and words, both direct-access modes, and the product-heavy
+// two-variable query, so seeks land inside products as well as on var
+// gates. Every published snapshot must serve pages, ParallelAll and
+// Chunks exactly as its own Results.
+func TestParallelAllMatchesPagesStructural(t *testing.T) {
+	queries := []string{"childpair", "ancestor", "select:b", "childpair"}
+	modes := map[string]enumerate.Mode{"indexed": enumerate.ModeIndexed, "simple": enumerate.ModeSimple}
+	for seed := int64(0); seed < 8; seed++ {
+		isWord := seed%4 == 3
+		rng := rand.New(rand.NewSource(900 + seed))
+		q := queries[seed%int64(len(queries))]
+		if isWord {
+			q = "span"
+		}
+		s := randomDiffScript(rng, q, isWord, true)
+		for mn, mode := range modes {
+			t.Run(fmt.Sprintf("%d/%s/%s", seed, q, mn), func(t *testing.T) {
+				forEachScriptSnapshot(t, s, mode, func(step int, snap *engine.Snapshot) {
+					if !snap.DirectAccess() {
+						t.Fatalf("step %d: %s lost direct access", step, q)
+					}
+					checkParallelReads(t, s, step, snap)
+				})
+			})
+		}
+	}
 }
 
 // wideTree builds "(a (b) (c) (b) ...)": a root with n alternating

@@ -64,6 +64,8 @@ type Snapshot struct {
 	statsOnce sync.Once
 	stats     Stats
 
+	minSize, maxSize sizeAggregate
+
 	drainOnce  sync.Once
 	drainCount int
 
@@ -159,21 +161,33 @@ func (s *Snapshot) Derivations() *big.Int {
 // MinResultSize returns the smallest |S| over the satisfying
 // assignments S, and false if there are none: one fold of the tropical
 // (min, +) semiring (counting.MinSize) over the frozen circuit, with no
-// enumeration. The fold visits every box, O(|T|·poly(|Q|)) per call.
-func (s *Snapshot) MinResultSize() (int, bool) { return s.sizeFold(counting.MinSize{}) }
+// enumeration. The fold visits every box, O(|T|·poly(|Q|)), and runs
+// once per snapshot, on the first call; later calls read the cached
+// value.
+func (s *Snapshot) MinResultSize() (int, bool) { return s.minSize.get(s, counting.MinSize{}) }
 
 // MaxResultSize returns the largest |S| over the satisfying assignments,
-// and false if there are none (counting.MaxSize; cost as MinResultSize).
-func (s *Snapshot) MaxResultSize() (int, bool) { return s.sizeFold(counting.MaxSize{}) }
+// and false if there are none (counting.MaxSize; cost and caching as
+// MinResultSize).
+func (s *Snapshot) MaxResultSize() (int, bool) { return s.maxSize.get(s, counting.MaxSize{}) }
 
-// sizeFold evaluates a size semiring on the accepting root gates.
-func (s *Snapshot) sizeFold(sr counting.Semiring[int64]) (int, bool) {
-	root, gamma, emptyOK := s.Accepting()
-	v := counting.NewEvaluator(sr).Gamma(root, gamma, emptyOK)
-	if counting.IsInfinite(v) {
-		return 0, false
-	}
-	return int(v), true
+// sizeAggregate caches one size-semiring fold of a snapshot.
+type sizeAggregate struct {
+	once sync.Once
+	v    int
+	ok   bool
+}
+
+// get folds the size semiring sr over the accepting root gates of s
+// the first time, and returns the cached result.
+func (a *sizeAggregate) get(s *Snapshot, sr counting.Semiring[int64]) (int, bool) {
+	a.once.Do(func() {
+		root, gamma, emptyOK := s.Accepting()
+		if v := counting.NewEvaluator(sr).Gamma(root, gamma, emptyOK); !counting.IsInfinite(v) {
+			a.v, a.ok = int(v), true
+		}
+	})
+	return a.v, a.ok
 }
 
 // DirectAccess reports whether Count, At and Page take the fast paths
@@ -195,51 +209,31 @@ func (s *Snapshot) DirectAccess() bool {
 // At returns the j-th element (0-based) of Results, in Results' order,
 // without enumerating the first j: on direct-access snapshots it
 // descends the frozen (box, index, counts) tree in O(log|T|·poly(|Q|))
-// — stateless, so "answers 10⁶ to 10⁶+20" costs the same as "answers 0
-// to 20" and any number of goroutines may page concurrently. On
-// snapshots without direct access (ambiguous automaton, ModeNaive) it
-// falls back to enumerating j+1 elements. Returns an error iff j is out
-// of range.
+// — stateless, so "answer 10⁶" costs the same as "answer 0" and any
+// number of goroutines may read concurrently. On snapshots without
+// direct access (ambiguous automaton, ModeNaive) it falls back to
+// enumerating j+1 elements. Returns an error iff j is out of range.
 func (s *Snapshot) At(j int) (tree.Assignment, error) {
+	if j < 0 {
+		return nil, fmt.Errorf("engine: rank %d out of range", j)
+	}
 	if s.DirectAccess() {
-		a, err := s.atRank(enumerate.NewDescender(), j)
+		d := descenders.Get().(*enumerate.Descender)
+		rope, err := d.AtInt(s.root, s.gamma, s.emptyOK, s.mode, j)
+		var a tree.Assignment
 		if err == nil {
+			a = materialize(rope) // before d's arenas are recycled
+		}
+		releaseDescender(d)
+		switch {
+		case err == nil:
 			s.noteAnswers(1)
+			return a, nil
+		case errors.Is(err, enumerate.ErrRankRange):
+			return nil, fmt.Errorf("engine: rank %d out of range (count %s)", j, s.count)
 		}
-		return a, err
-	}
-	return s.atByEnumeration(j)
-}
-
-// atRank is the direct-access rank read on a caller-provided descender:
-// the bulk paths (Page, ParallelAll, Chunks workers) call it in a loop,
-// one goroutine-confined descender each, so the descent scratch is paid
-// once per worker instead of once per answer. Callers have checked
-// DirectAccess.
-func (s *Snapshot) atRank(d *enumerate.Descender, j int) (tree.Assignment, error) {
-	if j < 0 {
-		return nil, fmt.Errorf("engine: rank %d out of range", j)
-	}
-	rope, err := d.AtInt(s.root, s.gamma, s.emptyOK, s.mode, j)
-	switch {
-	case err == nil:
-		if rope == nil {
-			return tree.Assignment{}, nil
-		}
-		return rope.Materialize(), nil
-	case errors.Is(err, enumerate.ErrRankRange):
-		return nil, fmt.Errorf("engine: rank %d out of range (count %s)", j, s.count)
-	}
-	// ErrAmbiguous / ErrNoDirectAccess: defensive fall-through to the
-	// enumeration path, which is always correct.
-	return s.atByEnumeration(j)
-}
-
-// atByEnumeration serves a rank by enumerating j+1 answers — the
-// non-direct-access path, and the defensive fallback of atRank.
-func (s *Snapshot) atByEnumeration(j int) (tree.Assignment, error) {
-	if j < 0 {
-		return nil, fmt.Errorf("engine: rank %d out of range", j)
+		// ErrAmbiguous / ErrNoDirectAccess: defensive fall-through to the
+		// enumeration path, which is always correct.
 	}
 	i := 0
 	for a := range s.Results() {
@@ -251,21 +245,76 @@ func (s *Snapshot) atByEnumeration(j int) (tree.Assignment, error) {
 	return nil, fmt.Errorf("engine: rank %d out of range (count %d)", j, i)
 }
 
+// materialize turns an enumerated rope into an assignment (nil is the
+// empty assignment).
+func materialize(r *enumerate.Rope) tree.Assignment {
+	if r == nil {
+		return tree.Assignment{}
+	}
+	return r.Materialize()
+}
+
+// descenders recycles the scratch of direct-access reads: a Descender's
+// slabs outlive the At or fillFrom call that used them, so steady-state
+// reads stop allocating them.
+var descenders = sync.Pool{New: func() any { return enumerate.NewDescender() }}
+
+// releaseDescender drops d's references into the snapshot it read and
+// returns it to the pool.
+func releaseDescender(d *enumerate.Descender) {
+	d.Reset()
+	descenders.Put(d)
+}
+
+// fillFrom writes Results elements from rank offset on into dst with ONE
+// seek — a count-guided descent to the offset — followed by the
+// enumeration itself (enumerate.Descender.RopesFrom), so it costs
+// O(log|T|·poly(|Q|)) + len(dst)·delay, and returns how many it wrote:
+// fewer than len(dst) only past the end. An error means the seek failed
+// (missing direct-access structure or a count inconsistency); callers
+// then take the enumeration path. The bulk readers (Page, ParallelAll
+// and Chunks workers) call it concurrently: each call holds its own
+// descender. Callers have checked DirectAccess.
+func (s *Snapshot) fillFrom(offset int, dst []tree.Assignment) (int, error) {
+	d := descenders.Get().(*enumerate.Descender)
+	defer releaseDescender(d)
+	ropes, err := d.RopesFromInt(s.root, s.gamma, s.emptyOK, s.mode, offset)
+	if err != nil {
+		return 0, err
+	}
+	n := 0
+	for r := range ropes {
+		dst[n] = materialize(r)
+		if n++; n == len(dst) {
+			break
+		}
+	}
+	return n, nil
+}
+
 // Page returns Results elements [offset, offset+limit) in Results'
 // order — the stateless pagination primitive: no cursor, no per-client
 // enumeration state, and under updates each page is simply served from
 // whichever immutable snapshot the caller holds. Short (or empty) pages
-// mean the range ran past the end. On direct-access snapshots each page
-// costs O(limit·log|T|·poly(|Q|)) independent of offset; otherwise one
-// enumeration of offset+limit elements.
+// mean the range ran past the end. On direct-access snapshots a page is
+// one seek to offset plus limit enumeration steps,
+// O(log|T|·poly(|Q|)) + limit·delay, independent of offset; otherwise
+// one enumeration of offset+limit elements.
 func (s *Snapshot) Page(offset, limit int) []tree.Assignment {
 	if offset < 0 || limit <= 0 {
 		return nil
 	}
 	if s.DirectAccess() {
-		out, _ := s.pageWith(enumerate.NewDescender(), offset, limit)
-		s.noteAnswers(len(out))
-		return out
+		n := min(limit, s.Count()-offset)
+		if n <= 0 {
+			return nil
+		}
+		out := make([]tree.Assignment, n)
+		if got, err := s.fillFrom(offset, out); err == nil && got == n {
+			s.noteAnswers(n)
+			return out
+		}
+		// Defensive: the seek could not serve the range; enumerate.
 	}
 	var out []tree.Assignment
 	i := 0
@@ -281,28 +330,6 @@ func (s *Snapshot) Page(offset, limit int) []tree.Assignment {
 	return out
 }
 
-// pageWith is the direct-access page loop on a caller-provided
-// descender (see atRank). The error is non-nil only when a rank inside
-// the clamped range failed — a count inconsistency, not a short page.
-func (s *Snapshot) pageWith(d *enumerate.Descender, offset, limit int) ([]tree.Assignment, error) {
-	end := offset + limit
-	if c := s.Count(); end > c || end < offset {
-		end = c
-	}
-	if end <= offset {
-		return nil, nil
-	}
-	out := make([]tree.Assignment, 0, end-offset)
-	for j := offset; j < end; j++ {
-		a, err := s.atRank(d, j)
-		if err != nil {
-			return out, err
-		}
-		out = append(out, a)
-	}
-	return out, nil
-}
-
 // NonEmpty reports whether at least one satisfying assignment exists; by
 // the delay bound it runs in time independent of |T| (indexed mode).
 func (s *Snapshot) NonEmpty() bool {
@@ -312,20 +339,16 @@ func (s *Snapshot) NonEmpty() bool {
 	return false
 }
 
-// All materializes every result in Results' order. On direct-access
-// snapshots it routes through the Page descent — one reusable descender
-// for the whole sweep — instead of paying the enumeration iterator's
-// rope/resume overhead per answer; otherwise it drains Results.
-// ParallelAll is the same sweep fanned out across workers.
+// All materializes every result in Results' order: one enumeration,
+// O(|answers|·delay), preallocated from Count on direct-access
+// snapshots. ParallelAll is the same sweep split across workers.
 func (s *Snapshot) All() []tree.Assignment {
-	if s.DirectAccess() {
-		n := s.Count()
-		if n == 0 {
-			return nil
-		}
-		return s.Page(0, n)
-	}
 	var out []tree.Assignment
+	if s.DirectAccess() {
+		if n := s.Count(); n > 0 {
+			out = make([]tree.Assignment, 0, n)
+		}
+	}
 	for a := range s.Results() {
 		out = append(out, a)
 	}

@@ -91,46 +91,53 @@ func IndexedBoxEnum(b *IndexedBox, gamma bitset.Set) iter.Seq[BoxRelation] {
 
 // indexedRec is b-enum(B, R) of Algorithm 3. It receives R = R(B, Γ) and
 // outputs the relations R(B′, Γ) for all interesting boxes B′ in the
-// subtree of B. The explicit iteration over the bidirectional boxes on
-// the path from B to the first interesting box B1 plays the role of the
-// paper's tail-recursion elimination.
+// subtree of B. It is split into its three phases — the jump to the
+// first interesting box B1 (here), the boxes strictly below B1
+// (belowRec) and the walk over the bidirectional boxes above B1
+// (walkRec) — so a ranked seek (seek.go) can resume any of them.
 func indexedRec(n *IndexedBox, r bitset.Matrix, yield func(BoxRelation) bool) bool {
-	idx := n.Index
 	gates := r.NonEmptyRows()
-
 	// Line 4: jump to the first interesting box B1 and output it.
-	fib := idx.FoldFib(gates)
+	fib := n.Index.FoldFib(gates)
 	if fib < 0 {
 		return true // empty relation: nothing below
 	}
-	b1 := idx.Targets[fib]
-	r1 := bitset.Compose(idx.Rel[fib], r)
-	if !yield(BoxRelation{b1, r1}) {
+	b1 := n.Index.Targets[fib]
+	r1 := bitset.Compose(n.Index.Rel[fib], r)
+	return yield(BoxRelation{b1, r1}) && belowRec(b1, r1, yield) && walkRec(n, r, gates, yield)
+}
+
+// belowRec is lines 7-10 of Algorithm 3: all interesting boxes strictly
+// below B1, left subtree first.
+func belowRec(b1 *IndexedBox, r1 bitset.Matrix, yield func(BoxRelation) bool) bool {
+	if b1.IsLeaf() {
+		return true
+	}
+	rl := bitset.Compose(b1.Box.WLeft, r1)
+	if !rl.Empty() && !indexedRec(b1.Left, rl, yield) {
 		return false
 	}
-	// Lines 7-10: all interesting boxes strictly below B1.
-	if !b1.IsLeaf() {
-		rl := bitset.Compose(b1.Box.WLeft, r1)
-		if !rl.Empty() {
-			if !indexedRec(b1.Left, rl, yield) {
-				return false
-			}
-		}
-		rr := bitset.Compose(b1.Box.WRight, r1)
-		if !rr.Empty() {
-			if !indexedRec(b1.Right, rr, yield) {
-				return false
-			}
-		}
-	}
-	// Lines 11-17: walk the bidirectional boxes on the path from B down
-	// to B1; each right subtree hanging off that path holds further
-	// interesting boxes, enumerated recursively. The left descent
-	// continues toward B1 (which stays the first interesting box of
-	// every shrinking region, so the fib fold re-identifies it).
+	return belowRightRec(b1, r1, yield)
+}
+
+// belowRightRec is the right half of belowRec (b1 is not a leaf).
+func belowRightRec(b1 *IndexedBox, r1 bitset.Matrix, yield func(BoxRelation) bool) bool {
+	rr := bitset.Compose(b1.Box.WRight, r1)
+	return rr.Empty() || indexedRec(b1.Right, rr, yield)
+}
+
+// walkRec is lines 11-17 of Algorithm 3 for the region (n, r) whose
+// nonempty rows are gates: walk the bidirectional boxes on the path
+// from n down to B1; each right subtree hanging off that path holds
+// further interesting boxes, enumerated recursively. The left descent
+// continues toward B1 (which stays the first interesting box of every
+// shrinking region, so the fib fold re-identifies it). The explicit
+// loop plays the role of the paper's tail-recursion elimination.
+func walkRec(n *IndexedBox, r bitset.Matrix, gates bitset.Set, yield func(BoxRelation) bool) bool {
 	for {
+		idx := n.Index
 		fbb := idx.FoldFbb(gates)
-		fib = idx.FoldFib(gates)
+		fib := idx.FoldFib(gates)
 		if fbb < 0 || !idx.StrictAncestor(fbb, fib) {
 			return true
 		}
@@ -144,7 +151,6 @@ func indexedRec(n *IndexedBox, r bitset.Matrix, yield func(BoxRelation) bool) bo
 		}
 		r = bitset.Compose(bb.Box.WLeft, rb)
 		n = bb.Left
-		idx = n.Index
 		gates = r.NonEmptyRows()
 	}
 }

@@ -18,6 +18,10 @@ import (
 // whole branches are skipped in O(poly(w)) each. Total cost is
 // O(h·poly(w)) for a box tree of height h — independent of the number
 // of answers, and logarithmic in |T| on the engine's balanced terms.
+// Along the way every descent records on the descender's trail the
+// parts of the enumeration still pending after each branch it takes,
+// which is what lets RopesFrom (seek.go) stream on from the rank it
+// reached.
 //
 // Correctness rests on the derivation counts being exact answer counts,
 // i.e. on the query automaton being unambiguous (tva.Unambiguous): then
@@ -263,6 +267,9 @@ outer:
 		if idx == nil {
 			return nil, -1, nil, ErrNoDirectAccess
 		}
+		// Whatever the descent finds below, the walk of this region
+		// (indexedRec lines 11-17) follows it.
+		walk := d.push(frame{kind: frameWalk, box: n, r: r})
 		gates := r.NonEmptyRowsInto(d.mats.Set(r.Rows))
 		fib := idx.FoldFib(gates)
 		if fib < 0 {
@@ -285,6 +292,7 @@ outer:
 			}
 			wv := weightOf(w, col)
 			if j.Cmp(wv) < 0 {
+				d.push(frame{kind: frameVars, box: b1, r: r1, at: vi})
 				vg := bp.Vars[vi]
 				return d.ropes.Leaf(vg.Set, vg.Node), col, j, nil
 			}
@@ -310,6 +318,7 @@ outer:
 					return nil, -1, nil, err
 				}
 				if j.Cmp(c) < 0 {
+					d.push(frame{kind: frameBelowRight, box: b1, r: r1})
 					n, r = b1.Left, rl
 					continue outer
 				}
@@ -347,6 +356,7 @@ outer:
 					return nil, -1, nil, err
 				}
 				if j.Cmp(c) < 0 {
+					d.trail[walk] = frame{kind: frameWalkPast, box: bb, r: rb}
 					n, r = bb.Right, rr
 					continue outer
 				}
@@ -397,6 +407,7 @@ func (d *Descender) descendProducts(b1 *IndexedBox, r1 bitset.Matrix, w []*big.I
 			wL[g] = bigZero
 		}
 	}
+	lo := len(d.trail)
 	sl, lcol, off, err := d.descendRegion(b1.Left, d.seedRelation(bp.Left, gammaL), wL, j)
 	if err != nil {
 		return nil, -1, nil, err
@@ -434,10 +445,12 @@ func (d *Descender) descendProducts(b1 *IndexedBox, r1 bitset.Matrix, w []*big.I
 			wR[g] = bigZero
 		}
 	}
+	mid := len(d.trail)
 	sr, rcol, off2, err := d.descendRegion(b1.Right, d.seedRelation(bp.Right, gammaR), wR, off)
 	if err != nil {
 		return nil, -1, nil, err
 	}
+	d.push(frame{kind: frameProducts, box: b1, r: r1, lo: lo, mid: mid})
 	return d.ropes.Concat(sl, sr), cols[rcol], off2, nil
 }
 
@@ -453,6 +466,7 @@ func (d *Descender) simpleAt(root *IndexedBox, gamma bitset.Set, j *big.Int) (*R
 	gamma.ForEach(func(g int) bool {
 		c := root.Counts[g]
 		if j.Cmp(c) < 0 {
+			d.push(frame{kind: frameGamma, box: root, gamma: gamma, at: g + 1})
 			out, err = d.simpleAtUnion(root, g, j)
 			return false
 		}
@@ -471,10 +485,14 @@ func (d *Descender) simpleAtUnion(n *IndexedBox, u int, j *big.Int) (*Rope, erro
 	}
 	g := &n.Box.Unions[u]
 	if j.IsInt64() && j.Int64() < int64(len(g.Vars)) {
+		d.push(frame{kind: frameInputs, box: n, u: u, at: int(j.Int64())})
 		vg := n.Box.Vars[g.Vars[j.Int64()]]
 		return d.ropes.Leaf(vg.Set, vg.Node), nil
 	}
 	j.Sub(j, d.ints.get().SetInt64(int64(len(g.Vars))))
+	// in is the position of the current input in Algorithm 1's order
+	// (simpleInputs), recorded for a seek to resume after.
+	in := len(g.Vars)
 	blk := d.ints.get()
 	for _, t := range g.Times {
 		tg := n.Box.Times[t]
@@ -483,31 +501,39 @@ func (d *Descender) simpleAtUnion(n *IndexedBox, u int, j *big.Int) (*Rope, erro
 		if j.Cmp(blk) < 0 {
 			jl, jr := d.ints.get(), d.ints.get()
 			jl.DivMod(j, cr, jr)
+			lo := len(d.trail)
 			sl, err := d.simpleAtUnion(n.Left, int(tg.Left), jl)
 			if err != nil {
 				return nil, err
 			}
+			mid := len(d.trail)
 			sr, err := d.simpleAtUnion(n.Right, int(tg.Right), jr)
 			if err != nil {
 				return nil, err
 			}
+			d.push(frame{kind: frameSimpleProduct, box: n, u: u, at: in, lo: lo, mid: mid})
 			return d.ropes.Concat(sl, sr), nil
 		}
 		j.Sub(j, blk)
+		in++
 	}
 	for _, l := range g.LeftUnions {
 		c := n.Left.Counts[l]
 		if j.Cmp(c) < 0 {
+			d.push(frame{kind: frameInputs, box: n, u: u, at: in + 1})
 			return d.simpleAtUnion(n.Left, int(l), j)
 		}
 		j.Sub(j, c)
+		in++
 	}
 	for _, r := range g.RightUnions {
 		c := n.Right.Counts[r]
 		if j.Cmp(c) < 0 {
+			d.push(frame{kind: frameInputs, box: n, u: u, at: in + 1})
 			return d.simpleAtUnion(n.Right, int(r), j)
 		}
 		j.Sub(j, c)
+		in++
 	}
 	return nil, ErrRankRange
 }

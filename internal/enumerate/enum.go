@@ -5,15 +5,17 @@ import (
 	"sync/atomic"
 
 	"repro/internal/bitset"
+	"repro/internal/circuit"
 	"repro/internal/tree"
 )
 
-// EnumStarts counts how many enumerations have been started (one
-// increment per iteration of a Ropes/Assignments sequence, not per
-// result). It is a test instrumentation hook: regression tests assert
-// that the algebraic fast paths (Snapshot.Count, Snapshot.At) perform
-// no enumeration work by observing this counter. Production code never
-// reads it.
+// EnumStarts counts how many enumerations have been started from the
+// first answer (one increment per iteration of a Ropes/Assignments
+// sequence, not per result; a RopesFrom stream starts at its seek and
+// is not counted). It is a test instrumentation hook: regression tests
+// assert that the algebraic fast paths (Snapshot.Count, Snapshot.At,
+// Snapshot.Page) never enumerate their way to a rank by observing this
+// counter. Production code never reads it.
 var EnumStarts atomic.Int64
 
 // Mode selects the enumeration strategy.
@@ -62,10 +64,18 @@ func Boxwise(b *IndexedBox, gamma bitset.Set, be BoxEnum) iter.Seq2[*Rope, bitse
 // 2): outputs the assignments of var gates of B′ whose ∪-wires reach Γ,
 // then recursively combines the ×-gates of B′.
 func boxwiseStep(br BoxRelation, be BoxEnum, yield func(*Rope, bitset.Set) bool) bool {
+	// Leaf boxes, where the answers of single-variable queries live,
+	// have no ×-gates: skip the product machinery's setup for them.
+	return boxVars(br, 0, yield) && (len(br.Box.Box.Times) == 0 || boxProducts(br, be, yield))
+}
+
+// boxVars is lines 4-7 of Algorithm 2 from the var gate with index
+// first on: each var gate of B′ in ↓(Γ), with its provenance.
+func boxVars(br BoxRelation, first int, yield func(*Rope, bitset.Set) bool) bool {
 	bp := br.Box.Box
 	// Provenance of each local ↓-gate: union of the R-rows of the
 	// ∪-gates it feeds (this is {h}∘W∘R(B′,Γ) from the paper).
-	for vi := range bp.Vars {
+	for vi := first; vi < len(bp.Vars); vi++ {
 		prov := gateProv(br.R, bp.VarOut[vi])
 		if prov.Empty() {
 			continue
@@ -75,13 +85,44 @@ func boxwiseStep(br BoxRelation, be BoxEnum, yield func(*Rope, bitset.Set) bool)
 			return false
 		}
 	}
-	if len(bp.Times) == 0 {
+	return true
+}
+
+// boxProducts is lines 8-16 of Algorithm 2: the products of the ×-gates
+// of B′ in ↓(Γ), left factor outermost.
+func boxProducts(br BoxRelation, be BoxEnum, yield func(*Rope, bitset.Set) bool) bool {
+	bp := br.Box.Box
+	provT, inDown, gammaL := timesDown(br)
+	if provT == nil {
 		return true
 	}
-	// G×: the ×-gates of B′ in ↓(Γ), with their provenances.
-	provT := make([]bitset.Set, len(bp.Times))
-	inDown := make([]bool, len(bp.Times))
-	gammaL := bitset.NewSet(len(bp.Left.Unions))
+	// Lines 10-16: enumerate left factors, then for each the compatible
+	// right factors.
+	for sl, provL := range Boxwise(br.Box.Left, gammaL, be) {
+		gammaR, liveT := rightGates(bp, inDown, provL)
+		if len(liveT) == 0 {
+			continue
+		}
+		for sr, provR := range Boxwise(br.Box.Right, gammaR, be) {
+			if prov, ok := productProv(bp, provT, liveT, provR); ok && !yield(Concat(sl, sr), prov) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// timesDown computes G×, the ×-gates of B′ in ↓(Γ): their provenances,
+// membership flags, and the left ∪-gates they read (the boxed set of
+// the left factors). provT is nil when G× is empty.
+func timesDown(br BoxRelation) (provT []bitset.Set, inDown []bool, gammaL bitset.Set) {
+	bp := br.Box.Box
+	if len(bp.Times) == 0 {
+		return nil, nil, gammaL
+	}
+	provT = make([]bitset.Set, len(bp.Times))
+	inDown = make([]bool, len(bp.Times))
+	gammaL = bitset.NewSet(len(bp.Left.Unions))
 	any := false
 	for ti := range bp.Times {
 		p := gateProv(br.R, bp.TimesOut[ti])
@@ -94,45 +135,43 @@ func boxwiseStep(br BoxRelation, be BoxEnum, yield func(*Rope, bitset.Set) bool)
 		any = true
 	}
 	if !any {
-		return true
+		return nil, nil, gammaL
 	}
-	// Lines 10-16: enumerate left factors, then for each the compatible
-	// right factors.
-	for sl, provL := range Boxwise(br.Box.Left, gammaL, be) {
-		gammaR := bitset.NewSet(len(bp.Right.Unions))
-		liveT := make([]int32, 0, len(bp.Times))
-		for ti := range bp.Times {
-			if inDown[ti] && provL.Has(int(bp.Times[ti].Left)) {
-				liveT = append(liveT, int32(ti))
-				gammaR.Add(int(bp.Times[ti].Right))
-			}
+	return provT, inDown, gammaL
+}
+
+// rightGates returns, for a left factor with provenance provL, the ×-gates
+// of G× it feeds (liveT) and the right ∪-gates they read (the boxed set
+// of its compatible right factors).
+func rightGates(bp *circuit.Box, inDown []bool, provL bitset.Set) (gammaR bitset.Set, liveT []int32) {
+	gammaR = bitset.NewSet(len(bp.Right.Unions))
+	liveT = make([]int32, 0, len(bp.Times))
+	for ti := range bp.Times {
+		if inDown[ti] && provL.Has(int(bp.Times[ti].Left)) {
+			liveT = append(liveT, int32(ti))
+			gammaR.Add(int(bp.Times[ti].Right))
 		}
-		if len(liveT) == 0 {
+	}
+	return gammaR, liveT
+}
+
+// productProv is the provenance of a product whose right factor has
+// provenance provR: the union of the provenances of the live ×-gates
+// matching both sides. ok is false if none matches (cannot happen per
+// Theorem 5.3).
+func productProv(bp *circuit.Box, provT []bitset.Set, liveT []int32, provR bitset.Set) (prov bitset.Set, ok bool) {
+	for _, ti := range liveT {
+		if !provR.Has(int(bp.Times[ti].Right)) {
 			continue
 		}
-		for sr, provR := range Boxwise(br.Box.Right, gammaR, be) {
-			var prov bitset.Set
-			first := true
-			for _, ti := range liveT {
-				if !provR.Has(int(bp.Times[ti].Right)) {
-					continue
-				}
-				if first {
-					prov = provT[ti].Clone()
-					first = false
-				} else {
-					prov.Or(provT[ti])
-				}
-			}
-			if first {
-				continue // no ×-gate matched both sides (cannot happen per Theorem 5.3)
-			}
-			if !yield(Concat(sl, sr), prov) {
-				return false
-			}
+		if !ok {
+			prov = provT[ti].Clone()
+			ok = true
+		} else {
+			prov.Or(provT[ti])
 		}
 	}
-	return true
+	return prov, ok
 }
 
 // gateProv computes the provenance of a local gate: the union of the

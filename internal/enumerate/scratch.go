@@ -136,17 +136,19 @@ func (a *RopeArena) Concat(l, r *Rope) *Rope {
 // Reset recycles every rope handed out since the last Reset.
 func (a *RopeArena) Reset() { a.si, a.off = 0, 0 }
 
-// Descender runs count-guided descents (the direct.go At logic) with
-// reusable scratch: relation matrices and gate sets come from a
-// bitset.Arena, weights from a big.Int arena, per-factor weight vectors
-// from slab pools, and the answer's rope from a RopeArena. All scratch
-// is recycled at the start of every At call, so a loop over ranks — the
-// unit of work of the parallel bulk-enumeration layer — allocates only
-// until the slabs reach the descent's high-water mark.
+// Descender runs count-guided descents (the direct.go At logic, and
+// the seek of RopesFrom in seek.go) with reusable scratch: relation
+// matrices and gate sets come from a bitset.Arena, weights from a
+// big.Int arena, per-factor weight vectors from slab pools, the
+// answer's rope from a RopeArena, and the seek's trail from a retained
+// slice. All scratch is recycled at the start of every At and RopesFrom
+// call, so a loop over ranks allocates only until the slabs reach the
+// descent's high-water mark.
 //
-// CONCURRENCY: a Descender is confined to one goroutine. The ropes it
-// returns are arena-owned: valid until the descender's NEXT At call (or
-// Reset), so materialize (or otherwise consume) each answer before
+// CONCURRENCY: a Descender is confined to one goroutine. The ropes At
+// returns are arena-owned, and the stream RopesFrom returns reads the
+// arena-owned trail: both are valid until the descender's NEXT At or
+// RopesFrom call (or Reset), so consume each answer or stream before
 // asking for the next. Assignments materialized from them are ordinary
 // heap values with no such restriction. The zero value is ready to use.
 type Descender struct {
@@ -156,6 +158,9 @@ type Descender struct {
 	cols  slicePool[int]
 	ropes RopeArena
 	rank  big.Int
+	// trail holds the pending enumeration pieces the last descent
+	// recorded (seek.go); RopesFrom replays it.
+	trail []frame
 }
 
 // NewDescender returns an empty Descender. The zero value works too;
@@ -163,12 +168,14 @@ type Descender struct {
 func NewDescender() *Descender { return new(Descender) }
 
 // Reset recycles all scratch, invalidating ropes returned by earlier At
-// calls. At calls Reset itself; callers only need it to drop references
-// eagerly.
+// calls and streams returned by earlier RopesFrom calls. Both call
+// Reset themselves; callers only need it to drop references eagerly.
 func (d *Descender) Reset() {
 	d.mats.Reset()
 	d.ints.reset()
 	d.wgts.reset()
 	d.cols.reset()
 	d.ropes.Reset()
+	clear(d.trail) // drop references to the previous descent's boxes
+	d.trail = d.trail[:0]
 }

@@ -119,7 +119,7 @@ func (b EnumParallelBaseline) Table() Table {
 	t := Table{
 		ID:    "E1-par",
 		Title: "Parallel enumeration: full-result materialization vs workers",
-		Claim: fmt.Sprintf("rank-partitioned drains split [0, Count()) across per-worker count-guided descents, so full materialization of %d answers scales with free cores (%d-node tree, measured on %d CPU(s), GOMAXPROCS %d)",
+		Claim: fmt.Sprintf("rank-partitioned drains split [0, Count()) into per-worker slices, each one seek plus a stream, so full materialization of %d answers scales with free cores (%d-node tree, measured on %d CPU(s), GOMAXPROCS %d)",
 			b.Answers, b.TreeNodes, b.CPUs, b.GoMaxProcs),
 		Header: []string{"api", "workers", "ms total (median)", "ns/answer", "speedup vs All"},
 	}
