@@ -6,9 +6,12 @@ package bitset
 // arena per worker) allocates only while the slabs are still growing
 // toward the loop's high-water mark.
 //
-// Carved values are valid until the next Reset; Reset recycles ALL of
-// them at once. An Arena is NOT safe for concurrent use — confine one
-// per goroutine, like a circuit.Builder.
+// Carved values are valid until the next Reset, which recycles ALL of
+// them at once, or until a Release to a Mark taken before them, which
+// recycles the values carved since that mark and nothing older: marks
+// nest like a stack, so a depth-first enumeration can give back each
+// frame's scratch as it pops the frame. An Arena is NOT safe for
+// concurrent use — confine one per goroutine, like a circuit.Builder.
 type Arena struct {
 	free [][]uint64 // slabs available for carving
 	used [][]uint64 // slabs carved from (or skipped) since the last Reset
@@ -68,6 +71,52 @@ func (a *Arena) Set(n int) Set {
 // it: Compose without the allocation.
 func (a *Arena) Compose(x, y Matrix) Matrix {
 	return ComposeInto(a.Matrix(x.Rows, y.Cols), x, y)
+}
+
+// Mark is a position in an Arena's carving sequence, taken by
+// Arena.Mark and handed back to Arena.Release.
+type Mark struct {
+	used int // len(used) when the mark was taken
+	off  int // len(cur) when the mark was taken; -1: there was no current slab
+}
+
+// Mark returns the arena's current position.
+func (a *Arena) Mark() Mark {
+	if cap(a.cur) == 0 {
+		return Mark{used: len(a.used), off: -1}
+	}
+	return Mark{used: len(a.used), off: len(a.cur)}
+}
+
+// Release recycles every value carved since m was taken; values carved
+// before m stay valid. Marks taken after m become invalid, and m itself
+// stays valid until a Reset or a Release to an older mark.
+func (a *Arena) Release(m Mark) {
+	if len(a.used) == m.used {
+		switch {
+		case m.off >= 0:
+			a.cur = a.cur[:m.off]
+		case cap(a.cur) > 0: // a slab installed since the mark
+			a.free = append(a.free, a.cur)
+			a.cur = nil
+		}
+		return
+	}
+	// grow moved the mark's current slab (if any) to used first, then
+	// any free slab it skipped as too small: all but the former go back
+	// to the free list, along with the current slab.
+	since := a.used[m.used:]
+	var cur []uint64
+	if m.off >= 0 {
+		cur, since = since[0][:m.off], since[1:]
+	}
+	a.free = append(a.free, since...)
+	if cap(a.cur) > 0 {
+		a.free = append(a.free, a.cur)
+	}
+	clear(a.used[m.used:])
+	a.used = a.used[:m.used]
+	a.cur = cur
 }
 
 // Reset recycles every value carved since the last Reset. The backing

@@ -82,7 +82,12 @@ func (s *Snapshot) Version() uint64 { return s.version }
 // version of the input, without duplicates, with delay O(|S|·poly(|Q|))
 // independent of |T| in the default indexed mode. The iteration may be
 // abandoned, restarted, and run concurrently with engine updates and
-// with other iterations of the same snapshot.
+// with other iterations of the same snapshot. Each iteration runs one
+// pooled enumeration cursor (enumerate.Ropes), whose scratch is
+// recycled frame by frame and goes back to the pool when the iteration
+// ends or is abandoned. Each yielded assignment is a fresh slice the
+// caller owns: in steady state the one allocation per answer, besides
+// the ropes the cursor carves 256 to a slab.
 func (s *Snapshot) Results() iter.Seq[tree.Assignment] {
 	inner := enumerate.Assignments(s.root, s.gamma, s.emptyOK, s.mode)
 	if s.reads == nil {
@@ -101,7 +106,9 @@ func (s *Snapshot) Results() iter.Seq[tree.Assignment] {
 }
 
 // Ropes is Results without materialization: assignments as shared ropes
-// (nil = the empty assignment).
+// (nil = the empty assignment). The cursor's scratch is recycled as for
+// Results; the ropes are persistent and may be kept and materialized
+// after the iteration.
 func (s *Snapshot) Ropes() iter.Seq[*enumerate.Rope] {
 	return enumerate.Ropes(s.root, s.gamma, s.emptyOK, s.mode)
 }
@@ -218,17 +225,13 @@ func (s *Snapshot) At(j int) (tree.Assignment, error) {
 		return nil, fmt.Errorf("engine: rank %d out of range", j)
 	}
 	if s.DirectAccess() {
-		d := descenders.Get().(*enumerate.Descender)
+		d := enumerate.GetDescender()
 		rope, err := d.AtInt(s.root, s.gamma, s.emptyOK, s.mode, j)
-		var a tree.Assignment
-		if err == nil {
-			a = materialize(rope) // before d's arenas are recycled
-		}
-		releaseDescender(d)
+		enumerate.PutDescender(d)
 		switch {
 		case err == nil:
 			s.noteAnswers(1)
-			return a, nil
+			return materialize(rope), nil
 		case errors.Is(err, enumerate.ErrRankRange):
 			return nil, fmt.Errorf("engine: rank %d out of range (count %s)", j, s.count)
 		}
@@ -254,18 +257,6 @@ func materialize(r *enumerate.Rope) tree.Assignment {
 	return r.Materialize()
 }
 
-// descenders recycles the scratch of direct-access reads: a Descender's
-// slabs outlive the At or fillFrom call that used them, so steady-state
-// reads stop allocating them.
-var descenders = sync.Pool{New: func() any { return enumerate.NewDescender() }}
-
-// releaseDescender drops d's references into the snapshot it read and
-// returns it to the pool.
-func releaseDescender(d *enumerate.Descender) {
-	d.Reset()
-	descenders.Put(d)
-}
-
 // fillFrom writes Results elements from rank offset on into dst with ONE
 // seek — a count-guided descent to the offset — followed by the
 // enumeration itself (enumerate.Descender.RopesFrom), so it costs
@@ -274,10 +265,11 @@ func releaseDescender(d *enumerate.Descender) {
 // (missing direct-access structure or a count inconsistency); callers
 // then take the enumeration path. The bulk readers (Page, ParallelAll
 // and Chunks workers) call it concurrently: each call holds its own
-// descender. Callers have checked DirectAccess.
+// pooled cursor, whose scratch goes back to the pool with it. Callers
+// have checked DirectAccess.
 func (s *Snapshot) fillFrom(offset int, dst []tree.Assignment) (int, error) {
-	d := descenders.Get().(*enumerate.Descender)
-	defer releaseDescender(d)
+	d := enumerate.GetDescender()
+	defer enumerate.PutDescender(d)
 	ropes, err := d.RopesFromInt(s.root, s.gamma, s.emptyOK, s.mode, offset)
 	if err != nil {
 		return 0, err

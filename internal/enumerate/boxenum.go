@@ -15,10 +15,6 @@ type BoxRelation struct {
 	R   bitset.Matrix
 }
 
-// BoxEnum enumerates, exactly once each, the interesting boxes for the
-// boxed set gamma of box b, i.e. the boxes B′ with ↓(Γ) ∩ B′ ≠ ∅.
-type BoxEnum func(b *IndexedBox, gamma bitset.Set) iter.Seq[BoxRelation]
-
 // interesting reports whether the box holds ↓-gates for the relation R:
 // some ∪-gate with a nonempty R-row has a local var- or ×-input.
 func interesting(b *circuit.Box, r bitset.Matrix) bool {
@@ -33,13 +29,13 @@ func interesting(b *circuit.Box, r bitset.Matrix) bool {
 	return false
 }
 
-// seedRelation builds the identity relation restricted to gamma.
+// seedRelation builds the identity relation restricted to gamma on the
+// heap; the cursor carves it from its arena (Descender.seedRelation).
 func seedRelation(b *circuit.Box, gamma bitset.Set) bitset.Matrix {
 	r := bitset.NewMatrix(len(b.Unions), len(b.Unions))
-	gamma.ForEach(func(g int) bool {
+	for g := gamma.Next(0); g >= 0; g = gamma.Next(g + 1) {
 		r.Set(g, g)
-		return true
-	})
+	}
 	return r
 }
 
@@ -49,34 +45,7 @@ func seedRelation(b *circuit.Box, gamma bitset.Set) bitset.Matrix {
 // baseline of experiment E8. It never touches the index, so it works on
 // wrappers built without one.
 func NaiveBoxEnum(b *IndexedBox, gamma bitset.Set) iter.Seq[BoxRelation] {
-	return func(yield func(BoxRelation) bool) {
-		naiveRec(b, seedRelation(b.Box, gamma), yield)
-	}
-}
-
-func naiveRec(n *IndexedBox, r bitset.Matrix, yield func(BoxRelation) bool) bool {
-	b := n.Box
-	if interesting(b, r) {
-		if !yield(BoxRelation{n, r}) {
-			return false
-		}
-	}
-	if n.IsLeaf() {
-		return true
-	}
-	rl := bitset.Compose(b.WLeft, r)
-	if !rl.Empty() {
-		if !naiveRec(n.Left, rl, yield) {
-			return false
-		}
-	}
-	rr := bitset.Compose(b.WRight, r)
-	if !rr.Empty() {
-		if !naiveRec(n.Right, rr, yield) {
-			return false
-		}
-	}
-	return true
+	return boxEnum(b, gamma, ModeNaive)
 }
 
 // IndexedBoxEnum is Algorithm 3 (Lemma 6.4): box enumeration with delay
@@ -84,73 +53,111 @@ func naiveRec(n *IndexedBox, r bitset.Matrix, yield func(BoxRelation) bool) bool
 // pointers of the index structure. The wrapper tree must have been built
 // with the index (Wrap withIndex / BuildIndex).
 func IndexedBoxEnum(b *IndexedBox, gamma bitset.Set) iter.Seq[BoxRelation] {
+	return boxEnum(b, gamma, ModeIndexed)
+}
+
+// boxEnum runs the cursor in box mode. The relations it yields are
+// copies, so they outlive the cursor's scratch.
+func boxEnum(b *IndexedBox, gamma bitset.Set, mode Mode) iter.Seq[BoxRelation] {
 	return func(yield func(BoxRelation) bool) {
-		indexedRec(b, seedRelation(b.Box, gamma), yield)
-	}
-}
-
-// indexedRec is b-enum(B, R) of Algorithm 3. It receives R = R(B, Γ) and
-// outputs the relations R(B′, Γ) for all interesting boxes B′ in the
-// subtree of B. It is split into its three phases — the jump to the
-// first interesting box B1 (here), the boxes strictly below B1
-// (belowRec) and the walk over the bidirectional boxes above B1
-// (walkRec) — so a ranked seek (seek.go) can resume any of them.
-func indexedRec(n *IndexedBox, r bitset.Matrix, yield func(BoxRelation) bool) bool {
-	gates := r.NonEmptyRows()
-	// Line 4: jump to the first interesting box B1 and output it.
-	fib := n.Index.FoldFib(gates)
-	if fib < 0 {
-		return true // empty relation: nothing below
-	}
-	b1 := n.Index.Targets[fib]
-	r1 := bitset.Compose(n.Index.Rel[fib], r)
-	return yield(BoxRelation{b1, r1}) && belowRec(b1, r1, yield) && walkRec(n, r, gates, yield)
-}
-
-// belowRec is lines 7-10 of Algorithm 3: all interesting boxes strictly
-// below B1, left subtree first.
-func belowRec(b1 *IndexedBox, r1 bitset.Matrix, yield func(BoxRelation) bool) bool {
-	if b1.IsLeaf() {
-		return true
-	}
-	rl := bitset.Compose(b1.Box.WLeft, r1)
-	if !rl.Empty() && !indexedRec(b1.Left, rl, yield) {
-		return false
-	}
-	return belowRightRec(b1, r1, yield)
-}
-
-// belowRightRec is the right half of belowRec (b1 is not a leaf).
-func belowRightRec(b1 *IndexedBox, r1 bitset.Matrix, yield func(BoxRelation) bool) bool {
-	rr := bitset.Compose(b1.Box.WRight, r1)
-	return rr.Empty() || indexedRec(b1.Right, rr, yield)
-}
-
-// walkRec is lines 11-17 of Algorithm 3 for the region (n, r) whose
-// nonempty rows are gates: walk the bidirectional boxes on the path
-// from n down to B1; each right subtree hanging off that path holds
-// further interesting boxes, enumerated recursively. The left descent
-// continues toward B1 (which stays the first interesting box of every
-// shrinking region, so the fib fold re-identifies it). The explicit
-// loop plays the role of the paper's tail-recursion elimination.
-func walkRec(n *IndexedBox, r bitset.Matrix, gates bitset.Set, yield func(BoxRelation) bool) bool {
-	for {
-		idx := n.Index
-		fbb := idx.FoldFbb(gates)
-		fib := idx.FoldFib(gates)
-		if fbb < 0 || !idx.StrictAncestor(fbb, fib) {
-			return true
-		}
-		bb := idx.Targets[fbb]
-		rb := bitset.Compose(idx.Rel[fbb], r)
-		rr := bitset.Compose(bb.Box.WRight, rb)
-		if !rr.Empty() {
-			if !indexedRec(bb.Right, rr, yield) {
-				return false
+		d := GetDescender()
+		defer PutDescender(d)
+		d.start(b, gamma, mode, true)
+		for {
+			if _, _, ok := d.next(); !ok || !yield(BoxRelation{d.out.Box, d.out.R.Clone()}) {
+				return
 			}
 		}
-		r = bitset.Compose(bb.Box.WLeft, rb)
-		n = bb.Left
-		gates = r.NonEmptyRows()
 	}
+}
+
+// stepBoxes advances a frame of the box enumeration: Algorithm 3
+// (frameRegion, frameWalk), the naive traversal (frameNaive), or the
+// regions below an output box, which both visit (frameBelow). Output
+// boxes are pushed by pushBox.
+func (d *Descender) stepBoxes(f *frame) {
+	switch f.kind {
+	case frameRegion:
+		// b-enum(B, R), line 4: jump to the first interesting box B1.
+		// It is output first, then the boxes strictly below it (lines
+		// 7-10), then the walk of the region (lines 11-17).
+		idx := f.box.Index
+		gates := f.r.NonEmptyRowsInto(d.mats.Set(f.r.Rows))
+		fib := idx.FoldFib(gates)
+		if fib < 0 {
+			d.pop() // empty relation: nothing below
+			return
+		}
+		r1 := d.mats.Compose(idx.Rel[fib], f.r)
+		f.kind, f.gamma = frameWalk, gates
+		d.pushBox(idx.Targets[fib], r1, f.sink, true)
+	case frameNaive:
+		f.kind = frameBelow // the children follow the box
+		if interesting(f.box.Box, f.r) {
+			d.pushBox(f.box, f.r, f.sink, false)
+		}
+	case frameWalk:
+		// Lines 11-17: the next bidirectional box bb on the path from the
+		// region's box down to B1. The right region hanging off it holds
+		// further interesting boxes; the walk goes on left, toward B1,
+		// which stays the first interesting box of every shrinking region
+		// (the paper's tail-recursion elimination).
+		idx := f.box.Index
+		fbb, fib := idx.FoldFbb(f.gamma), idx.FoldFib(f.gamma)
+		if fbb < 0 || !idx.StrictAncestor(fbb, fib) {
+			d.pop()
+			return
+		}
+		bb := idx.Targets[fbb]
+		rb := d.mats.Compose(idx.Rel[fbb], f.r)
+		r := d.mats.Compose(bb.Box.WLeft, rb)
+		f.box, f.r, f.gamma = bb.Left, r, r.NonEmptyRowsInto(d.mats.Set(r.Rows))
+		d.pushChild(bb.Right, bb.Box.WRight, rb, f.sink)
+	case frameBelow:
+		// Lines 7-10: the regions strictly below an output box, left
+		// first. The frame turns into the last nonempty one (popping it
+		// would release r, which the naive traversal carved after it).
+		b, r := f.box, f.r
+		if b.IsLeaf() {
+			d.pop()
+			return
+		}
+		rr := d.mats.Compose(b.Box.WRight, r)
+		if rr.Empty() {
+			if rl := d.mats.Compose(b.Box.WLeft, r); rl.Empty() {
+				d.pop()
+			} else {
+				f.kind, f.box, f.r = d.region, b.Left, rl
+			}
+			return
+		}
+		f.kind, f.box, f.r = d.region, b.Right, rr
+		d.pushChild(b.Left, b.Box.WLeft, r, f.sink)
+	}
+}
+
+// pushChild pushes the region of child box c under the relation w∘r,
+// unless that relation is empty.
+func (d *Descender) pushChild(c *IndexedBox, w, r bitset.Matrix, sink int32) {
+	m := d.mats.Mark()
+	rc := d.mats.Compose(w, r)
+	if rc.Empty() {
+		d.mats.Release(m)
+		return
+	}
+	d.push(m, frame{kind: d.region, box: c, r: rc, sink: sink})
+}
+
+// pushBox pushes output box b with relation r: Algorithm 2 on it, or
+// the box itself in box mode; with below, the boxes below it follow.
+func (d *Descender) pushBox(b *IndexedBox, r bitset.Matrix, sink int32, below bool) {
+	m := d.mats.Mark()
+	if below && !b.IsLeaf() {
+		d.push(m, frame{kind: frameBelow, box: b, r: r, sink: sink})
+	}
+	kind := frameVars
+	if d.boxes {
+		kind = frameBox
+	}
+	d.push(m, frame{kind: kind, box: b, r: r, sink: sink})
 }

@@ -48,18 +48,18 @@ import (
 // only read, so any number of goroutines may run their own Differ over
 // the same snapshots.
 type Differ struct {
-	be      BoxEnum
+	mode    Mode // of the box enumeration: ModeIndexed or ModeNaive
 	added   map[string]tree.Assignment
 	removed map[string]tree.Assignment
 }
 
-// NewDiffer returns a Differ enumerating candidate regions with the
-// given mode's box-enumeration strategy (ModeSimple is rejected by the
-// engine before it gets here; the differ itself only needs a
-// duplicate-free strategy).
+// NewDiffer returns a Differ enumerating candidate regions with
+// Algorithm 2 over the given mode's box-enumeration strategy (ModeSimple
+// is rejected by the engine before it gets here; the differ itself only
+// needs a duplicate-free strategy).
 func NewDiffer(mode Mode) *Differ {
 	return &Differ{
-		be:      boxEnumFor(mode),
+		mode:    boxEnumFor(mode),
 		added:   map[string]tree.Assignment{},
 		removed: map[string]tree.Assignment{},
 	}
@@ -165,7 +165,7 @@ func (d *Differ) drainInto(b *IndexedBox, g bitset.Set, old bool, emit func(*Rop
 	if sideEmpty(b, g) {
 		return
 	}
-	for r := range Boxwise(b, g, d.be) {
+	for r := range Boxwise(b, g, d.mode) {
 		emit(r, old)
 	}
 }
@@ -350,8 +350,8 @@ func (d *Differ) drainProduct(b *IndexedBox, t circuit.TimesGate, old bool, emit
 	if sideEmpty(b.Right, gr) {
 		return
 	}
-	for sl := range Boxwise(b.Left, gl, d.be) {
-		for sr := range Boxwise(b.Right, gr, d.be) {
+	for sl := range Boxwise(b.Left, gl, d.mode) {
+		for sr := range Boxwise(b.Right, gr, d.mode) {
 			emit(Concat(sl, sr), old)
 		}
 	}
@@ -420,7 +420,7 @@ func (d *Differ) diffGrouped(o *IndexedBox, ot []int32, n *IndexedBox, nt []int3
 		if sideEmpty(shared, cg) {
 			continue
 		}
-		for co := range Boxwise(shared, cg, d.be) {
+		for co := range Boxwise(shared, cg, d.mode) {
 			for _, p := range parts {
 				if byRight {
 					emit(Concat(p.rope, co), p.old)

@@ -35,9 +35,9 @@ import (
 // structurally visible, which is why the automaton-level check is the
 // authoritative gate.)
 //
-// For ModeIndexed the descent mirrors IndexedBoxEnum + Boxwise
-// (indexedRec's jump order, then Algorithm 2's var/product order per
-// interesting box). Product blocks are handled by WEIGHTED ranks: the
+// For ModeIndexed the descent mirrors the cursor's Algorithm 3 frames
+// (the fib jump order) with Algorithm 2's var/product order per
+// interesting box. Product blocks are handled by WEIGHTED ranks: the
 // j-th product of a box is found by descending the left factors with
 // per-gate weights (how many outputs each left factor fans out to),
 // then the right factors with the remaining offset — the same recursion
@@ -49,8 +49,9 @@ import (
 // automata, because Algorithm 1 enumerates with multiplicity.
 //
 // All transient state — relation matrices, weights, factor-weight
-// vectors, the answer rope — lives on a Descender (scratch.go), so a
-// worker calling At in a loop reuses one set of slabs. The package-level
+// vectors — lives on a Descender (scratch.go), so a worker calling At in
+// a loop reuses one set of slabs; the answer rope is carved from the
+// descender's append-only rope slab. The package-level
 // At wraps a throwaway Descender for one-shot callers.
 
 // Errors reported by the direct-access descent.
@@ -103,10 +104,9 @@ func At(root *IndexedBox, gamma bitset.Set, emptyOK bool, mode Mode, j *big.Int)
 }
 
 // At returns the j-th rope (0-based) of Ropes(root, gamma, emptyOK,
-// mode), reusing the descender's scratch: the call recycles everything
-// handed out by previous calls, so the returned rope is only valid until
-// the descender's next At (materialize it first). A nil rope with a nil
-// error is the empty assignment. At never mutates j.
+// mode), reusing the descender's scratch: the call recycles the scratch
+// of previous calls, while the rope, like every rope, is persistent. A
+// nil rope with a nil error is the empty assignment. At never mutates j.
 func (d *Descender) At(root *IndexedBox, gamma bitset.Set, emptyOK bool, mode Mode, j *big.Int) (*Rope, error) {
 	if j.Sign() < 0 {
 		return nil, ErrRankRange
@@ -133,7 +133,7 @@ func (d *Descender) At(root *IndexedBox, gamma bitset.Set, emptyOK bool, mode Mo
 		if root.Index == nil {
 			return nil, ErrNoDirectAccess
 		}
-		rope, _, _, err := d.descendRegion(root, d.seedRelation(root.Box, gamma), nil, rank)
+		rope, _, _, err := d.descendRegion(root, d.seedRelation(root.Box, gamma), nil, rank, -1)
 		return rope, err
 	default:
 		return nil, ErrNoDirectAccess
@@ -177,15 +177,15 @@ func singleCol(s bitset.Set) (int, error) {
 // arena: the identity relation on gamma's gates.
 func (d *Descender) seedRelation(b *circuit.Box, gamma bitset.Set) bitset.Matrix {
 	r := d.mats.Matrix(len(b.Unions), len(b.Unions))
-	gamma.ForEach(func(g int) bool {
+	for g := gamma.Next(0); g >= 0; g = gamma.Next(g + 1) {
 		r.Set(g, g)
-		return true
-	})
+	}
 	return r
 }
 
-// gateProv is enum.go's gateProv carved from the descender's arena: the
-// union of the relation rows of a gate's ∪-outputs.
+// gateProv is the provenance of a local gate, carved from the
+// descender's arena: the union of the relation rows of the ∪-gates its
+// output feeds.
 func (d *Descender) gateProv(r bitset.Matrix, outs []int32) bitset.Set {
 	prov := d.mats.Set(r.Cols)
 	for _, u := range outs {
@@ -229,15 +229,16 @@ func (d *Descender) regionWeight(n *IndexedBox, r bitset.Matrix, w []*big.Int) (
 	return total, nil
 }
 
-// productWeight returns the weighted number of products boxwiseStep
-// emits at box b1 under relation r1: Σ over ×-gates in ↓(Γ) of
-// D(left factor)·D(right factor)·w(provenance column).
-func (d *Descender) productWeight(b1 *IndexedBox, r1 bitset.Matrix, w []*big.Int) (*big.Int, error) {
+// productWeight returns the weighted number of products Algorithm 2
+// emits at box b1, whose ×-gates have the provenance rows provT
+// (timesDown): Σ over ×-gates in ↓(Γ) of D(left factor)·D(right
+// factor)·w(provenance column).
+func (d *Descender) productWeight(b1 *IndexedBox, provT bitset.Matrix, w []*big.Int) (*big.Int, error) {
 	bp := b1.Box
 	total := d.ints.get().SetInt64(0)
 	blk := d.ints.get()
 	for ti := range bp.Times {
-		prov := d.gateProv(r1, bp.TimesOut[ti])
+		prov := provT.Row(ti)
 		if prov.Empty() {
 			continue
 		}
@@ -253,14 +254,16 @@ func (d *Descender) productWeight(b1 *IndexedBox, r1 bitset.Matrix, w []*big.Int
 }
 
 // descendRegion finds the j-th weighted output of the enumeration
-// region indexedRec(n, r) — every output counted w(its provenance
-// column) times — and returns the rope, its provenance column, and the
-// offset of j inside the output's weight block (always 0 at the
-// unweighted top level; for product descents it is the rank handed to
-// the next factor). j is consumed. The control flow mirrors indexedRec
-// (boxenum.go) with boxwiseStep (enum.go) inlined at each interesting
-// box, so outputs are visited in exactly the order Boxwise emits them.
-func (d *Descender) descendRegion(n *IndexedBox, r bitset.Matrix, w []*big.Int, j *big.Int) (*Rope, int, *big.Int, error) {
+// region (n, r) — every output counted w(its provenance column) times —
+// and returns the rope, its provenance column, and the offset of j
+// inside the output's weight block (always 0 at the unweighted top
+// level; for product descents it is the rank handed to the next
+// factor). j is consumed. The control flow mirrors the cursor's
+// frameRegion (Algorithm 3, boxenum.go) with Algorithm 2 (frameVars,
+// enum.go) at each interesting box, so outputs are visited in exactly
+// the order the cursor emits them; the trail frames it records carry
+// sink as the receiver of the region's outputs.
+func (d *Descender) descendRegion(n *IndexedBox, r bitset.Matrix, w []*big.Int, j *big.Int, sink int32) (*Rope, int, *big.Int, error) {
 outer:
 	for {
 		idx := n.Index
@@ -268,9 +271,9 @@ outer:
 			return nil, -1, nil, ErrNoDirectAccess
 		}
 		// Whatever the descent finds below, the walk of this region
-		// (indexedRec lines 11-17) follows it.
-		walk := d.push(frame{kind: frameWalk, box: n, r: r})
+		// (Algorithm 3 lines 11-17) follows it.
 		gates := r.NonEmptyRowsInto(d.mats.Set(r.Rows))
+		walk := d.record(frame{kind: frameWalk, box: n, r: r, gamma: gates, sink: sink})
 		fib := idx.FoldFib(gates)
 		if fib < 0 {
 			// Empty relation: the caller's region count said otherwise.
@@ -280,7 +283,7 @@ outer:
 		r1 := d.mats.Compose(idx.Rel[fib], r)
 		bp := b1.Box
 
-		// boxwiseStep at B1, part 1: var gates in ↓(Γ).
+		// Algorithm 2 at B1, part 1: var gates in ↓(Γ).
 		for vi := range bp.Vars {
 			prov := d.gateProv(r1, bp.VarOut[vi])
 			if prov.Empty() {
@@ -292,39 +295,44 @@ outer:
 			}
 			wv := weightOf(w, col)
 			if j.Cmp(wv) < 0 {
-				d.push(frame{kind: frameVars, box: b1, r: r1, at: vi})
+				d.record(frame{kind: frameBelow, box: b1, r: r1, sink: sink})
+				d.record(frame{kind: frameVars, box: b1, r: r1, at: int32(vi + 1), sink: sink})
 				vg := bp.Vars[vi]
-				return d.ropes.Leaf(vg.Set, vg.Node), col, j, nil
+				return d.slab.leaf(vg.Set, vg.Node), col, j, nil
 			}
 			j.Sub(j, wv)
 		}
-		// boxwiseStep at B1, part 2: ×-gate products.
+		// Algorithm 2 at B1, part 2: ×-gate products.
 		if len(bp.Times) > 0 {
-			pc, err := d.productWeight(b1, r1, w)
+			provT, gammaL, _ := d.timesDown(bp, r1)
+			pc, err := d.productWeight(b1, provT, w)
 			if err != nil {
 				return nil, -1, nil, err
 			}
 			if j.Cmp(pc) < 0 {
-				return d.descendProducts(b1, r1, w, j)
+				d.record(frame{kind: frameBelow, box: b1, r: r1, sink: sink})
+				return d.descendProducts(b1, provT, gammaL, w, j, sink)
 			}
 			j.Sub(j, pc)
 		}
-		// Interesting boxes strictly below B1 (indexedRec lines 7-10).
+		// Interesting boxes strictly below B1 (Algorithm 3 lines 7-10).
 		if !b1.IsLeaf() {
 			rl := d.mats.Compose(bp.WLeft, r1)
+			rr := d.mats.Compose(bp.WRight, r1)
 			if !rl.Empty() {
 				c, err := d.regionWeight(b1.Left, rl, w)
 				if err != nil {
 					return nil, -1, nil, err
 				}
 				if j.Cmp(c) < 0 {
-					d.push(frame{kind: frameBelowRight, box: b1, r: r1})
+					if !rr.Empty() {
+						d.record(frame{kind: frameRegion, box: b1.Right, r: rr, sink: sink})
+					}
 					n, r = b1.Left, rl
 					continue outer
 				}
 				j.Sub(j, c)
 			}
-			rr := d.mats.Compose(bp.WRight, r1)
 			if !rr.Empty() {
 				c, err := d.regionWeight(b1.Right, rr, w)
 				if err != nil {
@@ -337,7 +345,7 @@ outer:
 				j.Sub(j, c)
 			}
 		}
-		// Bidirectional boxes on the path from n down to B1 (indexedRec
+		// Bidirectional boxes on the path from n down to B1 (Algorithm 3
 		// lines 11-17): each hangs a right region with further outputs.
 		for {
 			gates = r.NonEmptyRowsInto(d.mats.Set(r.Rows))
@@ -350,19 +358,20 @@ outer:
 			bb := idx.Targets[fbb]
 			rb := d.mats.Compose(idx.Rel[fbb], r)
 			rr := d.mats.Compose(bb.Box.WRight, rb)
+			r = d.mats.Compose(bb.Box.WLeft, rb)
 			if !rr.Empty() {
 				c, err := d.regionWeight(bb.Right, rr, w)
 				if err != nil {
 					return nil, -1, nil, err
 				}
 				if j.Cmp(c) < 0 {
-					d.trail[walk] = frame{kind: frameWalkPast, box: bb, r: rb}
+					// The walk resumes past bb once its right region is done.
+					d.trail[walk] = frame{kind: frameWalk, box: bb.Left, r: r, gamma: r.NonEmptyRowsInto(d.mats.Set(r.Rows)), sink: sink}
 					n, r = bb.Right, rr
 					continue outer
 				}
 				j.Sub(j, c)
 			}
-			r = d.mats.Compose(bb.Box.WLeft, rb)
 			n = bb.Left
 			idx = n.Index
 			if idx == nil {
@@ -372,19 +381,22 @@ outer:
 	}
 }
 
-// descendProducts finds the j-th weighted product of boxwiseStep at box
-// b1 under relation r1. Products are emitted left-factor-major: for
-// each left factor sl (in Boxwise(b1.Left, ΓL) order) all compatible
-// right factors (in Boxwise(b1.Right, ΓR(sl)) order). The left descent
-// therefore runs with per-gate weights — each left factor captured by
-// gate g fans out to Σ over ×-gates (g, h) of D(h)·w(prov) outputs —
-// and the offset it returns ranks the right factor.
-func (d *Descender) descendProducts(b1 *IndexedBox, r1 bitset.Matrix, w []*big.Int, j *big.Int) (*Rope, int, *big.Int, error) {
+// descendProducts finds the j-th weighted product Algorithm 2 emits at
+// box b1, whose ×-gates have the provenance rows provT and read the
+// left ∪-gates gammaL (timesDown). Products are emitted
+// left-factor-major: for each left factor sl (in Boxwise(b1.Left, ΓL)
+// order) all compatible right factors (in Boxwise(b1.Right, ΓR(sl))
+// order). The left descent therefore runs with per-gate weights — each
+// left factor captured by gate g fans out to Σ over ×-gates (g, h) of
+// D(h)·w(prov) outputs — and the offset it returns ranks the right
+// factor. The trail gets the product frame, the left factor's frames,
+// a frameRight holding the landed left factor, and the right factor's
+// frames: the cursor's stack right after this product.
+func (d *Descender) descendProducts(b1 *IndexedBox, provT bitset.Matrix, gammaL bitset.Set, w []*big.Int, j *big.Int, sink int32) (*Rope, int, *big.Int, error) {
 	bp := b1.Box
 	wL := d.wgts.get(len(bp.Left.Unions))
-	gammaL := d.mats.Set(len(bp.Left.Unions))
 	for ti := range bp.Times {
-		prov := d.gateProv(r1, bp.TimesOut[ti])
+		prov := provT.Row(ti)
 		if prov.Empty() {
 			continue
 		}
@@ -394,10 +406,8 @@ func (d *Descender) descendProducts(b1 *IndexedBox, r1 bitset.Matrix, w []*big.I
 		}
 		tg := bp.Times[ti]
 		contrib := d.ints.get().Mul(b1.Right.Counts[tg.Right], weightOf(w, col))
-		lg := int(tg.Left)
-		if wL[lg] == nil {
+		if lg := int(tg.Left); wL[lg] == nil {
 			wL[lg] = contrib
-			gammaL.Add(lg)
 		} else {
 			wL[lg].Add(wL[lg], contrib)
 		}
@@ -407,8 +417,8 @@ func (d *Descender) descendProducts(b1 *IndexedBox, r1 bitset.Matrix, w []*big.I
 			wL[g] = bigZero
 		}
 	}
-	lo := len(d.trail)
-	sl, lcol, off, err := d.descendRegion(b1.Left, d.seedRelation(bp.Left, gammaL), wL, j)
+	p := d.record(frame{kind: frameProducts, box: b1, r: provT, sink: sink})
+	sl, lcol, off, err := d.descendRegion(b1.Left, d.seedRelation(bp.Left, gammaL), wL, j, p)
 	if err != nil {
 		return nil, -1, nil, err
 	}
@@ -417,12 +427,13 @@ func (d *Descender) descendProducts(b1 *IndexedBox, r1 bitset.Matrix, w []*big.I
 	wR := d.wgts.get(len(bp.Right.Unions))
 	cols := d.cols.get(len(bp.Right.Unions))
 	gammaR := d.mats.Set(len(bp.Right.Unions))
+	liveT := d.mats.Set(len(bp.Times))
 	for ti := range bp.Times {
 		tg := bp.Times[ti]
 		if int(tg.Left) != lcol {
 			continue
 		}
-		prov := d.gateProv(r1, bp.TimesOut[ti])
+		prov := provT.Row(ti)
 		if prov.Empty() {
 			continue
 		}
@@ -439,19 +450,19 @@ func (d *Descender) descendProducts(b1 *IndexedBox, r1 bitset.Matrix, w []*big.I
 		wR[rg] = weightOf(w, col)
 		cols[rg] = col
 		gammaR.Add(rg)
+		liveT.Add(ti)
 	}
 	for g := range wR {
 		if wR[g] == nil {
 			wR[g] = bigZero
 		}
 	}
-	mid := len(d.trail)
-	sr, rcol, off2, err := d.descendRegion(b1.Right, d.seedRelation(bp.Right, gammaR), wR, off)
+	q := d.record(frame{kind: frameRight, gamma: liveT, sl: sl, sink: p})
+	sr, rcol, off2, err := d.descendRegion(b1.Right, d.seedRelation(bp.Right, gammaR), wR, off, q)
 	if err != nil {
 		return nil, -1, nil, err
 	}
-	d.push(frame{kind: frameProducts, box: b1, r: r1, lo: lo, mid: mid})
-	return d.ropes.Concat(sl, sr), cols[rcol], off2, nil
+	return d.slab.concat(sl, sr), cols[rcol], off2, nil
 }
 
 // simpleAt finds the j-th rope of Simple(root.Box, gamma): Algorithm
@@ -459,39 +470,34 @@ func (d *Descender) descendProducts(b1 *IndexedBox, r1 bitset.Matrix, w []*big.I
 // lengths by construction (one output per derivation), ambiguous or
 // not.
 func (d *Descender) simpleAt(root *IndexedBox, gamma bitset.Set, j *big.Int) (*Rope, error) {
-	var (
-		out *Rope
-		err error = ErrRankRange
-	)
-	gamma.ForEach(func(g int) bool {
+	for g := gamma.Next(0); g >= 0; g = gamma.Next(g + 1) {
 		c := root.Counts[g]
 		if j.Cmp(c) < 0 {
-			d.push(frame{kind: frameGamma, box: root, gamma: gamma, at: g + 1})
-			out, err = d.simpleAtUnion(root, g, j)
-			return false
+			d.record(frame{kind: frameGamma, cb: root.Box, gamma: gamma, at: int32(g + 1), sink: -1})
+			return d.simpleAtUnion(root, g, j, -1)
 		}
 		j.Sub(j, c)
-		return true
-	})
-	return out, err
+	}
+	return nil, ErrRankRange
 }
 
-// simpleAtUnion finds the j-th rope of simpleUnion(n.Box, u): var
-// inputs first, then ×-inputs left-factor-major, then the child
-// ∪-inputs, exactly the input order of Algorithm 1.
-func (d *Descender) simpleAtUnion(n *IndexedBox, u int, j *big.Int) (*Rope, error) {
+// simpleAtUnion finds the j-th rope of the inputs of ∪-gate u of n.Box:
+// var inputs first, then ×-inputs left-factor-major, then the child
+// ∪-inputs, exactly the input order of Algorithm 1 (stepSimple). The
+// trail frames it records carry sink as the receiver of its outputs.
+func (d *Descender) simpleAtUnion(n *IndexedBox, u int, j *big.Int, sink int32) (*Rope, error) {
 	if n.Counts == nil && len(n.Box.Unions) > 0 {
 		return nil, ErrNoDirectAccess
 	}
 	g := &n.Box.Unions[u]
 	if j.IsInt64() && j.Int64() < int64(len(g.Vars)) {
-		d.push(frame{kind: frameInputs, box: n, u: u, at: int(j.Int64())})
+		d.record(frame{kind: frameInputs, cb: n.Box, u: int32(u), at: int32(j.Int64() + 1), sink: sink})
 		vg := n.Box.Vars[g.Vars[j.Int64()]]
-		return d.ropes.Leaf(vg.Set, vg.Node), nil
+		return d.slab.leaf(vg.Set, vg.Node), nil
 	}
 	j.Sub(j, d.ints.get().SetInt64(int64(len(g.Vars))))
-	// in is the position of the current input in Algorithm 1's order
-	// (simpleInputs), recorded for a seek to resume after.
+	// in is the position of the current input in Algorithm 1's order,
+	// recorded for the cursor to resume after.
 	in := len(g.Vars)
 	blk := d.ints.get()
 	for _, t := range g.Times {
@@ -501,18 +507,18 @@ func (d *Descender) simpleAtUnion(n *IndexedBox, u int, j *big.Int) (*Rope, erro
 		if j.Cmp(blk) < 0 {
 			jl, jr := d.ints.get(), d.ints.get()
 			jl.DivMod(j, cr, jr)
-			lo := len(d.trail)
-			sl, err := d.simpleAtUnion(n.Left, int(tg.Left), jl)
+			d.record(frame{kind: frameInputs, cb: n.Box, u: int32(u), at: int32(in + 1), sink: sink})
+			p := d.record(frame{kind: frameSimpleProduct, cb: n.Box, u: t, sink: sink})
+			sl, err := d.simpleAtUnion(n.Left, int(tg.Left), jl, p)
 			if err != nil {
 				return nil, err
 			}
-			mid := len(d.trail)
-			sr, err := d.simpleAtUnion(n.Right, int(tg.Right), jr)
+			q := d.record(frame{kind: frameRight, sl: sl, sink: p})
+			sr, err := d.simpleAtUnion(n.Right, int(tg.Right), jr, q)
 			if err != nil {
 				return nil, err
 			}
-			d.push(frame{kind: frameSimpleProduct, box: n, u: u, at: in, lo: lo, mid: mid})
-			return d.ropes.Concat(sl, sr), nil
+			return d.slab.concat(sl, sr), nil
 		}
 		j.Sub(j, blk)
 		in++
@@ -520,8 +526,8 @@ func (d *Descender) simpleAtUnion(n *IndexedBox, u int, j *big.Int) (*Rope, erro
 	for _, l := range g.LeftUnions {
 		c := n.Left.Counts[l]
 		if j.Cmp(c) < 0 {
-			d.push(frame{kind: frameInputs, box: n, u: u, at: in + 1})
-			return d.simpleAtUnion(n.Left, int(l), j)
+			d.record(frame{kind: frameInputs, cb: n.Box, u: int32(u), at: int32(in + 1), sink: sink})
+			return d.simpleAtUnion(n.Left, int(l), j, sink)
 		}
 		j.Sub(j, c)
 		in++
@@ -529,8 +535,8 @@ func (d *Descender) simpleAtUnion(n *IndexedBox, u int, j *big.Int) (*Rope, erro
 	for _, r := range g.RightUnions {
 		c := n.Right.Counts[r]
 		if j.Cmp(c) < 0 {
-			d.push(frame{kind: frameInputs, box: n, u: u, at: in + 1})
-			return d.simpleAtUnion(n.Right, int(r), j)
+			d.record(frame{kind: frameInputs, cb: n.Box, u: int32(u), at: int32(in + 1), sink: sink})
+			return d.simpleAtUnion(n.Right, int(r), j, sink)
 		}
 		j.Sub(j, c)
 		in++

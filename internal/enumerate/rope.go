@@ -11,12 +11,24 @@
 //     uses the index structure I(C) of Definition 6.1 to achieve delay
 //     independent of the circuit depth.
 //
+// All of them run on one enumeration cursor (enum.go): an explicit stack
+// of frames, each a piece of the algorithms' recursion still pending,
+// whose Next pops and expands frames. The cursor starts either at the
+// first answer (Ropes) or right after the answer a count-guided descent
+// lands on (Descender.RopesFrom, seek.go); the descent records its
+// pending pieces as the same frames. Per-answer scratch — relations,
+// provenance sets, ×-gate selections — is carved from the cursor's
+// bitset.Arena and given back frame by frame as frames pop; cursors are
+// pooled, so a steady-state stream allocates only the ropes it yields
+// (carved from append-only slabs) and what the caller materializes.
+//
 // The index is computed bottom-up per box (Lemma 6.3) and can therefore be
 // repaired along a hollowing trunk after updates (Lemma 7.3).
 package enumerate
 
 import (
 	"iter"
+	"math/bits"
 
 	"repro/internal/tree"
 )
@@ -47,25 +59,58 @@ func Concat(l, r *Rope) *Rope {
 // Size returns the number of singletons in the assignment.
 func (r *Rope) Size() int { return r.size }
 
-// Materialize flattens the rope into an assignment in O(size). The v-tree
-// discipline of structured DNNFs guarantees the leaves are already in
-// document order of the underlying tree, but Normalize is cheap and makes
+// Materialize flattens the rope into an assignment in O(size) with one
+// allocation, the result. The v-tree discipline of structured DNNFs
+// guarantees the leaves are already in document order of the underlying
+// tree, but Normalize is cheap (a scan when the order holds) and makes
 // the output canonical regardless.
 func (r *Rope) Materialize() tree.Assignment {
 	out := make(tree.Assignment, 0, r.size)
-	var walk func(x *Rope)
-	walk = func(x *Rope) {
-		if x.left == nil {
-			for _, z := range x.set.Vars() {
-				out = append(out, tree.Singleton{Var: z, Node: x.node})
-			}
-			return
+	// The right factors still to visit; ropes nest deeper than this
+	// only for answers of more than 32 singletons.
+	var spill [32]*Rope
+	pending := spill[:0]
+	for x := r; ; {
+		for x.left != nil {
+			pending = append(pending, x.right)
+			x = x.left
 		}
-		walk(x.left)
-		walk(x.right)
+		for m := uint32(x.set); m != 0; m &= m - 1 {
+			out = append(out, tree.Singleton{Var: tree.Var(bits.TrailingZeros32(m)), Node: x.node})
+		}
+		if len(pending) == 0 {
+			return out.Normalize()
+		}
+		x = pending[len(pending)-1]
+		pending = pending[:len(pending)-1]
 	}
-	walk(r)
-	return out.Normalize()
+}
+
+// ropeSlab is a bump allocator for the ropes the cursor yields. Yielded
+// ropes are persistent — a consumer may keep them past the stream, which
+// is how callers materialize in batches — so a slab is only ever
+// appended to: an exhausted slab is dropped to the garbage collector
+// (alive for as long as any of its ropes is) and a fresh one started.
+type ropeSlab []Rope
+
+const ropeSlabLen = 256
+
+// leaf is LeafRope carved from the slab.
+func (s *ropeSlab) leaf(set tree.VarSet, node tree.NodeID) *Rope {
+	return s.put(Rope{set: set, node: node, size: set.Count()})
+}
+
+// concat is Concat carved from the slab.
+func (s *ropeSlab) concat(l, r *Rope) *Rope {
+	return s.put(Rope{left: l, right: r, size: l.size + r.size})
+}
+
+func (s *ropeSlab) put(r Rope) *Rope {
+	if len(*s) == cap(*s) {
+		*s = make([]Rope, 0, ropeSlabLen)
+	}
+	*s = append(*s, r)
+	return &(*s)[len(*s)-1]
 }
 
 // collectSeq adapts an iterator to a slice; used in tests.

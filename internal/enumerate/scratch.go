@@ -2,18 +2,17 @@ package enumerate
 
 import (
 	"math/big"
+	"sync"
 
 	"repro/internal/bitset"
-	"repro/internal/tree"
 )
 
-// This file owns the reusable scratch of the count-guided descent
-// (direct.go): a Descender bundles per-call arenas for the transient
-// relation matrices, big.Int weights, factor-weight slices and ropes the
-// descent builds, so a worker draining a rank range (Snapshot.ParallelAll
-// / Chunks) pays the descent's allocations once at the high-water mark
-// instead of once per answer. One Descender per goroutine — nothing here
-// is safe for concurrent use.
+// This file owns the reusable scratch of the enumeration cursor and the
+// count-guided descent: a Descender bundles arenas for the transient
+// relation matrices, big.Int weights and factor-weight slices they
+// build, so a stream or a worker draining a rank range pays their
+// allocations once at the high-water mark instead of once per answer.
+// One Descender per goroutine — nothing here is safe for concurrent use.
 
 // slicePool is a bump allocator over slabs of []T: get returns a cleared
 // length-n slice valid until the next Reset; slabs are retained across
@@ -92,90 +91,75 @@ func (a *bigArena) get() *big.Int {
 
 func (a *bigArena) reset() { a.si, a.off = 0, 0 }
 
-// RopeArena hands out Rope nodes from retained slabs: the rope graphs a
-// descent builds (Leaf / Concat) live until the arena's next Reset, which
-// recycles them all at once. Materialize copies everything out, so the
-// usual discipline — materialize the answer, then reuse the arena for
-// the next rank — needs no per-rope bookkeeping.
-type RopeArena struct {
-	slabs [][]Rope
-	si    int
-	off   int
-}
-
-const ropeSlabLen = 256
-
-func (a *RopeArena) get() *Rope {
-	if a.si == len(a.slabs) {
-		a.slabs = append(a.slabs, make([]Rope, ropeSlabLen))
-	}
-	s := a.slabs[a.si]
-	r := &s[a.off]
-	a.off++
-	if a.off == len(s) {
-		a.si++
-		a.off = 0
-	}
-	return r
-}
-
-// Leaf is LeafRope allocated from the arena.
-func (a *RopeArena) Leaf(set tree.VarSet, node tree.NodeID) *Rope {
-	r := a.get()
-	*r = Rope{set: set, node: node, size: set.Count()}
-	return r
-}
-
-// Concat is Concat allocated from the arena.
-func (a *RopeArena) Concat(l, r *Rope) *Rope {
-	c := a.get()
-	*c = Rope{left: l, right: r, size: l.size + r.size}
-	return c
-}
-
-// Reset recycles every rope handed out since the last Reset.
-func (a *RopeArena) Reset() { a.si, a.off = 0, 0 }
-
-// Descender runs count-guided descents (the direct.go At logic, and
-// the seek of RopesFrom in seek.go) with reusable scratch: relation
-// matrices and gate sets come from a bitset.Arena, weights from a
-// big.Int arena, per-factor weight vectors from slab pools, the
-// answer's rope from a RopeArena, and the seek's trail from a retained
-// slice. All scratch is recycled at the start of every At and RopesFrom
-// call, so a loop over ranks allocates only until the slabs reach the
-// descent's high-water mark.
+// Descender is the enumeration cursor together with the count-guided
+// descent (direct.go) that can start it at any rank. Its state is the
+// frame stack of enum.go; its scratch is reusable: relation matrices,
+// gate sets and provenances come from a bitset.Arena — given back frame
+// by frame as the cursor pops frames, and all at once at the start of
+// every At and RopesFrom call — weights from a big.Int arena, per-factor
+// weight vectors from slab pools, and the seek's trail from a retained
+// slice. So a loop over ranks, or a long stream, allocates only until
+// the slabs reach the high-water mark, plus the ropes it yields, which
+// are carved from append-only slabs and stay valid forever.
 //
-// CONCURRENCY: a Descender is confined to one goroutine. The ropes At
-// returns are arena-owned, and the stream RopesFrom returns reads the
-// arena-owned trail: both are valid until the descender's NEXT At or
-// RopesFrom call (or Reset), so consume each answer or stream before
-// asking for the next. Assignments materialized from them are ordinary
-// heap values with no such restriction. The zero value is ready to use.
+// CONCURRENCY: a Descender is confined to one goroutine. The stream
+// RopesFrom returns reads the descender's trail and scratch, so it is
+// valid until the descender's NEXT At or RopesFrom call (or Reset);
+// ropes and the assignments materialized from them are ordinary heap
+// values with no such restriction. The zero value is ready to use;
+// GetDescender and PutDescender pool them.
 type Descender struct {
-	mats  bitset.Arena
-	ints  bigArena
-	wgts  slicePool[*big.Int]
-	cols  slicePool[int]
-	ropes RopeArena
-	rank  big.Int
-	// trail holds the pending enumeration pieces the last descent
-	// recorded (seek.go); RopesFrom replays it.
+	mats bitset.Arena
+	ints bigArena
+	wgts slicePool[*big.Int]
+	cols slicePool[int]
+	slab ropeSlab
+	rank big.Int
+	// trail holds the frames the last descent recorded (seek.go):
+	// the enumeration still pending after the answer it landed on.
 	trail []frame
+	// stack is the cursor's frame stack (enum.go), top last; deep is
+	// its high-water length since the last Reset.
+	stack []frame
+	deep  int
+	// region is the frame kind of a region, frameRegion (Algorithm 3)
+	// or frameNaive; boxes selects box mode, whose outputs land in out.
+	region frameKind
+	boxes  bool
+	out    BoxRelation
+}
+
+// descenders pools cursors: an enumeration takes one per iteration, so
+// arena slabs and frame stacks outlive the streams that grew them.
+var descenders = sync.Pool{New: func() any { return new(Descender) }}
+
+// GetDescender takes a Descender from the package pool.
+func GetDescender() *Descender { return descenders.Get().(*Descender) }
+
+// PutDescender resets d, dropping its references into the structure it
+// read, and returns it to the pool. Ropes it produced stay valid.
+func PutDescender(d *Descender) {
+	d.Reset()
+	descenders.Put(d)
 }
 
 // NewDescender returns an empty Descender. The zero value works too;
 // the constructor exists for call-site clarity.
 func NewDescender() *Descender { return new(Descender) }
 
-// Reset recycles all scratch, invalidating ropes returned by earlier At
-// calls and streams returned by earlier RopesFrom calls. Both call
-// Reset themselves; callers only need it to drop references eagerly.
+// Reset recycles all scratch, invalidating streams returned by earlier
+// RopesFrom calls, and drops the references into the wrapper tree last
+// read. At and RopesFrom call it themselves; callers only need it to
+// drop references eagerly.
 func (d *Descender) Reset() {
 	d.mats.Reset()
 	d.ints.reset()
 	d.wgts.reset()
 	d.cols.reset()
-	d.ropes.Reset()
-	clear(d.trail) // drop references to the previous descent's boxes
+	clear(d.trail)
 	d.trail = d.trail[:0]
+	clear(d.stack[:d.deep])
+	d.stack = d.stack[:0]
+	d.deep = 0
+	d.out = BoxRelation{}
 }

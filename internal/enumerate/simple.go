@@ -15,58 +15,53 @@ import (
 // indexed enumeration.
 func Simple(b *circuit.Box, gamma bitset.Set) iter.Seq[*Rope] {
 	return func(yield func(*Rope) bool) {
-		gamma.ForEach(func(u int) bool {
-			return simpleUnion(b, u, yield)
-		})
+		d := GetDescender()
+		defer PutDescender(d)
+		d.Reset()
+		d.push(d.mats.Mark(), frame{kind: frameGamma, cb: b, gamma: gamma, sink: -1})
+		d.stream(yield)
 	}
 }
 
-// simpleUnion enumerates S of one ∪-gate; returns false if the consumer
-// stopped.
-func simpleUnion(b *circuit.Box, u int, yield func(*Rope) bool) bool {
-	return simpleInputs(b, u, 0, yield)
-}
-
-// simpleInputs enumerates the inputs of ∪-gate u of box b in Algorithm
-// 1's order — var inputs, ×-inputs, left-child ∪-inputs, right-child
-// ∪-inputs — from position from of that list on (0 is all of S(u)), so
-// a ranked seek (seek.go) can resume after the input it landed in.
-func simpleInputs(b *circuit.Box, u, from int, yield func(*Rope) bool) bool {
-	g := &b.Unions[u]
-	for _, v := range g.Vars[min(from, len(g.Vars)):] {
-		vg := b.Vars[v]
-		if !yield(LeafRope(vg.Set, vg.Node)) {
-			return false
+// stepSimple advances a frame of Algorithm 1: the next gate of gamma
+// (frameGamma), or the next input of a ∪-gate (frameInputs) in the
+// algorithm's order — var inputs, ×-inputs, left-child ∪-inputs,
+// right-child ∪-inputs. A var input is emitted, a ×-input becomes a
+// product frame over the enumeration of its left factors (left factor
+// outermost), a ∪-input pushes that gate's inputs. Algorithm 1 computes
+// no provenance, so nothing here carves scratch.
+func (d *Descender) stepSimple(f *frame) (*Rope, bool) {
+	m := d.mats.Mark()
+	cb, sink := f.cb, f.sink
+	if f.kind == frameGamma {
+		u := f.gamma.Next(int(f.at))
+		if u < 0 {
+			d.pop()
+			return nil, false
 		}
+		f.at = int32(u + 1)
+		d.push(m, frame{kind: frameInputs, cb: cb, u: int32(u), sink: sink})
+		return nil, false
 	}
-	from = max(from-len(g.Vars), 0)
-	for _, t := range g.Times[min(from, len(g.Times)):] {
-		tg := b.Times[t]
-		ok := true
-		simpleUnion(b.Left, int(tg.Left), func(sl *Rope) bool {
-			return simpleUnion(b.Right, int(tg.Right), func(sr *Rope) bool {
-				if !yield(Concat(sl, sr)) {
-					ok = false
-					return false
-				}
-				return true
-			}) && ok
-		})
-		if !ok {
-			return false
-		}
+	g, k := &cb.Unions[f.u], int(f.at)
+	f.at++
+	if k < len(g.Vars) {
+		vg := cb.Vars[g.Vars[k]]
+		rope, _, ok := d.route(sink, d.slab.leaf(vg.Set, vg.Node), bitset.Set{})
+		return rope, ok
 	}
-	from = max(from-len(g.Times), 0)
-	for _, l := range g.LeftUnions[min(from, len(g.LeftUnions)):] {
-		if !simpleUnion(b.Left, int(l), yield) {
-			return false
-		}
+	if k -= len(g.Vars); k < len(g.Times) {
+		p := d.push(m, frame{kind: frameSimpleProduct, cb: cb, u: g.Times[k], sink: sink})
+		d.push(m, frame{kind: frameInputs, cb: cb.Left, u: cb.Times[g.Times[k]].Left, sink: p})
+		return nil, false
 	}
-	from = max(from-len(g.LeftUnions), 0)
-	for _, r := range g.RightUnions[min(from, len(g.RightUnions)):] {
-		if !simpleUnion(b.Right, int(r), yield) {
-			return false
-		}
+	switch k -= len(g.Times); {
+	case k < len(g.LeftUnions):
+		d.push(m, frame{kind: frameInputs, cb: cb.Left, u: g.LeftUnions[k], sink: sink})
+	case k-len(g.LeftUnions) < len(g.RightUnions):
+		d.push(m, frame{kind: frameInputs, cb: cb.Right, u: g.RightUnions[k-len(g.LeftUnions)], sink: sink})
+	default:
+		d.pop()
 	}
-	return true
+	return nil, false
 }

@@ -6,9 +6,10 @@
 package tree
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -112,14 +113,13 @@ func (s Singleton) String() string { return fmt.Sprintf("<X%d:n%d>", s.Var, s.No
 type Assignment []Singleton
 
 // Normalize sorts the assignment and removes duplicates, returning the
-// canonical form.
+// canonical form. It works in place and allocates nothing; an assignment
+// already in order (the usual case for materialized answers) is only
+// scanned.
 func (a Assignment) Normalize() Assignment {
-	sort.Slice(a, func(i, j int) bool {
-		if a[i].Node != a[j].Node {
-			return a[i].Node < a[j].Node
-		}
-		return a[i].Var < a[j].Var
-	})
+	if !slices.IsSortedFunc(a, compareSingletons) {
+		slices.SortFunc(a, compareSingletons)
+	}
 	out := a[:0]
 	for i, s := range a {
 		if i == 0 || s != a[i-1] {
@@ -127,6 +127,14 @@ func (a Assignment) Normalize() Assignment {
 		}
 	}
 	return out
+}
+
+// compareSingletons orders singletons by (Node, Var).
+func compareSingletons(x, y Singleton) int {
+	if c := cmp.Compare(x.Node, y.Node); c != 0 {
+		return c
+	}
+	return cmp.Compare(x.Var, y.Var)
 }
 
 // Key returns a canonical string usable as a map key for set-of-assignment
