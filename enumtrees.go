@@ -122,7 +122,7 @@
 //
 // With many standing queries the per-query repair of each edit fans out
 // across a bounded worker pool (the parallel write path; default
-// GOMAXPROCS, see Options.Workers / QuerySet.SetWorkers), and queries
+// GOMAXPROCS, see QuerySet.SetWorkers), and queries
 // register without stalling the edit stream: the new query's structure
 // is built off the writer's critical section against a pinned term
 // version. QuerySet.Stats returns the immutable work counters (shared
@@ -154,7 +154,6 @@ package enumtrees
 
 import (
 	"repro/internal/engine"
-	"repro/internal/enumerate"
 	"repro/internal/mso"
 	"repro/internal/paths"
 	"repro/internal/spanner"
@@ -219,15 +218,6 @@ var (
 
 // Options configures a registered query.
 type Options = engine.Options
-
-// Enumeration modes.
-const (
-	// ModeIndexed is the paper's full algorithm (default).
-	ModeIndexed = enumerate.ModeIndexed
-	// ModeNaive keeps Algorithm 2 but uses the naive box enumeration
-	// (delay grows with the circuit depth).
-	ModeNaive = enumerate.ModeNaive
-)
 
 // New preprocesses a tree into a QuerySet and registers q as its first
 // standing query (Theorem 8.1). Edits go through ApplyBatch; the query's

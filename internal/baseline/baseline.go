@@ -1,13 +1,12 @@
 // Package baseline implements the comparison algorithms that reproduce
 // the Table 1 landscape and the combined-complexity contrast of
-// experiment E5:
+// experiment E5 (the naive box enumeration, whose delay grows with the
+// circuit depth, is enumerate.ModeNaive, run by experiments E1/E8 on
+// the engine's frozen structure):
 //
 //   - RebuildEnumerator: updates recompute the whole enumeration
 //     structure from scratch (linear update time) — the static
 //     algorithms of Bagan / Kazana-Segoufin made update-aware naively;
-//   - NaiveDelay: the paper's own pipeline but with the naive box
-//     enumeration, whose delay grows with the circuit depth — the
-//     polylog-delay regime of Losemann-Martens;
 //   - DeterminizeFirst: determinizes the query automaton before running
 //     the pipeline — the prior-work requirement the paper's combined
 //     tractability removes (exponential in |Q|).
@@ -17,9 +16,7 @@ import (
 	"fmt"
 	"iter"
 
-	"repro/internal/circuit"
 	"repro/internal/engine"
-	"repro/internal/enumerate"
 	"repro/internal/forest"
 	"repro/internal/tree"
 	"repro/internal/tva"
@@ -136,87 +133,4 @@ func DeterminizeFirst(q *tva.Unranked) (*tva.Binary, DeterminizeFirstStats, erro
 		DetStates:    db.NumStates,
 		DetSize:      db.Size(),
 	}, nil
-}
-
-// StaticBinaryRelabel is the [Amarilli-Bourhis-Mengel 2018] style
-// comparison point: a circuit built directly on a binary tree (no forest
-// encoding), supporting only relabel updates with cost proportional to
-// the depth of that tree. Used by the E8 ablation.
-type StaticBinaryRelabel struct {
-	builder *circuit.Builder
-	tree    *tree.Binary
-	boxes   map[*tree.BNode]*enumerate.IndexedBox
-	parents map[*tree.BNode]*tree.BNode
-	root    *enumerate.IndexedBox
-	mode    enumerate.Mode
-}
-
-// NewStaticBinaryRelabel builds the circuit bottom-up on the binary tree
-// as-is.
-func NewStaticBinaryRelabel(t *tree.Binary, a *tva.Binary, mode enumerate.Mode) (*StaticBinaryRelabel, error) {
-	h := a
-	if !a.Homogenized {
-		h = a.Homogenize()
-	}
-	bd, err := circuit.NewBuilder(h)
-	if err != nil {
-		return nil, err
-	}
-	s := &StaticBinaryRelabel{
-		builder: bd,
-		tree:    t,
-		boxes:   map[*tree.BNode]*enumerate.IndexedBox{},
-		parents: map[*tree.BNode]*tree.BNode{},
-		mode:    mode,
-	}
-	indexed := mode == enumerate.ModeIndexed
-	var rec func(n *tree.BNode) *enumerate.IndexedBox
-	rec = func(n *tree.BNode) *enumerate.IndexedBox {
-		var b *enumerate.IndexedBox
-		if n.IsLeaf() {
-			b = enumerate.Wrap(bd.LeafBox(n.Label, n.ID), nil, nil, indexed)
-		} else {
-			s.parents[n.Left] = n
-			s.parents[n.Right] = n
-			l, r := rec(n.Left), rec(n.Right)
-			b = enumerate.Wrap(bd.InnerBox(n.Label, n.ID, l.Box, r.Box), l, r, indexed)
-		}
-		s.boxes[n] = b
-		return b
-	}
-	s.root = rec(t.Root)
-	return s, nil
-}
-
-// Relabel updates a node label and rebuilds the boxes on the path to the
-// root: O(depth(T)·poly(|Q|)), the cost the balanced encoding avoids.
-func (s *StaticBinaryRelabel) Relabel(n *tree.BNode, l tree.Label) {
-	n.Label = l
-	indexed := s.mode == enumerate.ModeIndexed
-	for cur := n; cur != nil; cur = s.parents[cur] {
-		var b *enumerate.IndexedBox
-		if cur.IsLeaf() {
-			b = enumerate.Wrap(s.builder.LeafBox(cur.Label, cur.ID), nil, nil, indexed)
-		} else {
-			l, r := s.boxes[cur.Left], s.boxes[cur.Right]
-			b = enumerate.Wrap(s.builder.InnerBox(cur.Label, cur.ID, l.Box, r.Box), l, r, indexed)
-		}
-		s.boxes[cur] = b
-	}
-	s.root = s.boxes[s.tree.Root]
-}
-
-// Results enumerates the satisfying assignments.
-func (s *StaticBinaryRelabel) Results() iter.Seq[tree.Assignment] {
-	gamma, emptyOK := s.builder.RootAccepting(&circuit.Circuit{Root: s.root.Box})
-	return enumerate.Assignments(s.root, gamma, emptyOK, s.mode)
-}
-
-// Count drains Results.
-func (s *StaticBinaryRelabel) Count() int {
-	n := 0
-	for range s.Results() {
-		n++
-	}
-	return n
 }

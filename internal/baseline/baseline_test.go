@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/engine"
-	"repro/internal/enumerate"
 	"repro/internal/tree"
 	"repro/internal/tva"
 )
@@ -112,35 +111,5 @@ func TestDeterminizeFirstExplodes(t *testing.T) {
 	}
 	if lastRatio < 1.5 {
 		t.Fatalf("expected determinization blowup, ratio %.2f", lastRatio)
-	}
-}
-
-// TestStaticBinaryRelabel checks the ABM'18-style comparison point.
-func TestStaticBinaryRelabel(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	raw := tva.RandomBinary(rng, 2, alphaAB, tree.NewVarSet(0), 0.5)
-	bt := tva.RandomBinaryTree(rng, 6, alphaAB)
-	s, err := NewStaticBinaryRelabel(bt, raw, enumerate.ModeIndexed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	check := func() {
-		want, err := raw.SatisfyingAssignments(bt, 8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := map[string]bool{}
-		for asg := range s.Results() {
-			got[asg.Key()] = true
-		}
-		if len(got) != len(want) {
-			t.Fatalf("got %d, want %d", len(got), len(want))
-		}
-	}
-	check()
-	leaves := bt.Leaves()
-	for step := 0; step < 10; step++ {
-		s.Relabel(leaves[rng.Intn(len(leaves))], alphaAB[rng.Intn(2)])
-		check()
 	}
 }

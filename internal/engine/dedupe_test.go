@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"repro/internal/engine"
-	"repro/internal/enumerate"
 	"repro/internal/tree"
 	"repro/internal/tva"
 )
@@ -281,15 +280,6 @@ func TestDedupeStatsLifecycle(t *testing.T) {
 		t.Fatalf("deduped registration should join the shared pipeline, not the NoDedupe one: %+v", st)
 	}
 
-	// Different enumeration modes never share a pipeline.
-	idNaive, err := qs.Register(qb, engine.Options{Mode: enumerate.ModeNaive})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st = qs.Stats(); st.Pipelines != 4 || st.RegistrationsDeduped != 2 {
-		t.Fatalf("mode must be part of the content key: %+v", st)
-	}
-
 	// Unregistering one twin leaves the shared pipeline fully serving;
 	// edits after the departure keep every remaining query correct.
 	before := drainSeq(qs.Snapshot().Query(id2))
@@ -344,7 +334,6 @@ func TestDedupeStatsLifecycle(t *testing.T) {
 	if got := drainSeq(m.Query(id4)); !slices.Equal(got, drainSeq(m.Query(idPriv))) {
 		t.Fatal("fresh shared pipeline diverges from the standing private one")
 	}
-	_ = idNaive
 }
 
 // TestDedupeRefcountChurnStress is the -race stress of the refcount

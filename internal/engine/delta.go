@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"slices"
 	"sync"
 
 	"repro/internal/bitset"
@@ -205,22 +204,9 @@ func composeDelta(added1, removed1, added2, removed2 []tree.Assignment) (added, 
 	for _, a := range rm {
 		removed = append(removed, a)
 	}
-	sortAssignments(added)
-	sortAssignments(removed)
+	tree.SortByKey(added)
+	tree.SortByKey(removed)
 	return added, removed
-}
-
-func sortAssignments(as []tree.Assignment) {
-	slices.SortFunc(as, func(a, b tree.Assignment) int {
-		ka, kb := a.Key(), b.Key()
-		switch {
-		case ka < kb:
-			return -1
-		case ka > kb:
-			return 1
-		}
-		return 0
-	})
 }
 
 // Subscribe registers a push consumer for one standing query's answer
@@ -310,11 +296,10 @@ func (e *Engine) dispatchDeltas(prev, next *MultiSnapshot) {
 // emptyOK untouched (edits under other queries' regions never exist —
 // but registrations, unregistrations and fully-reused repairs do)
 // changed nothing. Then the count-guided co-descent (enumerate.Differ)
-// for unambiguous indexed pipelines — O((|added|+|removed|)·log n·
-// poly|Q|) by pruning pointer-shared regions — and the full-drain
-// key diff as the fallback for ambiguous automata (whose answers may
-// derive along several routes, breaking the descent's cancellation
-// argument) and baseline modes.
+// for unambiguous automata — O((|added|+|removed|)·log n·poly|Q|) by
+// pruning pointer-shared regions — and the full-drain key diff as the
+// fallback for ambiguous ones (whose answers may derive along several
+// routes, breaking the descent's cancellation argument).
 func (e *Engine) computeDelta(ps, ns *Snapshot) (added, removed []tree.Assignment) {
 	if ps == ns {
 		return nil, nil
@@ -322,9 +307,7 @@ func (e *Engine) computeDelta(ps, ns *Snapshot) (added, removed []tree.Assignmen
 	if ps != nil && ps.root == ns.root && ps.emptyOK == ns.emptyOK && ps.gamma.Equal(ns.gamma) {
 		return nil, nil
 	}
-	coDescent := ns.mode == enumerate.ModeIndexed && ns.unambiguous &&
-		(ps == nil || ps.mode == enumerate.ModeIndexed)
-	if coDescent {
+	if ns.unambiguous {
 		if e.differ == nil {
 			e.differ = enumerate.NewDiffer(enumerate.ModeIndexed)
 		}
@@ -333,8 +316,8 @@ func (e *Engine) computeDelta(ps, ns *Snapshot) (added, removed []tree.Assignmen
 		}
 		return e.differ.Diff(ps.root, ps.gamma, ps.emptyOK, ns.root, ns.gamma, ns.emptyOK)
 	}
-	oldSet := drainKeyed(ps)
-	newSet := drainKeyed(ns)
+	oldSet := drainKeyed(ps, 0)
+	newSet := drainKeyed(ns, len(oldSet))
 	for k, a := range newSet {
 		if _, ok := oldSet[k]; !ok {
 			added = append(added, a)
@@ -345,20 +328,22 @@ func (e *Engine) computeDelta(ps, ns *Snapshot) (added, removed []tree.Assignmen
 			removed = append(removed, a)
 		}
 	}
-	sortAssignments(added)
-	sortAssignments(removed)
+	tree.SortByKey(added)
+	tree.SortByKey(removed)
 	return added, removed
 }
 
 // drainKeyed materializes a snapshot's answers keyed by assignment key,
 // walking the frozen structure directly so the write-path fallback does
-// not inflate the read-path counters. Nil-safe (empty map).
-func drainKeyed(s *Snapshot) map[string]tree.Assignment {
-	out := map[string]tree.Assignment{}
+// not inflate the read-path counters. The map is sized for hint answers
+// (the other version's count: an edit changes few). Nil-safe (empty
+// map).
+func drainKeyed(s *Snapshot, hint int) map[string]tree.Assignment {
+	out := make(map[string]tree.Assignment, hint)
 	if s == nil {
 		return out
 	}
-	for a := range enumerate.Assignments(s.root, s.gamma, s.emptyOK, s.mode) {
+	for a := range enumerate.Assignments(s.root, s.gamma, s.emptyOK, enumerate.ModeIndexed) {
 		out[a.Key()] = a
 	}
 	return out

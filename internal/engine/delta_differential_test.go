@@ -22,8 +22,8 @@ import (
 // snapshot. The fold is STRICT (removing an absent answer or adding a
 // present one fails immediately), so the deltas must be exact, not just
 // eventually consistent. Unambiguous queries exercise the count-guided
-// co-descent differ; the ambiguous path query and ModeNaive exercise the
-// full-drain fallback.
+// co-descent differ; the ambiguous path query exercises the full-drain
+// fallback.
 
 const deltaRecvTimeout = 30 * time.Second
 
@@ -238,16 +238,56 @@ func TestDeltaReplayStructural(t *testing.T) {
 	}
 }
 
-// TestDeltaReplayModeNaive forces the non-indexed fallback (no counts,
-// no co-descent) through the same structural replay.
+// TestDeltaReplayModeNaive runs the co-descent differ over the naive
+// box enumeration (enumerate.NewDiffer(ModeNaive)) on the engine's own
+// published roots through the same structural replay: after every
+// batch its diff must be exactly the set difference of the two
+// snapshots' answers.
 func TestDeltaReplayModeNaive(t *testing.T) {
 	for seed := int64(0); seed < 2; seed++ {
 		rng := rand.New(rand.NewSource(900 + seed))
 		s := randomDiffScript(rng, "select:b", false, true)
 		t.Run(fmt.Sprintf("tree%d", seed), func(t *testing.T) {
-			runDeltaScript(t, s, engine.Options{Mode: enumerate.ModeNaive})
+			differ := enumerate.NewDiffer(enumerate.ModeNaive)
+			var prev *engine.Snapshot
+			forEachScriptSnapshot(t, s, func(step int, snap *engine.Snapshot) {
+				if prev != nil {
+					_, og, oe := prev.Accepting()
+					_, ng, ne := snap.Accepting()
+					added, removed := differ.Diff(prev.Root(), og, oe, snap.Root(), ng, ne)
+					old, cur := keySet(prev.All()), keySet(snap.All())
+					if got, want := assignmentKeys(added), setMinus(cur, old); !slices.Equal(got, want) {
+						t.Fatalf("step %d: added %v, want %v\nscript:\n%s", step, got, want, s)
+					}
+					if got, want := assignmentKeys(removed), setMinus(old, cur); !slices.Equal(got, want) {
+						t.Fatalf("step %d: removed %v, want %v\nscript:\n%s", step, got, want, s)
+					}
+				}
+				prev = snap
+			})
 		})
 	}
+}
+
+// keySet projects answers to the set of their keys.
+func keySet(as []tree.Assignment) map[string]bool {
+	out := make(map[string]bool, len(as))
+	for _, a := range as {
+		out[a.Key()] = true
+	}
+	return out
+}
+
+// setMinus returns the keys of a not in b, sorted (the differ's order).
+func setMinus(a, b map[string]bool) []string {
+	out := []string{}
+	for k := range a {
+		if !b[k] {
+			out = append(out, k)
+		}
+	}
+	slices.Sort(out)
+	return out
 }
 
 // selectBSet parses the tree and registers the select:b script query as

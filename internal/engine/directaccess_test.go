@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"errors"
+	"math/big"
 	"math/rand"
 	"testing"
 
@@ -199,13 +201,14 @@ func TestAmbiguousQueryFallsBack(t *testing.T) {
 	checkDirectAccess(t, s)
 }
 
-// TestDirectAccessModes checks the mode matrix: ModeSimple supports
-// direct access even for ambiguous automata (one output per
-// derivation), ModeNaive never does, and both stay consistent with
-// their own Results order.
+// TestDirectAccessModes checks the baseline modes' direct-access matrix
+// at the enumeration layer, on the engine's own frozen (box, index,
+// counts) roots of the ambiguous //a//b query, across edits: ModeSimple
+// has direct access even here (one output per derivation, so
+// Derivations elements, each reached by AtInt at its rank), ModeNaive
+// has none (ErrNoDirectAccess), and both enumerate the snapshot's
+// answer set.
 func TestDirectAccessModes(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	ut := tva.RandomUnrankedTree(rng, 25, []tree.Label{"a", "b", "c"})
 	q := paths.MustCompile("//a//b", []tree.Label{"a", "b", "c"}, 0)
 	for _, tc := range []struct {
 		name   string
@@ -216,13 +219,67 @@ func TestDirectAccessModes(t *testing.T) {
 		{"naive", enumerate.ModeNaive, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			e, qid := treeQuery(t, ut.Clone(), q, Options{Mode: tc.mode})
-			s := e.Snapshot().Query(qid)
-			if s.DirectAccess() != tc.direct {
-				t.Fatalf("DirectAccess = %v, want %v", s.DirectAccess(), tc.direct)
+			rng := rand.New(rand.NewSource(13))
+			ut := tva.RandomUnrankedTree(rng, 25, []tree.Label{"a", "b", "c"})
+			e, qid := treeQuery(t, ut, q, Options{})
+			checkModeOnRoot(t, e.Snapshot().Query(qid), tc.mode, tc.direct)
+			for step := 0; step < 6; step++ {
+				m, _, err := e.ApplyBatch(randomTreeBatch(rng, e.Tree(), 3))
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkModeOnRoot(t, m.Query(qid), tc.mode, tc.direct)
 			}
-			checkDirectAccess(t, s)
 		})
+	}
+}
+
+// checkModeOnRoot runs one baseline enumeration mode on a snapshot's
+// frozen root and checks it against the snapshot: the same answer set,
+// and — when the mode has direct access — one element per derivation,
+// with AtInt(j) equal to the j-th for every j.
+func checkModeOnRoot(t *testing.T, s *Snapshot, mode enumerate.Mode, direct bool) {
+	t.Helper()
+	_, gamma, emptyOK := s.Accepting()
+	var got []tree.Assignment
+	for a := range enumerate.Assignments(s.Root(), gamma, emptyOK, mode) {
+		got = append(got, a)
+	}
+	answers, seen := map[string]bool{}, map[string]bool{}
+	for _, a := range s.All() {
+		answers[a.Key()] = true
+	}
+	for _, a := range got {
+		if !answers[a.Key()] {
+			t.Fatalf("v%d: mode %d enumerates %v, not an answer", s.Version(), mode, a)
+		}
+		seen[a.Key()] = true
+	}
+	if len(seen) != len(answers) {
+		t.Fatalf("v%d: mode %d enumerates %d of %d answers", s.Version(), mode, len(seen), len(answers))
+	}
+	d := enumerate.GetDescender()
+	defer enumerate.PutDescender(d)
+	if !direct {
+		if _, err := d.AtInt(s.Root(), gamma, emptyOK, mode, 0); len(got) > 0 && !errors.Is(err, enumerate.ErrNoDirectAccess) {
+			t.Fatalf("v%d: mode %d AtInt(0) = %v, want ErrNoDirectAccess", s.Version(), mode, err)
+		}
+		return
+	}
+	if n := s.Derivations(); n.Cmp(big.NewInt(int64(len(got)))) != 0 {
+		t.Fatalf("v%d: mode %d enumerates %d elements, Derivations = %s", s.Version(), mode, len(got), n)
+	}
+	for j := range got {
+		r, err := d.AtInt(s.Root(), gamma, emptyOK, mode, j)
+		if err != nil {
+			t.Fatalf("v%d: AtInt(%d): %v", s.Version(), j, err)
+		}
+		if a := materialize(r); a.Key() != got[j].Key() {
+			t.Fatalf("v%d: AtInt(%d) = %v, enumeration[%d] = %v", s.Version(), j, a, j, got[j])
+		}
+	}
+	if _, err := d.AtInt(s.Root(), gamma, emptyOK, mode, len(got)); !errors.Is(err, enumerate.ErrRankRange) {
+		t.Fatalf("v%d: AtInt past the end = %v, want ErrRankRange", s.Version(), err)
 	}
 }
 
@@ -374,20 +431,30 @@ func TestMultiSnapshotDirectAccess(t *testing.T) {
 }
 
 // TestPageHugeLimit guards the preallocation clamp: a caller-supplied
-// limit far past the answer count must not allocate proportionally.
+// limit far past the answer count must not allocate proportionally,
+// neither on a direct-access snapshot (clamped by Count) nor on an
+// ambiguous one (never preallocated from the limit).
 func TestPageHugeLimit(t *testing.T) {
-	ut, err := tree.ParseUnranked("(a (b) (b) (b))")
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, qid := mustSelectB(t, ut)
-	s := e.Snapshot().Query(qid)
-	got := s.Page(1, 1<<30)
-	if len(got) != 2 {
-		t.Fatalf("Page(1, huge) returned %d elements, want 2", len(got))
-	}
-	if got := s.Page(1<<30, 1<<30); len(got) != 0 {
-		t.Fatalf("Page past the end returned %d elements", len(got))
+	for name, q := range map[string]*tva.Unranked{
+		"selectB": tva.SelectLabel([]tree.Label{"a", "b"}, "b", 0),
+		// Ambiguous: the page size is not known before the stream ends.
+		"pathAB": paths.MustCompile("//a//b", []tree.Label{"a", "b"}, 0),
+	} {
+		t.Run(name, func(t *testing.T) {
+			ut, err := tree.ParseUnranked("(a (b) (b) (b))")
+			if err != nil {
+				t.Fatal(err)
+			}
+			e, qid := treeQuery(t, ut, q, Options{})
+			s := e.Snapshot().Query(qid)
+			got := s.Page(1, 1<<30)
+			if len(got) != 2 {
+				t.Fatalf("Page(1, huge) returned %d elements, want 2", len(got))
+			}
+			if got := s.Page(1<<30, 1<<30); len(got) != 0 {
+				t.Fatalf("Page past the end returned %d elements", len(got))
+			}
+		})
 	}
 }
 

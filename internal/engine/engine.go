@@ -14,8 +14,8 @@
 //   - N per-query PIPELINES, one per registered query: a circuit
 //     builder for the query's homogenized automaton, the attachment map
 //     from live term nodes to frozen (Box, BoxIndex) units, the counting
-//     evaluator, the enumeration mode, and — in each published snapshot
-//     — the γ set of accepting states at the root. Only the
+//     evaluator, the unambiguity verdict, and — in each published
+//     snapshot — the γ set of accepting states at the root. Only the
 //     O(log|T|)·poly(|Q|) box and index repair along the hollowing trunk
 //     (Lemma 7.3) scales with the number of queries — and
 //     SIGNATURE-PRUNED REPAIR (pipeline.tryReuse, DESIGN.md §7) cuts
@@ -29,13 +29,13 @@
 // immutable forest.TrunkDelta; per-query repair then runs through
 // pipeline.applyDelta, a self-contained replay with no shared mutable
 // state, fanned out across a bounded worker pool (default GOMAXPROCS,
-// see Options.Workers / SetWorkers). Pipelines share only immutable
-// structure — the delta's frozen term nodes and the boxes of untouched
-// subtrees — so per-edit publish latency stays flat in the number of
-// subscribers on enough cores: O(log|T|) shared term work plus
+// see SetWorkers). Pipelines share only immutable structure — the
+// delta's frozen term nodes and the boxes of untouched subtrees — so
+// per-edit publish latency stays flat in the number of subscribers on
+// enough cores: O(log|T|) shared term work plus
 // O(log|T|·poly(|Q|)·k/workers) repair. A single standing query (or
-// Workers=1) takes a deterministic sequential path with no goroutines,
-// so single-query latency does not regress.
+// SetWorkers(1)) takes a deterministic sequential path with no
+// goroutines, so single-query latency does not regress.
 //
 // Queries register and unregister at runtime. Registration is
 // LOCK-LIGHT: the writer lock is held only to pin the current term
@@ -54,7 +54,7 @@
 // instead of paying k× box repair: register keys pipelines by the same
 // content key the process-wide circuit.Program cache uses (the
 // automaton's canonical rule fingerprint, verified rule for rule on
-// collision) plus the enumeration mode, and a registration whose key
+// collision) plus the repair knob, and a registration whose key
 // matches a standing pipeline just bumps its refcount and maps the new
 // QueryID onto it — no O(|T|) build, no delta replay, no extra repair
 // on any future batch. Equal automata accept exactly the same
@@ -130,24 +130,10 @@ import (
 	"repro/internal/tree"
 )
 
-// Options configure a registered query (Mode) and, for convenience, the
-// engine it registers into (Workers).
+// Options configure a registered query. Both are diagnostic knobs; the
+// zero value is what production callers want. The engine-wide worker
+// pool bound is set with Engine.SetWorkers.
 type Options struct {
-	// Mode selects the enumeration algorithm (default: ModeIndexed, the
-	// paper's algorithm). ModeNaive and ModeSimple are the baselines of
-	// experiments E1/E8.
-	Mode enumerate.Mode
-
-	// Workers bounds the engine's worker pool for the parallel write
-	// path: how many goroutines fan one trunk delta out across the
-	// standing queries' pipelines. It is an ENGINE-wide setting carried
-	// on the per-query Options for convenience — a positive value at
-	// Register adopts it for the whole engine, exactly like
-	// Engine.SetWorkers. Zero keeps the current setting (default:
-	// runtime.GOMAXPROCS(0)); 1 forces the deterministic sequential
-	// path. The pool never exceeds the number of registered queries.
-	Workers int
-
 	// FullRebuild disables signature-pruned box reuse for this query:
 	// every trunk node's box is rebuilt even when the rebuild would be
 	// structurally identical to the superseded one. The answers are the
@@ -198,12 +184,11 @@ type Source interface {
 // canonical rules (the same fingerprint the circuit.Program cache
 // hashes; verified by Program.ContentEqual on lookup, so a hash
 // collision can never alias two distinct queries onto one pipeline),
-// the enumeration mode, the FullRebuild knob and the pre-homogenization
-// state count (a stats-only input, included so shared pipelines are
-// indistinguishable from private ones on every observable surface).
+// the FullRebuild knob and the pre-homogenization state count (a
+// stats-only input, included so shared pipelines are indistinguishable
+// from private ones on every observable surface).
 type pipeKey struct {
 	fp          uint64
-	mode        enumerate.Mode
 	fullRebuild bool
 	translated  int
 }
@@ -232,7 +217,6 @@ type pipeline struct {
 	shared bool
 
 	builder *circuit.Builder
-	mode    enumerate.Mode
 	// indexer owns the reusable index-construction scratch; confined to
 	// the pipeline like the builder's arena.
 	indexer enumerate.Indexer
@@ -282,13 +266,12 @@ type pipeline struct {
 // attachNode builds the frozen (box, index) unit for one term node whose
 // children (if any) are already attached, and records it.
 func (p *pipeline) attachNode(n *forest.Node) {
-	indexed := p.mode == enumerate.ModeIndexed
 	var ib *enumerate.IndexedBox
 	if n.IsLeaf() {
-		ib = p.indexer.Wrap(p.builder.LeafBox(n.BinaryLabel(), n.TreeID), nil, nil, indexed)
+		ib = p.indexer.Wrap(p.builder.LeafBox(n.BinaryLabel(), n.TreeID), nil, nil, true)
 	} else {
 		l, r := p.attach[n.Left], p.attach[n.Right]
-		ib = p.indexer.Wrap(p.builder.InnerBox(n.BinaryLabel(), tree.InvalidNode, l.Box, r.Box), l, r, indexed)
+		ib = p.indexer.Wrap(p.builder.InnerBox(n.BinaryLabel(), tree.InvalidNode, l.Box, r.Box), l, r, true)
 	}
 	ib.Counts = p.counts.UnionsOf(ib.Box)
 	p.attach[n] = ib
@@ -417,7 +400,6 @@ func (p *pipeline) applyDelta(delta forest.TrunkDelta, pub pubInfo) *Snapshot {
 		emptyOK:          p.emptyOK,
 		count:            p.count,
 		unambiguous:      p.unambiguous,
-		mode:             p.mode,
 		version:          pub.version,
 		termHeight:       pub.termHeight,
 		boxesRebuilt:     p.boxesRebuilt,
@@ -531,15 +513,11 @@ func (e *Engine) CheckBalanceDeep() error { return e.src.CheckBalanceDeep() }
 // forces the deterministic sequential path. The bound applies from the
 // next publication on.
 func (e *Engine) SetWorkers(n int) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.setWorkersLocked(n)
-}
-
-func (e *Engine) setWorkersLocked(n int) {
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)
 	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	e.workers = n
 }
 
@@ -574,7 +552,7 @@ func (e *Engine) adoptLocked(p *pipeline) QueryID {
 // register creates — or, for a content-equal automaton, SHARES — the
 // pipeline for a prepared query builder. The dedupe fast path: if a
 // shareable standing pipeline has the same content key (automaton rule
-// fingerprint + mode + knobs, verified rule for rule), the new QueryID
+// fingerprint + knobs, verified rule for rule), the new QueryID
 // just joins it — refcount up, one publication, no O(|T|) build and no
 // extra repair on any future batch. Otherwise the pipeline is built
 // against the pinned current term OFF the writer's critical section,
@@ -586,15 +564,11 @@ func (e *Engine) adoptLocked(p *pipeline) QueryID {
 func (e *Engine) register(builder *circuit.Builder, translated int, opts Options) QueryID {
 	key := pipeKey{
 		fp:          builder.Program().Fingerprint(),
-		mode:        opts.Mode,
 		fullRebuild: opts.FullRebuild,
 		translated:  translated,
 	}
 	if !opts.NoDedupe {
 		e.mu.Lock()
-		if opts.Workers > 0 {
-			e.setWorkersLocked(opts.Workers)
-		}
 		if twin := e.lookupShared(key, builder.Program()); twin != nil {
 			e.dedupedRegs++
 			id := e.adoptLocked(twin)
@@ -607,18 +581,13 @@ func (e *Engine) register(builder *circuit.Builder, translated int, opts Options
 	p := &pipeline{
 		key:              key,
 		builder:          builder,
-		mode:             opts.Mode,
 		attach:           map[*forest.Node]*enumerate.IndexedBox{},
 		counts:           counting.NewEvaluator[*big.Int](counting.Derivations{}),
 		translatedStates: translated,
 		fullRebuild:      opts.FullRebuild,
-	}
-	// The unambiguity verdict only gates the ModeIndexed fast paths
-	// (ModeSimple is always direct, ModeNaive never): don't pay the
-	// product construction for baseline modes. Off-lock: the builder is
-	// confined to this goroutine until splice-in.
-	if opts.Mode == enumerate.ModeIndexed {
-		p.unambiguous = builder.A.Unambiguous()
+		// Off-lock: the builder is confined to this goroutine until
+		// splice-in.
+		unambiguous: builder.A.Unambiguous(),
 	}
 
 	// Short lock hold #1: pin the current term version and start
@@ -626,9 +595,6 @@ func (e *Engine) register(builder *circuit.Builder, translated int, opts Options
 	// absorbed first so the pinned walk sees exactly the live term
 	// (normally a no-op: every mutation drains before publishing).
 	e.mu.Lock()
-	if opts.Workers > 0 {
-		e.setWorkersLocked(opts.Workers)
-	}
 	e.absorbPending()
 	root := e.src.TermRoot()
 	pin := e.logBase + len(e.deltaLog)
@@ -832,9 +798,9 @@ func (e *Engine) distinctPipes(ids []QueryID) []*pipeline {
 
 // applyAndPublish is the write path's back half: drain the trunk ONCE
 // into an immutable TrunkDelta, fan pipeline.applyDelta out across the
-// worker pool (sequentially for a single query or Workers=1), assemble
-// and atomically install the MultiSnapshot, and publish the stats
-// reading. Callers hold e.mu. O(log|T|·poly(|Q|)·k/workers) plus the
+// worker pool (sequentially for a single query or SetWorkers(1)),
+// assemble and atomically install the MultiSnapshot, and publish the
+// stats reading. Callers hold e.mu. O(log|T|·poly(|Q|)·k/workers) plus the
 // O(queries) assembly.
 func (e *Engine) applyAndPublish() *MultiSnapshot {
 	delta := e.src.DrainDelta()
@@ -858,7 +824,7 @@ func (e *Engine) applyAndPublish() *MultiSnapshot {
 	pipes := e.distinctPipes(ids)
 	snaps := make(map[*pipeline]*Snapshot, len(pipes))
 	if w := min(e.workers, len(pipes)); w <= 1 || delta.Empty() {
-		// Deterministic sequential path: d <= 1, Workers == 1, or an
+		// Deterministic sequential path: d <= 1, SetWorkers(1), or an
 		// empty delta (register/unregister publications — replay is a
 		// no-op and γ is cached, so per-pipeline work is O(1) and
 		// spawning workers would cost more than it saves). No

@@ -10,32 +10,29 @@ import (
 )
 
 // This file is the rank-partitioned parallel bulk-enumeration layer:
-// because direct access is STATELESS — a count-guided descent reaches
-// any rank with no shared cursor — bulk materialization is
-// embarrassingly parallel: split [0, Count()) into per-worker rank
-// ranges, and let each worker seek once to the start of its range and
-// stream the range from there (Snapshot.fillFrom, with a pooled
-// goroutine-confined enumerate.Descender as seek scratch). A
-// range of m answers costs one O(log|T|·poly|Q|) seek plus m·delay, so
-// W workers add only W seeks to the sequential drain. ParallelAll is the
+// split [0, Count()) into per-worker rank ranges and let each worker
+// serve its range from the one ranked stream, Snapshot.fillFrom, with
+// its own pooled goroutine-confined cursor. On direct-access snapshots
+// the stream is STATELESS — a count-guided descent reaches any rank
+// with no shared cursor — so a range of m answers costs one
+// O(log|T|·poly|Q|) seek plus m·delay and W workers add only W seeks to
+// the sequential drain. On ambiguous snapshots each worker enumerates
+// from rank 0 and skips to its range without materializing what it
+// skips (snapshots are immutable, so concurrent iterations are free),
+// which still splits the materialization W ways. ParallelAll is the
 // scatter into a preallocated slice; Chunks is the order-preserving
 // streaming variant (scatter over chunk ranks, bounded-channel gather
-// with a reorder buffer). Snapshots without direct access (ambiguous
-// automata, ModeNaive) take a sharded-drain fallback: every worker runs
-// its own rope enumeration — snapshots are immutable, so concurrent
-// iterations are free — and materializes only the ranks of its shard,
-// parallelizing the materialization cost even when ranks cannot be
-// jumped to.
+// with a reorder buffer).
 
 // readCounters aggregates read-path work across every snapshot an
 // engine publishes. Plain atomics: bulk drains bump them once per
 // call, not per answer, so contention is negligible.
 type readCounters struct {
-	// answersEnumerated counts assignments produced by the snapshot read
-	// APIs — bulk drains, pages, ranked access, and the enumeration
-	// fallbacks behind them. It is a work counter, not a delivery
-	// counter: a defensive fallback that enumerates i answers to serve
-	// one rank counts i.
+	// answersEnumerated counts answers produced by the snapshot read
+	// APIs — bulk drains, pages, ranked access, and the counting drain
+	// of ambiguous snapshots. It is a work counter, not a delivery
+	// counter: a page of an ambiguous snapshot that skips i answers to
+	// serve one counts i+1.
 	answersEnumerated atomic.Int64
 	// parallelDrains counts ParallelAll / Chunks invocations that
 	// actually fanned out (more than one worker engaged).
@@ -58,19 +55,15 @@ func (s *Snapshot) noteParallelDrain() {
 }
 
 // ParallelAll materializes every result in Results' order across the
-// given number of workers (<= 0 means GOMAXPROCS). On direct-access
-// snapshots worker k seeks once to rank k·n/W and streams the range
-// [k·n/W, (k+1)·n/W) from there, writing into disjoint regions of one
-// preallocated slice — no locks, no channels, wall-clock
-// O(log|T|·poly|Q|) + n/W·delay on W free cores. Other snapshots
-// take the sharded-drain fallback (see shardedAll). The result is
-// exactly All(): same answers, same order.
+// given number of workers (<= 0 means GOMAXPROCS): worker k serves the
+// rank range [k·n/W, (k+1)·n/W) from the ranked stream (fillFrom) into
+// its disjoint region of one preallocated slice — no locks, no
+// channels. On direct-access snapshots that is wall-clock
+// O(log|T|·poly|Q|) + n/W·delay on W free cores. The result is exactly
+// All(): same answers, same order.
 func (s *Snapshot) ParallelAll(workers int) []tree.Assignment {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
-	}
-	if !s.DirectAccess() {
-		return s.shardedAll(workers)
 	}
 	n := s.Count()
 	if n == 0 {
@@ -90,7 +83,7 @@ func (s *Snapshot) ParallelAll(workers int) []tree.Assignment {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if got, err := s.fillFrom(lo, out[lo:hi]); err != nil || got != hi-lo {
+			if len(s.fillFrom(lo, hi-lo, out[lo:lo:hi])) != hi-lo {
 				failed.Store(true)
 			}
 		}()
@@ -98,58 +91,11 @@ func (s *Snapshot) ParallelAll(workers int) []tree.Assignment {
 	wg.Wait()
 	s.noteParallelDrain()
 	if failed.Load() {
-		// A worker hit a rank the counts cannot serve (count
-		// inconsistency surfaced mid-drain). The sharded drain never
-		// trusts ranks, so it is the correct recovery.
-		return s.shardedAll(workers)
-	}
-	s.noteAnswers(n)
-	return out
-}
-
-// shardedAll is the bulk-materialization fallback for snapshots without
-// direct access: W workers each run an independent rope enumeration of
-// the full answer set — safe and contention-free, snapshots are frozen
-// — and worker k materializes exactly the ranks ≡ k (mod W) into its
-// disjoint slots of the shared output. Every worker pays the O(delay)
-// iteration cost, but materialization (the per-answer copy, the
-// dominant cost for long assignments) splits W ways.
-func (s *Snapshot) shardedAll(workers int) []tree.Assignment {
-	n := s.drain()
-	if n == 0 {
-		return nil
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
+		// A range ran short of the count (a count inconsistency
+		// surfaced mid-drain): one sequential enumeration is the
+		// correct recovery.
 		return s.All()
 	}
-	out := make([]tree.Assignment, n)
-	var wg sync.WaitGroup
-	for k := 0; k < workers; k++ {
-		wg.Add(1)
-		go func(shard int) {
-			defer wg.Done()
-			j := 0
-			for rope := range s.Ropes() {
-				if j%workers == shard {
-					if rope == nil {
-						out[j] = tree.Assignment{}
-					} else {
-						out[j] = rope.Materialize()
-					}
-				}
-				j++
-				if j > n {
-					return // snapshot invariant violated; stay in bounds
-				}
-			}
-		}(k)
-	}
-	wg.Wait()
-	s.noteParallelDrain()
-	s.noteAnswers(n)
 	return out
 }
 
@@ -181,12 +127,7 @@ func (s *Snapshot) Chunks(workers, chunkSize int) iter.Seq[[]tree.Assignment] {
 			workers = runtime.GOMAXPROCS(0)
 		}
 		direct := s.DirectAccess()
-		var n int
-		if direct {
-			n = s.Count()
-		} else {
-			n = s.drain()
-		}
+		n := s.Count()
 		if n == 0 {
 			return
 		}
@@ -231,7 +172,6 @@ func (s *Snapshot) Chunks(workers, chunkSize int) iter.Seq[[]tree.Assignment] {
 				}
 				delete(pending, nextYield)
 				nextYield++
-				s.noteAnswers(len(data))
 				if !yield(data) {
 					return
 				}
@@ -271,8 +211,8 @@ func (s *Snapshot) chunkWorkerDirect(n, chunkSize, chunks int, next *atomic.Int6
 		}
 		lo := c * chunkSize
 		hi := min(lo+chunkSize, n)
-		data := make([]tree.Assignment, hi-lo)
-		if got, err := s.fillFrom(lo, data); err != nil || got != hi-lo {
+		data := s.fillFrom(lo, hi-lo, make([]tree.Assignment, 0, hi-lo))
+		if len(data) != hi-lo {
 			return // count inconsistency; chunk withheld, stream ends short
 		}
 		select {
@@ -303,12 +243,9 @@ func (s *Snapshot) chunkWorkerSharded(n, chunkSize, chunks, shard, workers int, 
 				hi := min(lo+chunkSize, n)
 				data = make([]tree.Assignment, 0, hi-lo)
 			}
-			if rope == nil {
-				data = append(data, tree.Assignment{})
-			} else {
-				data = append(data, rope.Materialize())
-			}
+			data = append(data, materialize(rope))
 			if cap(data) == len(data) {
+				s.noteAnswers(len(data))
 				select {
 				case out <- chunkRes{idx: c, data: data}:
 				case <-done:

@@ -17,7 +17,7 @@ import (
 
 // This file is the property suite of the rank-partitioned parallel
 // read path: across the differential corpus (trees + words, ambiguous +
-// unambiguous automata, both direct-access modes), ParallelAll(w) and
+// unambiguous automata), ParallelAll(w) and
 // the Chunks stream must reproduce the sequential enumeration answer
 // for answer, in order — including mid-script, after every batch — and
 // a parallel drain must see its own frozen snapshot while ApplyBatch
@@ -44,7 +44,7 @@ func assignmentKeys(as []tree.Assignment) []string {
 
 // forEachScriptSnapshot replays a differential script on the engine
 // (no oracle) and hands every published snapshot to fn.
-func forEachScriptSnapshot(t *testing.T, s *diffScript, mode enumerate.Mode, fn func(step int, snap *engine.Snapshot)) {
+func forEachScriptSnapshot(t *testing.T, s *diffScript, fn func(step int, snap *engine.Snapshot)) {
 	t.Helper()
 	var e *engine.Engine
 	var id engine.QueryID
@@ -53,7 +53,7 @@ func forEachScriptSnapshot(t *testing.T, s *diffScript, mode enumerate.Mode, fn 
 		if err != nil {
 			t.Fatal(err)
 		}
-		we, wid := newWordQuery(t, s.letters, q, engine.Options{Mode: mode})
+		we, wid := newWordQuery(t, s.letters, q, engine.Options{})
 		e, id = &we.Engine, wid
 	} else {
 		q, err := diffTreeQuery(s.query)
@@ -64,7 +64,7 @@ func forEachScriptSnapshot(t *testing.T, s *diffScript, mode enumerate.Mode, fn 
 		if err != nil {
 			t.Fatal(err)
 		}
-		te, tid := newTreeQuery(t, ut, q, engine.Options{Mode: mode})
+		te, tid := newTreeQuery(t, ut, q, engine.Options{})
 		e, id = &te.Engine, tid
 	}
 	apply := func(batch []engine.Update) *engine.Snapshot {
@@ -142,6 +142,58 @@ func checkParallelReads(t *testing.T, s *diffScript, step int, snap *engine.Snap
 	}
 }
 
+// checkSimpleSeek is the same page property for the Algorithm 1
+// baseline (enumerate.ModeSimple) on the snapshot's frozen root, at the
+// enumeration layer: the engine maintains the counts it seeks by, and it
+// has direct access even for ambiguous automata (one element per
+// derivation). Every seek-then-stream range must be the same slice of
+// its own enumeration.
+func checkSimpleSeek(t *testing.T, s *diffScript, step int, snap *engine.Snapshot) {
+	t.Helper()
+	_, gamma, emptyOK := snap.Accepting()
+	var want []string
+	for a := range enumerate.Assignments(snap.Root(), gamma, emptyOK, enumerate.ModeSimple) {
+		want = append(want, a.Key())
+	}
+	n := len(want)
+	if d := snap.Derivations(); !d.IsInt64() || d.Int64() != int64(n) {
+		t.Fatalf("step %d: ModeSimple enumerates %d elements, Derivations = %s\nscript:\n%s", step, n, d, s)
+	}
+	d := enumerate.GetDescender()
+	defer enumerate.PutDescender(d)
+	for _, off := range []int{0, 1, n / 3, n - 1, n} {
+		if off < 0 || off > n { // n < 2
+			continue
+		}
+		ropes, err := d.RopesFromInt(snap.Root(), gamma, emptyOK, enumerate.ModeSimple, off)
+		if err != nil {
+			t.Fatalf("step %d: ModeSimple seek to %d of %d: %v\nscript:\n%s", step, off, n, err, s)
+		}
+		var got []string
+		for r := range ropes {
+			a := tree.Assignment{}
+			if r != nil {
+				a = r.Materialize()
+			}
+			got = append(got, a.Key())
+			if len(got) == 7 {
+				break
+			}
+		}
+		if w := want[off:min(off+7, n)]; !equalStrings(got, w) {
+			t.Fatalf("step %d: ModeSimple seek to %d diverges\ngot:  %v\nwant: %v\nscript:\n%s", step, off, got, w, s)
+		}
+	}
+}
+
+// readChecks are the per-snapshot properties the corpus suites run: the
+// engine's own read paths, and the seek of the Algorithm 1 baseline on
+// the same frozen roots.
+var readChecks = map[string]func(*testing.T, *diffScript, int, *engine.Snapshot){
+	"indexed": checkParallelReads,
+	"simple":  checkSimpleSeek,
+}
+
 func equalStrings(a, b []string) bool {
 	if len(a) != len(b) {
 		return false
@@ -154,11 +206,10 @@ func equalStrings(a, b []string) bool {
 	return true
 }
 
-// TestParallelAllMatchesSequential runs the property over the committed
-// corpus in both direct-access-capable modes. The corpus mixes trees
-// and words and includes the ambiguous path query, so both the
-// rank-partitioned descent path and the sharded-drain fallback are
-// exercised (the test logs which snapshots engaged which).
+// TestParallelAllMatchesSequential runs the read checks over the
+// committed corpus. The corpus mixes trees and words and includes the
+// ambiguous path query, so both the seek and the skip of the ranked
+// stream are exercised (the test logs which snapshots engaged which).
 func TestParallelAllMatchesSequential(t *testing.T) {
 	files, err := filepath.Glob(filepath.Join("testdata", "differential", "*.txt"))
 	if err != nil {
@@ -167,7 +218,6 @@ func TestParallelAllMatchesSequential(t *testing.T) {
 	if len(files) == 0 {
 		t.Fatal("no corpus scripts found")
 	}
-	modes := map[string]enumerate.Mode{"indexed": enumerate.ModeIndexed, "simple": enumerate.ModeSimple}
 	for _, f := range files {
 		data, err := os.ReadFile(f)
 		if err != nil {
@@ -177,16 +227,16 @@ func TestParallelAllMatchesSequential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for mn, mode := range modes {
-			t.Run(filepath.Base(f)+"/"+mn, func(t *testing.T) {
+		for cn, check := range readChecks {
+			t.Run(filepath.Base(f)+"/"+cn, func(t *testing.T) {
 				direct, fallback := 0, 0
-				forEachScriptSnapshot(t, s, mode, func(step int, snap *engine.Snapshot) {
+				forEachScriptSnapshot(t, s, func(step int, snap *engine.Snapshot) {
 					if snap.DirectAccess() {
 						direct++
 					} else {
 						fallback++
 					}
-					checkParallelReads(t, s, step, snap)
+					check(t, s, step, snap)
 				})
 				t.Logf("%d direct-access snapshots, %d fallback", direct, fallback)
 			})
@@ -202,7 +252,7 @@ func TestParallelAllMatchesSequentialRandom(t *testing.T) {
 		rng := rand.New(rand.NewSource(700 + seed))
 		s := randomDiffScript(rng, queries[seed%int64(len(queries))], false, true)
 		t.Run(fmt.Sprintf("tree%d", seed), func(t *testing.T) {
-			forEachScriptSnapshot(t, s, enumerate.ModeIndexed, func(step int, snap *engine.Snapshot) {
+			forEachScriptSnapshot(t, s, func(step int, snap *engine.Snapshot) {
 				checkParallelReads(t, s, step, snap)
 			})
 		})
@@ -210,7 +260,7 @@ func TestParallelAllMatchesSequentialRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(800))
 	s := randomDiffScript(rng, "span", true, true)
 	t.Run("word", func(t *testing.T) {
-		forEachScriptSnapshot(t, s, enumerate.ModeIndexed, func(step int, snap *engine.Snapshot) {
+		forEachScriptSnapshot(t, s, func(step int, snap *engine.Snapshot) {
 			checkParallelReads(t, s, step, snap)
 		})
 	})
@@ -218,13 +268,12 @@ func TestParallelAllMatchesSequentialRandom(t *testing.T) {
 
 // TestParallelAllMatchesPagesStructural is the seek differential over
 // random structural scripts (subtree and range moves, grafts, deletes):
-// trees and words, both direct-access modes, and the product-heavy
+// trees and words, the read checks, and the product-heavy
 // two-variable query, so seeks land inside products as well as on var
 // gates. Every published snapshot must serve pages, ParallelAll and
 // Chunks exactly as its own Results.
 func TestParallelAllMatchesPagesStructural(t *testing.T) {
 	queries := []string{"childpair", "ancestor", "select:b", "childpair"}
-	modes := map[string]enumerate.Mode{"indexed": enumerate.ModeIndexed, "simple": enumerate.ModeSimple}
 	for seed := int64(0); seed < 8; seed++ {
 		isWord := seed%4 == 3
 		rng := rand.New(rand.NewSource(900 + seed))
@@ -233,13 +282,13 @@ func TestParallelAllMatchesPagesStructural(t *testing.T) {
 			q = "span"
 		}
 		s := randomDiffScript(rng, q, isWord, true)
-		for mn, mode := range modes {
-			t.Run(fmt.Sprintf("%d/%s/%s", seed, q, mn), func(t *testing.T) {
-				forEachScriptSnapshot(t, s, mode, func(step int, snap *engine.Snapshot) {
+		for cn, check := range readChecks {
+			t.Run(fmt.Sprintf("%d/%s/%s", seed, q, cn), func(t *testing.T) {
+				forEachScriptSnapshot(t, s, func(step int, snap *engine.Snapshot) {
 					if !snap.DirectAccess() {
 						t.Fatalf("step %d: %s lost direct access", step, q)
 					}
-					checkParallelReads(t, s, step, snap)
+					check(t, s, step, snap)
 				})
 			})
 		}

@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"repro/internal/enumerate"
 	"repro/internal/paths"
 	"repro/internal/tree"
 	"repro/internal/tva"
@@ -89,9 +88,8 @@ func diffSnapshots(t *testing.T, label string, a, b *Snapshot) {
 // engines — worker pool off (Workers=1, the deterministic sequential
 // path) and on (Workers=4) — must publish identical Results, Count and
 // At for EVERY standing query after every batch. The query mix covers
-// the unambiguous fast paths, an ambiguous automaton (//a//b, which
-// falls back to enumeration for Count/At) and the ModeSimple and
-// ModeNaive baseline pipelines.
+// the unambiguous fast paths and an ambiguous automaton (//a//b, which
+// falls back to enumeration for Count/At).
 func TestParallelSequentialDifferential(t *testing.T) {
 	alpha := []tree.Label{"a", "b", "c"}
 	type sq struct {
@@ -105,8 +103,6 @@ func TestParallelSequentialDifferential(t *testing.T) {
 		{"descdepth:b:2", tva.DescendantAtDepth(alpha, "b", 2, 0), Options{}},
 		{"path://a/b", paths.MustCompile("//a/b", alpha, 0), Options{}},
 		{"path://a//b", paths.MustCompile("//a//b", alpha, 0), Options{}}, // ambiguous
-		{"select:c/simple", tva.SelectLabel(alpha, "c", 0), Options{Mode: enumerate.ModeSimple}},
-		{"select:b/naive", tva.SelectLabel(alpha, "b", 0), Options{Mode: enumerate.ModeNaive}},
 	}
 
 	rng := rand.New(rand.NewSource(51))
@@ -423,14 +419,15 @@ func TestEngineStatsSurface(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	qb, err := s.Register(selectLabel("b"), Options{Workers: 4}) // adopts the engine-wide pool bound
+	s.SetWorkers(4)
+	qb, err := s.Register(selectLabel("b"), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	st := s.Stats()
 	if st.Workers != 4 {
-		t.Fatalf("Options.Workers not adopted: %d", st.Workers)
+		t.Fatalf("SetWorkers(4) not reported: %d", st.Workers)
 	}
 	if st.Queries != 2 || len(st.QueryBoxesRebuilt) != 2 {
 		t.Fatalf("stats queries = %d (%v), want 2", st.Queries, st.QueryBoxesRebuilt)

@@ -41,3 +41,37 @@ func TestResultsAllocsPerAnswer(t *testing.T) {
 		})
 	}
 }
+
+// TestAmbiguousPageAllocs guards the skip in the ranked stream of
+// ambiguous snapshots: Page(off, 20) enumerates off+20 answers but
+// materializes only the 20 it returns, so it allocates no more than
+// Page(0, 20) plus the rope slabs of the skipped answers (256 ropes to a
+// slab) and a small constant.
+func TestAmbiguousPageAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	ut := tva.RandomUnrankedTree(rng, 5000, []tree.Label{"a", "b", "c"})
+	e, qid := treeQuery(t, ut, directAccessQueries(t)["pathAB"], Options{})
+	s := e.Snapshot().Query(qid)
+	if s.DirectAccess() {
+		t.Fatal("//a//b must not have direct access")
+	}
+	n := s.Count()
+	if n < 1000 {
+		t.Fatalf("want at least 1000 answers, got %d", n)
+	}
+	pageAllocs := func(off int) float64 {
+		return testing.AllocsPerRun(5, func() {
+			if got := s.Page(off, 20); len(got) != 20 {
+				t.Fatalf("Page(%d, 20) returned %d answers", off, len(got))
+			}
+		})
+	}
+	base := pageAllocs(0)
+	for _, off := range []int{n / 2, n - 20} {
+		got := pageAllocs(off)
+		t.Logf("Page(%d, 20): %.0f allocations, Page(0, 20): %.0f", off, got, base)
+		if bound := base + float64(off/256+64); got > bound {
+			t.Fatalf("Page(%d, 20) makes %.0f allocations, want ≤ %.0f (Page(0, 20) makes %.0f)", off, got, bound, base)
+		}
+	}
+}

@@ -34,16 +34,18 @@ type Stats struct {
 }
 
 // Snapshot is one published version of the enumeration structure: the
-// root of a frozen (box, index) tree plus the accepting boxed set of the
-// automaton on it. Everything reachable from a snapshot is immutable, so
-// all methods are safe from any number of goroutines, and an in-flight
-// enumeration is unaffected by updates applied to the engine after the
-// snapshot was taken.
+// root of a frozen (box, index, counts) tree plus the accepting boxed
+// set of the automaton on it, enumerated by the paper's algorithm
+// (Algorithm 2 over the indexed box enumeration, Theorem 6.5). The
+// only choice a reader makes is the registration-time unambiguity
+// verdict (see DirectAccess). Everything reachable from a snapshot is
+// immutable, so all methods are safe from any number of goroutines,
+// and an in-flight enumeration is unaffected by updates applied to the
+// engine after the snapshot was taken.
 type Snapshot struct {
 	root    *enumerate.IndexedBox
 	gamma   bitset.Set
 	emptyOK bool
-	mode    enumerate.Mode
 
 	// count is the total derivation count at the root (Section 4
 	// multiset remark), folded by the pipeline's counting evaluator at
@@ -80,16 +82,16 @@ func (s *Snapshot) Version() uint64 { return s.version }
 
 // Results enumerates the satisfying assignments of the query on this
 // version of the input, without duplicates, with delay O(|S|·poly(|Q|))
-// independent of |T| in the default indexed mode. The iteration may be
-// abandoned, restarted, and run concurrently with engine updates and
-// with other iterations of the same snapshot. Each iteration runs one
-// pooled enumeration cursor (enumerate.Ropes), whose scratch is
-// recycled frame by frame and goes back to the pool when the iteration
-// ends or is abandoned. Each yielded assignment is a fresh slice the
-// caller owns: in steady state the one allocation per answer, besides
-// the ropes the cursor carves 256 to a slab.
+// independent of |T|. The iteration may be abandoned, restarted, and
+// run concurrently with engine updates and with other iterations of the
+// same snapshot. Each iteration runs one pooled enumeration cursor
+// (enumerate.Ropes), whose scratch is recycled frame by frame and goes
+// back to the pool when the iteration ends or is abandoned. Each
+// yielded assignment is a fresh slice the caller owns: in steady state
+// the one allocation per answer, besides the ropes the cursor carves
+// 256 to a slab.
 func (s *Snapshot) Results() iter.Seq[tree.Assignment] {
-	inner := enumerate.Assignments(s.root, s.gamma, s.emptyOK, s.mode)
+	inner := enumerate.Assignments(s.root, s.gamma, s.emptyOK, enumerate.ModeIndexed)
 	if s.reads == nil {
 		return inner
 	}
@@ -110,15 +112,15 @@ func (s *Snapshot) Results() iter.Seq[tree.Assignment] {
 // Results; the ropes are persistent and may be kept and materialized
 // after the iteration.
 func (s *Snapshot) Ropes() iter.Seq[*enumerate.Rope] {
-	return enumerate.Ropes(s.root, s.gamma, s.emptyOK, s.mode)
+	return enumerate.Ropes(s.root, s.gamma, s.emptyOK, enumerate.ModeIndexed)
 }
 
 // Count returns the number of elements Results enumerates. When the
 // snapshot supports direct access (see DirectAccess) this is an
 // O(poly(|Q|)) read of the maintained derivation count — no enumeration
-// happens, regardless of the answer-set size; otherwise it falls back
-// to draining Results once (cached per snapshot). Counts above MaxInt
-// saturate; CountBig is exact.
+// happens, regardless of the answer-set size; otherwise it counts the
+// enumerated ropes once (cached per snapshot, no answer is
+// materialized). Counts above MaxInt saturate; CountBig is exact.
 func (s *Snapshot) Count() int {
 	if s.DirectAccess() {
 		if !s.count.IsInt64() {
@@ -144,9 +146,10 @@ func (s *Snapshot) CountBig() *big.Int {
 // drain counts by enumeration, once per snapshot.
 func (s *Snapshot) drain() int {
 	s.drainOnce.Do(func() {
-		for range s.Results() {
+		for range s.Ropes() {
 			s.drainCount++
 		}
+		s.noteAnswers(s.drainCount)
 	})
 	return s.drainCount
 }
@@ -199,53 +202,25 @@ func (a *sizeAggregate) get(s *Snapshot, sr counting.Semiring[int64]) (int, bool
 
 // DirectAccess reports whether Count, At and Page take the fast paths
 // whose cost is independent of the answer-set size: true when the
-// maintained derivation counts are exact ranks for Results' order —
-// the query automaton passed the registration-time unambiguity check
-// (tva.Unambiguous) in the indexed mode, or the mode is ModeSimple,
-// whose enumeration has exactly one element per derivation by
-// construction. When false, the same methods stay correct but fall
-// back to (partial) enumeration.
-func (s *Snapshot) DirectAccess() bool {
-	if s.count == nil {
-		return false
-	}
-	return s.mode == enumerate.ModeSimple ||
-		(s.mode == enumerate.ModeIndexed && s.unambiguous)
-}
+// maintained derivation counts are exact ranks for Results' order,
+// which holds when the query automaton passed the registration-time
+// unambiguity check (tva.Unambiguous). When false, the same methods
+// stay correct but enumerate: Count counts the answers once per
+// snapshot, and At and Page skip the ranks before the offset.
+func (s *Snapshot) DirectAccess() bool { return s.count != nil && s.unambiguous }
 
-// At returns the j-th element (0-based) of Results, in Results' order,
-// without enumerating the first j: on direct-access snapshots it
-// descends the frozen (box, index, counts) tree in O(log|T|·poly(|Q|))
-// — stateless, so "answer 10⁶" costs the same as "answer 0" and any
-// number of goroutines may read concurrently. On snapshots without
-// direct access (ambiguous automaton, ModeNaive) it falls back to
-// enumerating j+1 elements. Returns an error iff j is out of range.
+// At returns the j-th element (0-based) of Results, in Results' order:
+// on direct-access snapshots one count-guided descent in
+// O(log|T|·poly(|Q|)), so "answer 10⁶" costs the same as "answer 0";
+// otherwise the enumeration skips the first j answers without
+// materializing them. Returns an error iff j is out of range.
 func (s *Snapshot) At(j int) (tree.Assignment, error) {
-	if j < 0 {
-		return nil, fmt.Errorf("engine: rank %d out of range", j)
-	}
-	if s.DirectAccess() {
-		d := enumerate.GetDescender()
-		rope, err := d.AtInt(s.root, s.gamma, s.emptyOK, s.mode, j)
-		enumerate.PutDescender(d)
-		switch {
-		case err == nil:
-			s.noteAnswers(1)
-			return materialize(rope), nil
-		case errors.Is(err, enumerate.ErrRankRange):
-			return nil, fmt.Errorf("engine: rank %d out of range (count %s)", j, s.count)
+	if j >= 0 {
+		if a := s.fillFrom(j, 1, nil); len(a) == 1 {
+			return a[0], nil
 		}
-		// ErrAmbiguous / ErrNoDirectAccess: defensive fall-through to the
-		// enumeration path, which is always correct.
 	}
-	i := 0
-	for a := range s.Results() {
-		if i == j {
-			return a, nil
-		}
-		i++
-	}
-	return nil, fmt.Errorf("engine: rank %d out of range (count %d)", j, i)
+	return nil, fmt.Errorf("engine: rank %d out of range (count %s)", j, s.CountBig())
 }
 
 // materialize turns an enumerated rope into an assignment (nil is the
@@ -257,31 +232,44 @@ func materialize(r *enumerate.Rope) tree.Assignment {
 	return r.Materialize()
 }
 
-// fillFrom writes Results elements from rank offset on into dst with ONE
-// seek — a count-guided descent to the offset — followed by the
-// enumeration itself (enumerate.Descender.RopesFrom), so it costs
-// O(log|T|·poly(|Q|)) + len(dst)·delay, and returns how many it wrote:
-// fewer than len(dst) only past the end. An error means the seek failed
-// (missing direct-access structure or a count inconsistency); callers
-// then take the enumeration path. The bulk readers (Page, ParallelAll
-// and Chunks workers) call it concurrently: each call holds its own
-// pooled cursor, whose scratch goes back to the pool with it. Callers
-// have checked DirectAccess.
-func (s *Snapshot) fillFrom(offset int, dst []tree.Assignment) (int, error) {
-	d := enumerate.GetDescender()
-	defer enumerate.PutDescender(d)
-	ropes, err := d.RopesFromInt(s.root, s.gamma, s.emptyOK, s.mode, offset)
-	if err != nil {
-		return 0, err
+// fillFrom is the one ranked stream behind At, Page, ParallelAll and the
+// Chunks workers: it appends to dst at most limit Results elements from
+// rank offset on, and returns dst — short only past the end. A
+// direct-access snapshot seeks to the offset with one count-guided
+// descent (enumerate.Descender.RopesFromInt) and streams from there,
+// O(log|T|·poly(|Q|)) + limit·delay. Any other snapshot — or a seek
+// that fails on a count inconsistency — runs the enumeration from rank
+// 0 and skips offset ropes without materializing them. Each call holds
+// its own pooled cursor, so the bulk readers call it concurrently.
+func (s *Snapshot) fillFrom(offset, limit int, dst []tree.Assignment) []tree.Assignment {
+	var ropes iter.Seq[*enumerate.Rope]
+	skip := offset
+	if s.DirectAccess() {
+		d := enumerate.GetDescender()
+		defer enumerate.PutDescender(d)
+		seek, err := d.RopesFromInt(s.root, s.gamma, s.emptyOK, enumerate.ModeIndexed, offset)
+		if errors.Is(err, enumerate.ErrRankRange) {
+			return dst
+		}
+		if err == nil {
+			ropes, skip = seek, 0
+		}
 	}
-	n := 0
+	if ropes == nil {
+		ropes = s.Ropes()
+	}
+	n := 0 // ropes enumerated, skipped ones included
 	for r := range ropes {
-		dst[n] = materialize(r)
-		if n++; n == len(dst) {
+		if n++; n <= skip {
+			continue
+		}
+		dst = append(dst, materialize(r))
+		if n-skip == limit {
 			break
 		}
 	}
-	return n, nil
+	s.noteAnswers(n)
+	return dst
 }
 
 // Page returns Results elements [offset, offset+limit) in Results'
@@ -291,39 +279,26 @@ func (s *Snapshot) fillFrom(offset int, dst []tree.Assignment) (int, error) {
 // mean the range ran past the end. On direct-access snapshots a page is
 // one seek to offset plus limit enumeration steps,
 // O(log|T|·poly(|Q|)) + limit·delay, independent of offset; otherwise
-// one enumeration of offset+limit elements.
+// offset skipped and limit materialized enumeration steps.
 func (s *Snapshot) Page(offset, limit int) []tree.Assignment {
 	if offset < 0 || limit <= 0 {
 		return nil
 	}
+	var out []tree.Assignment
 	if s.DirectAccess() {
-		n := min(limit, s.Count()-offset)
-		if n <= 0 {
+		// Only here is the page size known up front; elsewhere the
+		// caller's limit may be far beyond the answer count.
+		limit = min(limit, s.Count()-offset)
+		if limit <= 0 {
 			return nil
 		}
-		out := make([]tree.Assignment, n)
-		if got, err := s.fillFrom(offset, out); err == nil && got == n {
-			s.noteAnswers(n)
-			return out
-		}
-		// Defensive: the seek could not serve the range; enumerate.
+		out = make([]tree.Assignment, 0, limit)
 	}
-	var out []tree.Assignment
-	i := 0
-	for a := range s.Results() {
-		if i >= offset {
-			out = append(out, a)
-			if len(out) == limit {
-				break
-			}
-		}
-		i++
-	}
-	return out
+	return s.fillFrom(offset, limit, out)
 }
 
 // NonEmpty reports whether at least one satisfying assignment exists; by
-// the delay bound it runs in time independent of |T| (indexed mode).
+// the delay bound it runs in time independent of |T|.
 func (s *Snapshot) NonEmpty() bool {
 	for range s.Results() {
 		return true

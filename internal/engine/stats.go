@@ -39,8 +39,8 @@ type EngineStats struct {
 	// building one — each skipped an O(|T|) construction walk and all
 	// future repair (monotone; unregistrations do not decrease it).
 	RegistrationsDeduped int
-	// Workers is the engine's worker-pool bound (Options.Workers /
-	// SetWorkers; the pool additionally never exceeds Queries).
+	// Workers is the engine's worker-pool bound (SetWorkers; the pool
+	// additionally never exceeds Queries).
 	Workers int
 	// PathCopies is the cumulative number of fresh term nodes the source
 	// handed to the engine: the initial build plus every path-copied

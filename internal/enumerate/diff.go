@@ -1,8 +1,6 @@
 package enumerate
 
 import (
-	"slices"
-
 	"repro/internal/bitset"
 	"repro/internal/circuit"
 	"repro/internal/tree"
@@ -91,22 +89,9 @@ func (d *Differ) Diff(oldRoot *IndexedBox, oldGamma bitset.Set, oldEmptyOK bool,
 	for _, a := range d.removed {
 		removed = append(removed, a)
 	}
-	sortByKey(added)
-	sortByKey(removed)
+	tree.SortByKey(added)
+	tree.SortByKey(removed)
 	return added, removed
-}
-
-func sortByKey(as []tree.Assignment) {
-	slices.SortFunc(as, func(a, b tree.Assignment) int {
-		ka, kb := a.Key(), b.Key()
-		switch {
-		case ka < kb:
-			return -1
-		case ka > kb:
-			return 1
-		}
-		return 0
-	})
 }
 
 // emit inserts one candidate into the collector with key cancellation: a

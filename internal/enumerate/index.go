@@ -26,7 +26,9 @@ type IndexedBox struct {
 	Left  *IndexedBox
 	Right *IndexedBox
 	// Index is nil when the wrapper was built without the Definition 6.1
-	// index (ModeNaive / ModeSimple pipelines).
+	// index (withIndex false). The engine always builds it; ModeNaive and
+	// ModeSimple, the baselines that run on the engine's frozen roots,
+	// never read it.
 	Index *BoxIndex
 	// Counts, when counting is enabled, holds the number of circuit
 	// derivations of each local ∪-gate — the Section 4 multiset count of

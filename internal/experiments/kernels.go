@@ -159,14 +159,15 @@ func Kernels(quick bool) KernelsBaseline {
 		})
 	}
 
-	// End to end. Workers=1 keeps the engine single-goroutine, which the
-	// ForceGeneric window requires (the dispatch flags are not
+	// End to end. SetWorkers(1) keeps the engine single-goroutine, which
+	// the ForceGeneric window requires (the dispatch flags are not
 	// synchronized — see its doc comment).
 	ut, err := workload.Tree(workload.ShapeRandom, n, rng)
 	if err != nil {
 		panic(err)
 	}
-	eng := newOneQuery(ut.Clone(), q, engine.Options{Workers: 1})
+	eng := newOneQuery(ut.Clone(), q, engine.Options{})
+	eng.SetWorkers(1)
 	labels := []tree.Label{"a", "b", "c"}
 	var ids []tree.NodeID
 	for _, node := range eng.Tree().Nodes() {

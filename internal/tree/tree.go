@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
+	"strconv"
 	"strings"
 )
 
@@ -138,13 +139,35 @@ func compareSingletons(x, y Singleton) int {
 }
 
 // Key returns a canonical string usable as a map key for set-of-assignment
-// comparisons in tests and oracles. The assignment must be normalized.
+// comparisons: "<node>:<var>;" per singleton, in order. The assignment
+// must be normalized. The bytes are part of the contract — delta
+// streams are ordered by them (SortByKey).
 func (a Assignment) Key() string {
-	var b strings.Builder
+	var stack [64]byte // typical keys never leave the stack
+	buf := stack[:0]
 	for _, s := range a {
-		fmt.Fprintf(&b, "%d:%d;", s.Node, s.Var)
+		buf = strconv.AppendInt(buf, int64(s.Node), 10)
+		buf = append(buf, ':')
+		buf = strconv.AppendUint(buf, uint64(s.Var), 10)
+		buf = append(buf, ';')
 	}
-	return b.String()
+	return string(buf)
+}
+
+// SortByKey sorts assignments by Key, building each key once.
+func SortByKey(as []Assignment) {
+	type keyed struct {
+		key string
+		a   Assignment
+	}
+	ks := make([]keyed, len(as))
+	for i, a := range as {
+		ks[i] = keyed{a.Key(), a}
+	}
+	slices.SortFunc(ks, func(x, y keyed) int { return strings.Compare(x.key, y.key) })
+	for i, k := range ks {
+		as[i] = k.a
+	}
 }
 
 // String renders the assignment as "{⟨X0:n1⟩, ⟨X1:n2⟩}".

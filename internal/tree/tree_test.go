@@ -2,6 +2,7 @@ package tree
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -77,6 +78,41 @@ func TestAssignmentNormalizeAndKey(t *testing.T) {
 	}
 	if a.Key() != "2:0;5:0;5:1;" {
 		t.Fatalf("Key = %q", a.Key())
+	}
+}
+
+// TestAssignmentKeyFormat pins Key's exact bytes, "<node>:<var>;" per
+// singleton: delta streams are ordered by them.
+func TestAssignmentKeyFormat(t *testing.T) {
+	for _, tc := range []struct {
+		a    Assignment
+		want string
+	}{
+		{Assignment{}, ""},
+		{nil, ""},
+		{Assignment{{Var: 0, Node: 0}}, "0:0;"},
+		{Assignment{{Var: 12, Node: 3}}, "3:12;"},
+		{Assignment{{Var: 255, Node: 1234567890}}, "1234567890:255;"},
+		{Assignment{{Var: 1, Node: 0}, {Var: 10, Node: 0}, {Var: 2, Node: 7}, {Var: 0, Node: 41}}, "0:1;0:10;7:2;41:0;"},
+	} {
+		if got := tc.a.Key(); got != tc.want {
+			t.Errorf("%v.Key() = %q, want %q", tc.a, got, tc.want)
+		}
+	}
+}
+
+// TestSortByKey checks that SortByKey orders by Key, with the byte order
+// of the keys (so "10:0;" sorts before "2:0;").
+func TestSortByKey(t *testing.T) {
+	as := []Assignment{{{Var: 0, Node: 2}}, {}, {{Var: 0, Node: 10}}, {{Var: 1, Node: 2}}, {{Var: 0, Node: 1}, {Var: 0, Node: 3}}}
+	SortByKey(as)
+	var got []string
+	for _, a := range as {
+		got = append(got, a.Key())
+	}
+	want := []string{"", "10:0;", "1:0;3:0;", "2:0;", "2:1;"}
+	if !slices.Equal(got, want) {
+		t.Fatalf("SortByKey order %q, want %q", got, want)
 	}
 }
 
