@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"repro/internal/bitset"
+	"repro/internal/slab"
 	"repro/internal/tree"
 	"repro/internal/tva"
 )
@@ -23,8 +24,8 @@ import (
 // rules are flattened once into a shared, immutable Program (leaf-box
 // templates plus dense per-label transition rules — see program.go), and
 // all per-box working state lives in a reusable scratch arena, so
-// LeafBox allocates only the box and its var gates and InnerBox only the
-// box's own immutable arrays. Every box also carries a structural
+// LeafBox allocates only the box header and InnerBox only the box and
+// one slab for its arrays. Every box also carries a structural
 // signature (Box.Sig) that the dynamic engine's signature-pruned repair
 // compares.
 //
@@ -32,7 +33,7 @@ import (
 // InnerBox share the scratch arena. The dynamic engine's parallel write
 // path already gives every per-query pipeline its own Builder and
 // confines it to one worker goroutine per publication, the same
-// discipline as the pipeline's counting.Evaluator; keep any new caller
+// discipline as the pipeline's enumerate.Indexer; keep any new caller
 // inside that assumption or the engine's -race stress tests will trip.
 // The Program behind the builder is immutable and safely shared across
 // builders and goroutines.
@@ -88,10 +89,14 @@ type scratch struct {
 	accLU    [][]int32
 	accRU    [][]int32
 
+	// kind/idx are the box's γ vectors and unions its ∪-gates' input
+	// lists (aliasing the accumulators), in the form layout freezes.
+	kind   []GammaKind
+	idx    []int32
+	unions []UnionInputs
+
 	// timesBuf accumulates the box's ×-gates before the exact-size copy.
 	timesBuf []TimesGate
-	// degree counts ×-gate fan-outs when building the reverse wires.
-	degree []int32
 }
 
 // begin starts a new box: bumps the epoch and sizes the dense tables for
@@ -120,6 +125,15 @@ func (s *scratch) begin(nq, l, r int) {
 		s.accRU = append(s.accRU, make([][]int32, nq-len(s.accRU))...)
 	}
 	s.timesBuf = s.timesBuf[:0]
+	s.unions = s.unions[:0]
+	if cap(s.kind) < nq {
+		s.kind = make([]GammaKind, nq)
+		s.idx = make([]int32, nq)
+	}
+	s.kind, s.idx = s.kind[:nq], s.idx[:nq]
+	for q := range s.idx {
+		s.kind[q], s.idx[q] = GammaBottom, -1
+	}
 }
 
 // growU32 returns a slice of length at least n; a freshly grown tail
@@ -139,28 +153,18 @@ func growI32(s []int32, n int) []int32 {
 }
 
 // LeafBox builds the box B_n for a leaf node n with the given label,
-// following the leaf case of Lemma 3.7. The gate structure comes from
-// the program's precompiled leaf template — shared, immutable slices —
-// so the call allocates only the box and its node-stamped var gates.
+// following the leaf case of Lemma 3.7. A leaf's gates depend on its
+// label only, so the box is a header over the program's shared template
+// for the label: the call allocates the header alone.
 func (bd *Builder) LeafBox(label tree.Label, node tree.NodeID) *Box {
 	lt := bd.prog.leafFor(label)
-	b := &Box{
-		Node:      node,
-		Label:     label,
-		GammaKind: lt.gammaKind,
-		GammaIdx:  lt.gammaIdx,
-		Unions:    lt.unions,
-		VarOut:    lt.varOut,
-		Sig:       lt.sig,
-	}
-	if len(lt.varSets) > 0 {
-		vars := make([]VarGate, len(lt.varSets))
-		for i, set := range lt.varSets {
-			vars[i] = VarGate{Set: set, Node: node}
-		}
-		b.Vars = vars
-	}
-	return b
+	return &Box{Node: node, Label: lt.label, Gates: lt.gates}
+}
+
+// innerUnit is an inner box and its gate data in one allocation.
+type innerUnit struct {
+	box   Box
+	gates Gates
 }
 
 // InnerBox builds the box B_n for an inner node with the given label,
@@ -168,43 +172,38 @@ func (bd *Builder) LeafBox(label tree.Label, node tree.NodeID) *Box {
 // (deduplicated) ×-gate per pair (q1, q2) of child states that some
 // transition uses and whose γ gates are both ∪-gates; alias wires when
 // one side is ⊤. The children are only read, never modified: a box built
-// over already-published children leaves them shareable.
+// over already-published children leaves them shareable. The box takes
+// two allocations: its header with its gate data, and one slab for
+// every array of the gates (see layout).
 func (bd *Builder) InnerBox(label tree.Label, node tree.NodeID, left, right *Box) *Box {
-	nq := bd.prog.numStates
-	b := &Box{Label: label, Node: node, Left: left, Right: right,
-		GammaKind: make([]GammaKind, nq), GammaIdx: make([]int32, nq)}
-	for i := range b.GammaIdx {
-		b.GammaIdx[i] = -1
-	}
+	s := &bd.s
+	s.begin(bd.prog.numStates, len(left.Unions), len(right.Unions))
 	if ip := bd.prog.inner[label]; ip != nil {
-		bd.innerGates(b, ip, left, right)
-	} else {
-		b.WLeft = bitset.NewMatrix(len(left.Unions), 0)
-		b.WRight = bitset.NewMatrix(len(right.Unions), 0)
+		bd.innerGates(ip, left, right)
 	}
-	b.Sig = computeSig(b)
-	return b
+	u := &innerUnit{box: Box{Label: label, Node: node, Left: left, Right: right}}
+	u.box.Gates = &u.gates
+	layout(&u.gates, s.kind, s.idx, nil, s.timesBuf, s.unions, left, right)
+	return &u.box
 }
 
 // innerGates runs the label's transition program over the children's γ
 // vectors, accumulating each 1-state's ∪-gate inputs in the scratch
-// arena, then freezes the box's ×-gates, ∪-gates, wire matrices and
-// reverse wires into exact-size immutable arrays.
-func (bd *Builder) innerGates(b *Box, ip *innerProgram, left, right *Box) {
+// arena, and leaves the box's γ vectors, ×-gates and ∪-gate input lists
+// in the scratch for layout.
+func (bd *Builder) innerGates(ip *innerProgram, left, right *Box) {
 	s := &bd.s
 	nq := bd.prog.numStates
 	l, r := len(left.Unions), len(right.Unions)
-	s.begin(nq, l, r)
 
 	// 0-states: γ is ⊤ iff both children are ⊤ for some transition.
 	for _, t := range ip.zero {
 		if left.GammaKind[t.left] == GammaTop && right.GammaKind[t.right] == GammaTop {
-			b.GammaKind[t.out] = GammaTop
+			s.kind[t.out] = GammaTop
 		}
 	}
 
 	// 1-states: accumulate ×-gates and alias wires per output state.
-	nInputs := 0
 	for _, t := range ip.one {
 		g1k, g2k := left.GammaKind[t.left], right.GammaKind[t.right]
 		if g1k == GammaBottom || g2k == GammaBottom {
@@ -228,14 +227,12 @@ func (bd *Builder) innerGates(b *Box, ip *innerProgram, left, right *Box) {
 			if slot := int(q)*r + int(gi); s.ruEpoch[slot] != s.epoch {
 				s.ruEpoch[slot] = s.epoch
 				s.accRU[q] = append(s.accRU[q], gi)
-				nInputs++
 			}
 		case g2k == GammaTop:
 			gi := left.GammaIdx[t.left]
 			if slot := int(q)*l + int(gi); s.luEpoch[slot] != s.epoch {
 				s.luEpoch[slot] = s.epoch
 				s.accLU[q] = append(s.accLU[q], gi)
-				nInputs++
 			}
 		default:
 			li, ri := left.GammaIdx[t.left], right.GammaIdx[t.right]
@@ -249,127 +246,128 @@ func (bd *Builder) innerGates(b *Box, ip *innerProgram, left, right *Box) {
 			// within each child and the program is duplicate-free, so
 			// distinct rules into q contribute distinct pairs.
 			s.accTimes[q] = append(s.accTimes[q], s.pairVal[slot])
-			nInputs++
 		}
 	}
 
-	// Freeze: exact-size arrays, gates in the canonical order of the old
-	// map-based construction (∪-gates by ascending state, input lists
-	// sorted ascending, ×-gates in first-use order).
-	nU := 0
-	timesRefs := 0
+	// Gates in the canonical order of the map-based construction:
+	// ∪-gates by ascending state, input lists sorted ascending, ×-gates
+	// in first-use order.
 	for q := 0; q < nq; q++ {
-		if s.stateEpoch[q] == s.epoch {
-			nU++
-			timesRefs += len(s.accTimes[q])
+		if s.stateEpoch[q] != s.epoch {
+			continue
+		}
+		slices.Sort(s.accTimes[q])
+		slices.Sort(s.accLU[q])
+		slices.Sort(s.accRU[q])
+		s.kind[q], s.idx[q] = GammaUnion, int32(len(s.unions))
+		s.unions = append(s.unions, UnionInputs{Times: s.accTimes[q], Left: s.accLU[q], Right: s.accRU[q]})
+	}
+}
+
+// layout freezes a box's gates into g: γ vectors, var gates, ×-gates,
+// ∪-gates with their input lists, the reverse wires, and (for an inner
+// box, left != nil) the wire matrices to the children, all carved from
+// one zeroed slab. It also computes the signature. The arguments are
+// only read.
+func layout(g *Gates, kind []GammaKind, idx []int32, vars []VarGate, times []TimesGate, unions []UnionInputs, left, right *Box) {
+	nq, nv, nt, nu := len(kind), len(vars), len(times), len(unions)
+	nIn, nRev := 0, 0
+	for _, x := range unions {
+		nIn += len(x.Vars) + len(x.Times) + len(x.Left) + len(x.Right)
+		nRev += len(x.Vars) + len(x.Times)
+	}
+	nOuts := 0
+	if nv+nt > 0 {
+		nOuts = nv + nt + 1
+	}
+	ints := nq + nIn + nRev + nOuts
+	wl, wr := 0, 0
+	if left != nil {
+		wl, wr = bitset.Words(len(left.Unions), nu), bitset.Words(len(right.Unions), nu)
+	}
+	words := make([]uint64, wl+wr+slab.Words[VarGate](nv)+slab.Words[TimesGate](nt)+
+		slab.Words[UnionGate](nu)+slab.Words[int32](ints)+slab.Words[GammaKind](nq))
+	if left != nil {
+		g.WLeft = bitset.MatrixOn(words[:wl:wl], len(left.Unions), nu)
+		g.WRight = bitset.MatrixOn(words[wl:wl+wr:wl+wr], len(right.Unions), nu)
+	}
+	rest := words[wl+wr:]
+	g.Vars = slab.Carve[VarGate](&rest, nv)
+	copy(g.Vars, vars)
+	g.Times = slab.Carve[TimesGate](&rest, nt)
+	copy(g.Times, times)
+	g.Unions = slab.Carve[UnionGate](&rest, nu)
+	flat := slab.Carve[int32](&rest, ints)
+	g.GammaKind = slab.Carve[GammaKind](&rest, nq)
+	copy(g.GammaKind, kind)
+	g.GammaIdx = flat[:nq:nq]
+	copy(g.GammaIdx, idx)
+	g.inputs = flat[nq : nq+nIn+nRev : nq+nIn+nRev]
+	if nOuts > 0 {
+		g.outs = flat[nq+nIn+nRev:]
+	}
+
+	off := int32(0)
+	put := func(src []int32) int32 {
+		off += int32(copy(g.inputs[off:], src))
+		return off
+	}
+	for u, x := range unions {
+		ug := &g.Unions[u]
+		ug.vars = off
+		ug.times = put(x.Vars)
+		ug.left = put(x.Times)
+		ug.right = put(x.Left)
+		ug.end = put(x.Right)
+		if left != nil {
+			g.WLeft.SetCol(x.Left, u)
+			g.WRight.SetCol(x.Right, u)
 		}
 	}
-	if len(s.timesBuf) > 0 {
-		b.Times = make([]TimesGate, len(s.timesBuf))
-		copy(b.Times, s.timesBuf)
-	}
-	if nU > 0 {
-		b.Unions = make([]UnionGate, nU)
-		// One backing array for every ∪-gate input list AND the ×-gate
-		// reverse wires.
-		flat := make([]int32, nInputs+timesRefs)
-		off := 0
-		take := func(src []int32) []int32 {
-			if len(src) == 0 {
-				return nil
+
+	// Reverse wires by counting sort: outs[k+1] counts the fan-out of
+	// var gate k (×-gate k-nv), the prefix sums turn counts into start
+	// offsets, the fill advances each start to its end, and a shift by
+	// one slot restores the starts.
+	if nOuts > 0 {
+		outs := g.outs
+		for _, x := range unions {
+			for _, v := range x.Vars {
+				outs[v+1]++
 			}
-			dst := flat[off : off+len(src) : off+len(src)]
-			copy(dst, src)
-			off += len(src)
-			return dst
-		}
-		ui := int32(0)
-		for q := 0; q < nq; q++ {
-			if s.stateEpoch[q] != s.epoch {
-				continue
+			for _, t := range x.Times {
+				outs[int32(nv)+t+1]++
 			}
-			slices.Sort(s.accTimes[q])
-			slices.Sort(s.accLU[q])
-			slices.Sort(s.accRU[q])
-			u := &b.Unions[ui]
-			u.Times = take(s.accTimes[q])
-			u.LeftUnions = take(s.accLU[q])
-			u.RightUnions = take(s.accRU[q])
-			b.GammaKind[q] = GammaUnion
-			b.GammaIdx[q] = ui
-			ui++
 		}
-		bd.buildTimesOut(b, flat[off:])
+		outs[0] = off
+		for k := 1; k < nOuts; k++ {
+			outs[k] += outs[k-1]
+		}
+		for u, x := range unions {
+			for _, v := range x.Vars {
+				g.inputs[outs[v]] = int32(u)
+				outs[v]++
+			}
+			for _, t := range x.Times {
+				k := int32(nv) + t
+				g.inputs[outs[k]] = int32(u)
+				outs[k]++
+			}
+		}
+		copy(outs[1:nOuts-1], outs[:nOuts-2])
+		outs[0] = off
 	}
-	b.WLeft, b.WRight = bitset.NewMatrixPair(l, len(b.Unions), r, len(b.Unions))
-	for ui := range b.Unions {
-		u := &b.Unions[ui]
-		b.WLeft.SetCol(u.LeftUnions, ui)
-		b.WRight.SetCol(u.RightUnions, ui)
-	}
+	g.Sig = computeSig(g)
 }
 
-// buildTimesOut fills the ×→∪ reverse wires into the provided backing
-// space (the tail of the box's flat input array).
-func (bd *Builder) buildTimesOut(b *Box, flat []int32) {
-	if len(b.Times) == 0 {
-		return
-	}
-	s := &bd.s
-	s.degree = growI32(s.degree, len(b.Times))
-	for i := range s.degree[:len(b.Times)] {
-		s.degree[i] = 0
-	}
-	for ui := range b.Unions {
-		for _, t := range b.Unions[ui].Times {
-			s.degree[t]++
-		}
-	}
-	b.TimesOut = make([][]int32, len(b.Times))
-	off := 0
-	for t := range b.TimesOut {
-		d := int(s.degree[t])
-		b.TimesOut[t] = flat[off : off : off+d]
-		off += d
-	}
-	for ui := range b.Unions {
-		for _, t := range b.Unions[ui].Times {
-			b.TimesOut[t] = append(b.TimesOut[t], int32(ui))
-		}
-	}
-}
-
-// rebuildWires recomputes the WLeft/WRight matrices from the ∪-gate input
-// lists. Only the direct ∪→∪ alias wires enter these relations: the
-// ∪-reachability of Section 5 follows paths of ∪-gates exclusively, and
-// ×-gates are endpoints (elements of ↓), not conduits. The builder fills
-// wires inline; this method serves hand-assembled boxes in tests.
-func (b *Box) rebuildWires() {
-	if b.IsLeaf() {
-		return
-	}
-	b.WLeft = bitset.NewMatrix(len(b.Left.Unions), len(b.Unions))
-	b.WRight = bitset.NewMatrix(len(b.Right.Unions), len(b.Unions))
-	for ui, u := range b.Unions {
-		b.WLeft.SetCol(u.LeftUnions, ui)
-		b.WRight.SetCol(u.RightUnions, ui)
-	}
-}
-
-// rebuildReverse recomputes the VarOut/TimesOut reverse wire lists (the
-// builder fills them inline; this method serves hand-assembled boxes in
-// tests).
-func (b *Box) rebuildReverse() {
-	b.VarOut = make([][]int32, len(b.Vars))
-	b.TimesOut = make([][]int32, len(b.Times))
-	for ui, u := range b.Unions {
-		for _, v := range u.Vars {
-			b.VarOut[v] = append(b.VarOut[v], int32(ui))
-		}
-		for _, t := range u.Times {
-			b.TimesOut[t] = append(b.TimesOut[t], int32(ui))
-		}
-	}
+// Assemble builds a box from explicit gates — γ vectors, var gates,
+// ×-gates and ∪-gate input lists — deriving the wire matrices, the
+// reverse wires and the signature the way the Builder does. It serves
+// hand-built circuits; left and right are nil for a leaf box.
+func Assemble(node tree.NodeID, left, right *Box, kind []GammaKind, idx []int32, vars []VarGate, times []TimesGate, unions []UnionInputs) *Box {
+	g := &Gates{}
+	layout(g, kind, idx, vars, times, unions, left, right)
+	return &Box{Node: node, Left: left, Right: right, Gates: g}
 }
 
 // Build constructs the assignment circuit of the automaton on the whole
@@ -378,8 +376,7 @@ func (bd *Builder) Build(t *tree.Binary) *Circuit {
 	var rec func(n *tree.BNode) *Box
 	rec = func(n *tree.BNode) *Box {
 		if n.IsLeaf() {
-			b := bd.LeafBox(n.Label, n.ID)
-			return b
+			return bd.LeafBox(n.Label, n.ID)
 		}
 		l := rec(n.Left)
 		r := rec(n.Right)

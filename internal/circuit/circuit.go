@@ -33,12 +33,13 @@ const (
 )
 
 // VarGate is a variable gate of a leaf box. It captures the single
-// assignment {⟨Z:n⟩ | Z ∈ Set}: the leaf Node annotated with exactly Set.
-// Within one box the Set values are distinct, which makes Svar injective
-// as Definition 3.1 requires (all var gates of a box share the same Node).
+// assignment {⟨Z:n⟩ | Z ∈ Set}, where n is the node of the box holding
+// the gate (Box.Node): the node is a property of the box header, not of
+// the gate, which is what lets every leaf box of one label share one
+// set of gates. Within one box the Set values are distinct, which makes
+// Svar injective as Definition 3.1 requires.
 type VarGate struct {
-	Set  tree.VarSet
-	Node tree.NodeID
+	Set tree.VarSet
 }
 
 // TimesGate is a ×-gate. Its inputs are the ∪-gate with local index Left
@@ -49,19 +50,34 @@ type TimesGate struct {
 	Right int32
 }
 
-// UnionGate is a ∪-gate, described by its input lists. Inputs are var- or
-// ×-gates of the same box, or ∪-gates of a child box (the aliasing case of
-// the Lemma 3.7 construction, where a ⊤ sibling makes the ×-gate
-// degenerate to the other child's ∪-gate).
+// UnionGate is a ∪-gate. Its inputs are var- or ×-gates of the same box,
+// or ∪-gates of a child box (the aliasing case of the Lemma 3.7
+// construction, where a ⊤ sibling makes the ×-gate degenerate to the
+// other child's ∪-gate). The four input lists are consecutive runs of
+// the box's flat input array, delimited by these offsets; read them
+// through Gates.UnionVars, UnionTimes, UnionLeft and UnionRight.
 type UnionGate struct {
-	Vars        []int32 // local var-gate inputs (leaf boxes only)
-	Times       []int32 // local ×-gate inputs (inner boxes only)
-	LeftUnions  []int32 // ∪-gate inputs in the left child box
-	RightUnions []int32 // ∪-gate inputs in the right child box
+	vars, times, left, right, end int32
+}
+
+// UnionInputs spells out one ∪-gate's input lists: the form Assemble
+// takes gates in.
+type UnionInputs struct {
+	Vars  []int32 // local var-gate inputs (leaf boxes only)
+	Times []int32 // local ×-gate inputs (inner boxes only)
+	Left  []int32 // ∪-gate inputs in the left child box
+	Right []int32 // ∪-gate inputs in the right child box
 }
 
 // Box is the set of gates mapped to one v-tree node by the structuring
 // function σ. The tree of boxes is isomorphic to the input binary tree.
+//
+// A box is a small per-node header — children, node, label — over its
+// gate data (Gates, embedded so that b.Unions, b.GammaKind and the
+// other gate fields read directly). The gates of a leaf depend on its
+// label only, so every leaf box of one (program, label) points at the
+// program's shared template; an inner box owns its gates, laid out in
+// the same allocation as its header plus one slab.
 //
 // Boxes are immutable once the Builder returns them: a box never changes
 // after construction, and the update machinery replaces boxes along the
@@ -70,16 +86,12 @@ type UnionGate struct {
 // any number of concurrent readers and engine snapshots can share. For
 // the same reason boxes carry no parent pointers: a parent link would
 // have to be rewritten when a new parent is built over a shared child.
-// Immutability also lets boxes SHARE slices: every leaf box of one label
-// aliases its builder's precompiled template arrays (γ vectors, ∪-gates,
-// reverse wires), so none of a Box's slices may ever be written after
-// construction.
 type Box struct {
 	Left  *Box
 	Right *Box
 
-	// Node is the input-tree node this box was built for; leaf boxes use
-	// it to label their var gates.
+	// Node is the input-tree node this box was built for; the var gates
+	// of a leaf box capture assignments to it.
 	Node tree.NodeID
 	// Label is the input-tree label the box was built from (kept for
 	// inspection and debugging). Under signature-pruned repair a reused
@@ -88,6 +100,14 @@ type Box struct {
 	// and γ entry is identical; only this field can lag.
 	Label tree.Label
 
+	*Gates
+}
+
+// Gates is the gate data of a box: everything but the node, the label
+// and the children. It is immutable and may be shared by any number of
+// boxes (every leaf box of a label shares its program's template), so
+// none of its slices may ever be written after construction.
+type Gates struct {
 	Vars   []VarGate
 	Times  []TimesGate
 	Unions []UnionGate
@@ -101,23 +121,66 @@ type Box struct {
 	// WLeft has one row per ∪-gate of Left and one column per ∪-gate of
 	// this box; entry (i, j) is set iff left ∪-gate i is an input of this
 	// box's ∪-gate j. They realize R(child, B) for the enumeration
-	// algorithms. Nil for leaf boxes.
+	// algorithms. Zero for leaf boxes.
 	WLeft  bitset.Matrix
 	WRight bitset.Matrix
 
-	// VarOut[v] (TimesOut[t]) lists the local ∪-gates that have var gate v
-	// (×-gate t) as an input: the reverse wires used when computing the
-	// provenance of ↓-gates in Algorithm 2.
-	VarOut   [][]int32
-	TimesOut [][]int32
+	// inputs holds the ∪-gates' input lists (delimited by the UnionGate
+	// offsets) followed by the reverse wires; outs[k]..outs[k+1] delimit
+	// the reverse wires of var gate k, then of ×-gate k-len(Vars) (see
+	// VarOut and TimesOut).
+	inputs []int32
+	outs   []int32
 
-	// Sig is the structural signature of the box's local gates (γ
-	// vectors, var sets, ×-gates, ∪-gate wiring — NOT the label, node or
-	// children; see computeSig). Boxes with equal signatures over
+	// Sig is the structural signature of the gates (γ vectors, var
+	// sets, ×-gates, ∪-gate wiring — NOT the label, node or children;
+	// see computeSig). Boxes with equal signatures over
 	// pointer-identical children are interchangeable, which is what the
-	// dynamic engine's signature-pruned repair exploits. Zero for
-	// hand-assembled boxes that bypassed the Builder.
+	// dynamic engine's signature-pruned repair exploits.
 	Sig uint64
+}
+
+// UnionVars returns the local var-gate inputs of ∪-gate u.
+func (g *Gates) UnionVars(u int) []int32 {
+	x := &g.Unions[u]
+	return g.inputs[x.vars:x.times:x.times]
+}
+
+// UnionTimes returns the local ×-gate inputs of ∪-gate u.
+func (g *Gates) UnionTimes(u int) []int32 {
+	x := &g.Unions[u]
+	return g.inputs[x.times:x.left:x.left]
+}
+
+// UnionLeft returns the left-child ∪-gate inputs of ∪-gate u.
+func (g *Gates) UnionLeft(u int) []int32 {
+	x := &g.Unions[u]
+	return g.inputs[x.left:x.right:x.right]
+}
+
+// UnionRight returns the right-child ∪-gate inputs of ∪-gate u.
+func (g *Gates) UnionRight(u int) []int32 {
+	x := &g.Unions[u]
+	return g.inputs[x.right:x.end:x.end]
+}
+
+// HasLocal reports whether ∪-gate u has a var- or ×-gate input: whether
+// it is a ↓-gate candidate of Section 5.
+func (g *Gates) HasLocal(u int) bool {
+	x := &g.Unions[u]
+	return x.vars < x.left
+}
+
+// VarOut returns the local ∪-gates that have var gate v as an input:
+// the reverse wires used when computing the provenance of ↓-gates in
+// Algorithm 2.
+func (g *Gates) VarOut(v int) []int32 {
+	return g.inputs[g.outs[v]:g.outs[v+1]:g.outs[v+1]]
+}
+
+// TimesOut returns the local ∪-gates that have ×-gate t as an input.
+func (g *Gates) TimesOut(t int) []int32 {
+	return g.VarOut(len(g.Vars) + t)
 }
 
 // NumUnions returns the number of ∪-gates in the box (its contribution to
@@ -215,9 +278,6 @@ func (c *Circuit) Validate() error {
 				if v.Set.Empty() {
 					return fmt.Errorf("circuit: var gate with empty set in box n%d", b.Node)
 				}
-				if v.Node != b.Node {
-					return fmt.Errorf("circuit: var gate node n%d in box n%d", v.Node, b.Node)
-				}
 				if seen[v.Set] {
 					return fmt.Errorf("circuit: duplicate var gate %v in box n%d (Svar not injective)", v.Set, b.Node)
 				}
@@ -237,31 +297,31 @@ func (c *Circuit) Validate() error {
 				return fmt.Errorf("circuit: ×-gate %d in box n%d has bad right input", ti, b.Node)
 			}
 		}
-		for ui, u := range b.Unions {
-			fanIn := len(u.Vars) + len(u.Times) + len(u.LeftUnions) + len(u.RightUnions)
-			if fanIn == 0 {
+		for ui := range b.Unions {
+			vars, times, lefts, rights := b.UnionVars(ui), b.UnionTimes(ui), b.UnionLeft(ui), b.UnionRight(ui)
+			if len(vars)+len(times)+len(lefts)+len(rights) == 0 {
 				return fmt.Errorf("circuit: ∪-gate %d in box n%d has no inputs", ui, b.Node)
 			}
-			for _, v := range u.Vars {
+			for _, v := range vars {
 				if int(v) >= len(b.Vars) || v < 0 {
 					return fmt.Errorf("circuit: ∪-gate %d in box n%d has bad var input", ui, b.Node)
 				}
 			}
-			for _, tg := range u.Times {
+			for _, tg := range times {
 				if int(tg) >= len(b.Times) || tg < 0 {
 					return fmt.Errorf("circuit: ∪-gate %d in box n%d has bad ×-input", ui, b.Node)
 				}
 			}
-			if b.IsLeaf() && (len(u.LeftUnions) > 0 || len(u.RightUnions) > 0) {
+			if b.IsLeaf() && (len(lefts) > 0 || len(rights) > 0) {
 				return fmt.Errorf("circuit: leaf ∪-gate %d in box n%d has child inputs", ui, b.Node)
 			}
 			if !b.IsLeaf() {
-				for _, l := range u.LeftUnions {
+				for _, l := range lefts {
 					if int(l) >= len(b.Left.Unions) || l < 0 {
 						return fmt.Errorf("circuit: ∪-gate %d in box n%d has bad left ∪-input", ui, b.Node)
 					}
 				}
-				for _, r := range u.RightUnions {
+				for _, r := range rights {
 					if int(r) >= len(b.Right.Unions) || r < 0 {
 						return fmt.Errorf("circuit: ∪-gate %d in box n%d has bad right ∪-input", ui, b.Node)
 					}
@@ -272,13 +332,9 @@ func (c *Circuit) Validate() error {
 		if !b.IsLeaf() {
 			wl := bitset.NewMatrix(len(b.Left.Unions), len(b.Unions))
 			wr := bitset.NewMatrix(len(b.Right.Unions), len(b.Unions))
-			for ui, u := range b.Unions {
-				for _, l := range u.LeftUnions {
-					wl.Set(int(l), ui)
-				}
-				for _, r := range u.RightUnions {
-					wr.Set(int(r), ui)
-				}
+			for ui := range b.Unions {
+				wl.SetCol(b.UnionLeft(ui), ui)
+				wr.SetCol(b.UnionRight(ui), ui)
 			}
 			if !wl.Equal(b.WLeft) || !wr.Equal(b.WRight) {
 				return fmt.Errorf("circuit: box n%d wire matrices out of sync", b.Node)

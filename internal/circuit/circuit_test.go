@@ -222,16 +222,13 @@ func TestEvaluatorExample32(t *testing.T) {
 	// Example 3.2/3.5 of the paper: a ×-gate over {x} and ({y} ∪ {y,z}).
 	// We realize it as a hand-built two-leaf circuit and check the
 	// captured set is {{x,y},{x,y,z}}.
-	leafL := &Box{Node: 0, GammaKind: []GammaKind{GammaUnion}, GammaIdx: []int32{0}}
-	leafL.Vars = []VarGate{{Set: tree.NewVarSet(0), Node: 0}}
-	leafL.Unions = []UnionGate{{Vars: []int32{0}}}
-	leafR := &Box{Node: 1, GammaKind: []GammaKind{GammaUnion}, GammaIdx: []int32{0}}
-	leafR.Vars = []VarGate{{Set: tree.NewVarSet(1), Node: 1}, {Set: tree.NewVarSet(1, 2), Node: 1}}
-	leafR.Unions = []UnionGate{{Vars: []int32{0, 1}}}
-	root := &Box{Node: 2, Left: leafL, Right: leafR, GammaKind: []GammaKind{GammaUnion}, GammaIdx: []int32{0}}
-	root.Times = []TimesGate{{Left: 0, Right: 0}}
-	root.Unions = []UnionGate{{Times: []int32{0}}}
-	root.rebuildWires()
+	union := []GammaKind{GammaUnion}
+	leafL := Assemble(0, nil, nil, union, []int32{0},
+		[]VarGate{{Set: tree.NewVarSet(0)}}, nil, []UnionInputs{{Vars: []int32{0}}})
+	leafR := Assemble(1, nil, nil, union, []int32{0},
+		[]VarGate{{Set: tree.NewVarSet(1)}, {Set: tree.NewVarSet(1, 2)}}, nil, []UnionInputs{{Vars: []int32{0, 1}}})
+	root := Assemble(2, leafL, leafR, union, []int32{0},
+		nil, []TimesGate{{Left: 0, Right: 0}}, []UnionInputs{{Times: []int32{0}}})
 	c := &Circuit{Root: root}
 	if err := c.Validate(); err != nil {
 		t.Fatal(err)

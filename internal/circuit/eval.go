@@ -19,10 +19,9 @@ func NewEvaluator() *Evaluator {
 // VarAssignment returns the single assignment captured by var gate v of
 // box b: {⟨Z:n⟩ | Z ∈ Set}.
 func (e *Evaluator) VarAssignment(b *Box, v int) tree.Assignment {
-	g := b.Vars[v]
 	var out tree.Assignment
-	for _, z := range g.Set.Vars() {
-		out = append(out, tree.Singleton{Var: z, Node: g.Node})
+	for _, z := range b.Vars[v].Set.Vars() {
+		out = append(out, tree.Singleton{Var: z, Node: b.Node})
 	}
 	return out.Normalize()
 }
@@ -55,22 +54,21 @@ func (e *Evaluator) Union(b *Box, u int) map[string]tree.Assignment {
 	// Mark before recursing: the circuit is acyclic, but this keeps the
 	// memo table consistent if the same gate is requested re-entrantly.
 	e.memo[b][u] = out
-	g := b.Unions[u]
-	for _, v := range g.Vars {
+	for _, v := range b.UnionVars(u) {
 		a := e.VarAssignment(b, int(v))
 		out[a.Key()] = a
 	}
-	for _, t := range g.Times {
+	for _, t := range b.UnionTimes(u) {
 		for k, a := range e.Times(b, int(t)) {
 			out[k] = a
 		}
 	}
-	for _, l := range g.LeftUnions {
+	for _, l := range b.UnionLeft(u) {
 		for k, a := range e.Union(b.Left, int(l)) {
 			out[k] = a
 		}
 	}
-	for _, r := range g.RightUnions {
+	for _, r := range b.UnionRight(u) {
 		for k, a := range e.Union(b.Right, int(r)) {
 			out[k] = a
 		}

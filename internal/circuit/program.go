@@ -2,7 +2,6 @@ package circuit
 
 import (
 	"slices"
-	"sort"
 	"sync"
 
 	"repro/internal/bitset"
@@ -15,10 +14,12 @@ import (
 // ι/δ relations — once — into the exact shape the per-box construction
 // consumes:
 //
-//   - per leaf label, a complete leaf-box TEMPLATE: the γ vectors, the
-//     var-gate sets, the ∪-gates and the reverse wires of the box are
-//     label-determined (only VarGate.Node varies), so LeafBox degenerates
-//     to stamping a node ID onto immutable shared slices;
+//   - per leaf label, a complete leaf-box TEMPLATE: the gates of a leaf
+//     box — γ vectors, var gates, ∪-gates, reverse wires — are
+//     label-determined (the node lives in the box header), so LeafBox
+//     degenerates to a header over the shared template. Labels whose
+//     rules yield equal gates share one template, so "same template" is
+//     a pointer compare (LeafReusable);
 //   - per inner label, the transition triples as dense int32 rules,
 //     deduplicated and split into 0-state and 1-state outputs, so
 //     InnerBox runs two tight loops with no map lookups and no
@@ -37,10 +38,10 @@ import (
 type Program struct {
 	numStates int
 	oneStates bitset.Set
-	leaf      map[tree.Label]*leafTemplate
+	leaf      map[tree.Label]leafEntry
 	inner     map[tree.Label]*innerProgram
 	// emptyLeaf serves labels with no initial rules: every state ⊥.
-	emptyLeaf *leafTemplate
+	emptyLeaf *Gates
 
 	// The canonical rule sequences the program was compiled from, kept
 	// for the content-equality check of the cache (gate order follows
@@ -73,17 +74,12 @@ func (p *Program) ContentEqual(q *Program) bool {
 	return p == q || equalProgram(p, q)
 }
 
-// leafTemplate is the label-determined part of a leaf box. All slices
-// are shared verbatim by every box instantiated from the template (boxes
-// are immutable, so sharing is safe); only Vars is rebuilt per box, to
-// stamp the node ID into the var gates.
-type leafTemplate struct {
-	gammaKind []GammaKind
-	gammaIdx  []int32
-	varSets   []tree.VarSet // var-gate sets, in local gate order
-	unions    []UnionGate
-	varOut    [][]int32
-	sig       uint64
+// leafEntry is a leaf label's template (shared with every label whose
+// rules yield equal gates) and the program's own copy of the label
+// string, which leaf boxes carry so they retain no per-box string.
+type leafEntry struct {
+	label tree.Label
+	gates *Gates
 }
 
 // innerRule is one δ triple in dense form.
@@ -95,13 +91,17 @@ type innerProgram struct {
 	zero []innerRule // triples into 0-states: γ is ⊤ iff both children ⊤
 }
 
-// leafFor returns the template for a leaf label.
-func (p *Program) leafFor(label tree.Label) *leafTemplate {
+// leafFor returns the template entry for a leaf label.
+func (p *Program) leafFor(label tree.Label) leafEntry {
 	if lt, ok := p.leaf[label]; ok {
 		return lt
 	}
-	return p.emptyLeaf
+	return leafEntry{label: label, gates: p.emptyLeaf}
 }
+
+// LeafGates returns the shared gate data every leaf box of the label
+// points at.
+func (p *Program) LeafGates(label tree.Label) *Gates { return p.leafFor(label).gates }
 
 // canonicalRules returns the automaton's rule sequences with exact
 // duplicates dropped, preserving first-occurrence order (the old
@@ -133,16 +133,26 @@ func compileProgram(a *tva.Binary, init []tva.InitRule, delta []tva.Triple, fp u
 	p := &Program{
 		numStates: a.NumStates,
 		oneStates: a.OneStates.Clone(),
-		leaf:      map[tree.Label]*leafTemplate{},
+		leaf:      map[tree.Label]leafEntry{},
 		inner:     map[tree.Label]*innerProgram{},
 		init:      init,
 		delta:     delta,
 		fp:        fp,
 	}
-	for _, lt := range groupInitLabels(p.init) {
-		p.leaf[lt.label] = compileLeafTemplate(a, lt.rules)
+	var templates []*Gates
+	shared := func(g *Gates) *Gates {
+		for _, t := range templates {
+			if gatesEqual(t, g) {
+				return t
+			}
+		}
+		templates = append(templates, g)
+		return g
 	}
-	p.emptyLeaf = compileLeafTemplate(a, nil)
+	p.emptyLeaf = shared(compileLeafTemplate(a, nil))
+	for _, lt := range groupInitLabels(p.init) {
+		p.leaf[lt.label] = leafEntry{label: lt.label, gates: shared(compileLeafTemplate(a, lt.rules))}
+	}
 	for _, t := range p.delta {
 		ip := p.inner[t.Label]
 		if ip == nil {
@@ -180,19 +190,19 @@ func groupInitLabels(init []tva.InitRule) []labelRules {
 	return out
 }
 
-// compileLeafTemplate builds the leaf-box template from one label's
-// initial rules, following the leaf case of Lemma 3.7 exactly as the
-// old per-box construction did (same gate order: var gates in first-use
-// order, ∪-gate inputs sorted ascending, ∪-gates in state order).
-func compileLeafTemplate(a *tva.Binary, rules []tva.InitRule) *leafTemplate {
+// compileLeafTemplate builds the leaf-box gates from one label's
+// initial rules, following the leaf case of Lemma 3.7 (var gates in
+// first-use order, ∪-gate inputs sorted ascending, ∪-gates in state
+// order).
+func compileLeafTemplate(a *tva.Binary, rules []tva.InitRule) *Gates {
 	nq := a.NumStates
-	lt := &leafTemplate{
-		gammaKind: make([]GammaKind, nq),
-		gammaIdx:  make([]int32, nq),
+	kind := make([]GammaKind, nq)
+	idx := make([]int32, nq)
+	for i := range idx {
+		idx[i] = -1
 	}
-	for i := range lt.gammaIdx {
-		lt.gammaIdx[i] = -1
-	}
+	var vars []VarGate
+	var unions []UnionInputs
 	varIdx := map[tree.VarSet]int32{}
 	ruleSets := make([][]tree.VarSet, nq)
 	emptyRule := make([]bool, nq)
@@ -207,18 +217,15 @@ func compileLeafTemplate(a *tva.Binary, rules []tva.InitRule) *leafTemplate {
 		if !a.OneStates.Has(q) {
 			// 0-state: ⊤ iff the empty annotation reaches q here.
 			if emptyRule[q] {
-				lt.gammaKind[q] = GammaTop
-			} else {
-				lt.gammaKind[q] = GammaBottom
+				kind[q] = GammaTop
 			}
 			continue
 		}
 		sets := ruleSets[q]
 		if len(sets) == 0 {
-			lt.gammaKind[q] = GammaBottom
 			continue
 		}
-		u := UnionGate{}
+		var in []int32
 		seen := map[tree.VarSet]bool{}
 		for _, y := range sets {
 			if seen[y] {
@@ -227,25 +234,19 @@ func compileLeafTemplate(a *tva.Binary, rules []tva.InitRule) *leafTemplate {
 			seen[y] = true
 			vi, ok := varIdx[y]
 			if !ok {
-				vi = int32(len(lt.varSets))
+				vi = int32(len(vars))
 				varIdx[y] = vi
-				lt.varSets = append(lt.varSets, y)
+				vars = append(vars, VarGate{Set: y})
 			}
-			u.Vars = append(u.Vars, vi)
+			in = append(in, vi)
 		}
-		sort.Slice(u.Vars, func(i, j int) bool { return u.Vars[i] < u.Vars[j] })
-		lt.gammaKind[q] = GammaUnion
-		lt.gammaIdx[q] = int32(len(lt.unions))
-		lt.unions = append(lt.unions, u)
+		slices.Sort(in)
+		kind[q], idx[q] = GammaUnion, int32(len(unions))
+		unions = append(unions, UnionInputs{Vars: in})
 	}
-	lt.varOut = make([][]int32, len(lt.varSets))
-	for ui, u := range lt.unions {
-		for _, v := range u.Vars {
-			lt.varOut[v] = append(lt.varOut[v], int32(ui))
-		}
-	}
-	lt.sig = leafSig(lt)
-	return lt
+	g := &Gates{}
+	layout(g, kind, idx, vars, nil, unions, nil, nil)
+	return g
 }
 
 // ---- structural signatures ----
@@ -268,27 +269,26 @@ func (h *sigHash) mix(x uint64) {
 // signature captures exactly "would this box behave identically over the
 // same children", which is what signature-pruned repair compares (two
 // labels the automaton does not distinguish yield the same signature).
-func computeSig(b *Box) uint64 {
+func computeSig(g *Gates) uint64 {
 	h := sigHash(fnvOffset)
-	h.mix(uint64(len(b.GammaKind)))
-	for q, k := range b.GammaKind {
+	h.mix(uint64(len(g.GammaKind)))
+	for q, k := range g.GammaKind {
 		if k != GammaBottom {
 			h.mix(uint64(q)<<8 | uint64(k))
-			h.mix(uint64(uint32(b.GammaIdx[q])))
+			h.mix(uint64(uint32(g.GammaIdx[q])))
 		}
 	}
-	h.mix(uint64(len(b.Vars)))
-	for _, v := range b.Vars {
+	h.mix(uint64(len(g.Vars)))
+	for _, v := range g.Vars {
 		h.mix(uint64(v.Set))
 	}
-	h.mix(uint64(len(b.Times)))
-	for _, t := range b.Times {
+	h.mix(uint64(len(g.Times)))
+	for _, t := range g.Times {
 		h.mix(uint64(uint32(t.Left))<<32 | uint64(uint32(t.Right)))
 	}
-	h.mix(uint64(len(b.Unions)))
-	for i := range b.Unions {
-		u := &b.Unions[i]
-		for _, lst := range [][]int32{u.Vars, u.Times, u.LeftUnions, u.RightUnions} {
+	h.mix(uint64(len(g.Unions)))
+	for u := range g.Unions {
+		for _, lst := range [][]int32{g.UnionVars(u), g.UnionTimes(u), g.UnionLeft(u), g.UnionRight(u)} {
 			h.mix(uint64(len(lst)))
 			for _, x := range lst {
 				h.mix(uint64(uint32(x)))
@@ -298,52 +298,28 @@ func computeSig(b *Box) uint64 {
 	return uint64(h)
 }
 
-// leafSig computes the template's signature without instantiating a box.
-func leafSig(lt *leafTemplate) uint64 {
-	b := &Box{
-		GammaKind: lt.gammaKind,
-		GammaIdx:  lt.gammaIdx,
-		Unions:    lt.unions,
-		Vars:      make([]VarGate, len(lt.varSets)),
-	}
-	for i, s := range lt.varSets {
-		b.Vars[i] = VarGate{Set: s}
-	}
-	return computeSig(b)
-}
-
 // ShapeEqual reports whether two boxes have identical local gate
 // structure: same γ vectors, var-gate sets, ×-gates and ∪-gate wiring.
 // Node IDs, labels and child pointers are not compared (see computeSig).
 // It is the exact relation Sig approximates. The engine's runtime reuse
-// tests are LeafReusable (leaves: template signature + structural
-// verify) and pointer-equal children + unchanged label (inner boxes);
-// both imply ShapeEqual, which is what the pruned-vs-full differential
-// suite checks box for box over whole published circuits.
-func ShapeEqual(a, b *Box) bool {
-	if len(a.GammaKind) != len(b.GammaKind) || len(a.Vars) != len(b.Vars) ||
-		len(a.Times) != len(b.Times) || len(a.Unions) != len(b.Unions) {
+// tests are LeafReusable (leaves: the label's shared template) and
+// pointer-equal children + unchanged label (inner boxes); both imply
+// ShapeEqual, which is what the pruned-vs-full differential suite checks
+// box for box over whole published circuits.
+func ShapeEqual(a, b *Box) bool { return gatesEqual(a.Gates, b.Gates) }
+
+// gatesEqual is ShapeEqual on gate data.
+func gatesEqual(a, b *Gates) bool {
+	if a == b {
+		return true
+	}
+	if !slices.Equal(a.GammaKind, b.GammaKind) || !slices.Equal(a.GammaIdx, b.GammaIdx) ||
+		!slices.Equal(a.Vars, b.Vars) || !slices.Equal(a.Times, b.Times) || len(a.Unions) != len(b.Unions) {
 		return false
 	}
-	for q := range a.GammaKind {
-		if a.GammaKind[q] != b.GammaKind[q] || a.GammaIdx[q] != b.GammaIdx[q] {
-			return false
-		}
-	}
-	for i := range a.Vars {
-		if a.Vars[i].Set != b.Vars[i].Set {
-			return false
-		}
-	}
-	for i := range a.Times {
-		if a.Times[i] != b.Times[i] {
-			return false
-		}
-	}
-	for i := range a.Unions {
-		ua, ub := &a.Unions[i], &b.Unions[i]
-		if !slices.Equal(ua.Vars, ub.Vars) || !slices.Equal(ua.Times, ub.Times) ||
-			!slices.Equal(ua.LeftUnions, ub.LeftUnions) || !slices.Equal(ua.RightUnions, ub.RightUnions) {
+	for u := range a.Unions {
+		if !slices.Equal(a.UnionVars(u), b.UnionVars(u)) || !slices.Equal(a.UnionTimes(u), b.UnionTimes(u)) ||
+			!slices.Equal(a.UnionLeft(u), b.UnionLeft(u)) || !slices.Equal(a.UnionRight(u), b.UnionRight(u)) {
 			return false
 		}
 	}
@@ -352,46 +328,14 @@ func ShapeEqual(a, b *Box) bool {
 
 // LeafReusable reports whether an existing box can serve as the leaf box
 // for (label, node): exactly when LeafBox(label, node) would build a box
-// with identical gates. The dynamic engine's signature-pruned repair
-// uses this to keep the old (box, index, counts) unit across a relabel
-// that does not change the leaf's γ shape — the common case for labels
-// the query does not distinguish — without building anything.
+// with identical gates. Labels with equal gates share one template, so
+// this is a pointer compare plus the node check. The dynamic engine's
+// signature-pruned repair uses it to keep the old (box, index, counts)
+// unit across a relabel that does not change the leaf's gates — the
+// common case for labels the query does not distinguish — without
+// building anything.
 func (bd *Builder) LeafReusable(b *Box, label tree.Label, node tree.NodeID) bool {
-	if b == nil || !b.IsLeaf() || b.Node != node {
-		return false
-	}
-	lt := bd.prog.leafFor(label)
-	if b.Sig != lt.sig {
-		return false
-	}
-	// Fast path: the box was instantiated from this very template (its γ
-	// slices are the template's).
-	if len(b.GammaKind) > 0 && len(lt.gammaKind) > 0 && &b.GammaKind[0] == &lt.gammaKind[0] {
-		return true
-	}
-	// Signature collision or a box from another builder generation:
-	// verify structurally.
-	if len(b.Vars) != len(lt.varSets) || len(b.Unions) != len(lt.unions) || len(b.Times) != 0 {
-		return false
-	}
-	for q := range b.GammaKind {
-		if b.GammaKind[q] != lt.gammaKind[q] || b.GammaIdx[q] != lt.gammaIdx[q] {
-			return false
-		}
-	}
-	for i := range b.Vars {
-		if b.Vars[i].Set != lt.varSets[i] || b.Vars[i].Node != node {
-			return false
-		}
-	}
-	for i := range b.Unions {
-		ua, ub := &b.Unions[i], &lt.unions[i]
-		if !slices.Equal(ua.Vars, ub.Vars) || len(ua.Times) != 0 ||
-			len(ua.LeftUnions) != 0 || len(ua.RightUnions) != 0 {
-			return false
-		}
-	}
-	return true
+	return b != nil && b.IsLeaf() && b.Node == node && b.Gates == bd.prog.leafFor(label).gates
 }
 
 // ---- program cache ----

@@ -13,15 +13,19 @@
 //   - MinSize / MaxSize (tropical) compute the smallest/largest result
 //     size without producing any result.
 //
-// Because the update machinery rebuilds boxes as fresh objects, a cache
-// keyed by box identity is automatically invalidated exactly on the
-// hollowing trunk: aggregates are maintained under updates with the same
-// O(log n) recomputation as the index. This is the "aggregation on
-// factorized representations" connection the paper draws to [32].
+// A box's values are a function of its gates and its children's values
+// (Folder, one bottom-up step), and the update machinery rebuilds boxes
+// as fresh objects exactly on the hollowing trunk, so aggregates are
+// maintained under updates with the same O(log n) recomputation as the
+// index: the engine folds each fresh box from its children's frozen
+// values. This is the "aggregation on factorized representations"
+// connection the paper draws to [32].
 package counting
 
 import (
 	"math/big"
+	"math/bits"
+	"slices"
 
 	"repro/internal/bitset"
 	"repro/internal/circuit"
@@ -37,159 +41,163 @@ type Semiring[T any] interface {
 }
 
 // Accumulator is an optional Semiring extension for allocation-light
-// folding on the hot path: AddTo and MulAddTo may MUTATE acc (which the
-// evaluator guarantees was produced by Zero/AddTo/MulAddTo within the
-// same per-gate fold and is not yet shared), instead of allocating a
-// fresh value per step like Add/Mul. The returned value replaces acc.
-// Values handed out of the evaluator are still frozen — only the
-// in-flight accumulator is ever mutated.
+// folding: the fold keeps one accumulator per ∪-gate of the box in
+// flight, reuses them from box to box, and freezes their final values
+// into the box's result. Reset, AddTo and MulAddTo may MUTATE acc (which
+// the fold guarantees is one of its own accumulators, never a value it
+// handed out); Freeze must return values that share no storage with the
+// accumulators.
 type Accumulator[T any] interface {
+	Reset(acc T) T          // 0, reusing acc's storage (acc may be the zero T)
 	AddTo(acc, x T) T       // acc + x
 	MulAddTo(acc, a, b T) T // acc + a·b
+	Freeze(accs []T) []T    // frozen copies of accs
 }
 
-// Evaluator computes per-∪-gate semiring values with caching keyed by
-// box identity. Boxes rebuilt by updates get fresh identities, so cached
-// values of untouched subtrees stay valid across updates.
+// Folder computes the values of a box's ∪-gates from the values of its
+// children's ∪-gates: one bottom-up step of evaluating the circuit in a
+// semiring. It is the one fold of the package — the engine calls it once
+// per fresh box and stores the result on the box's frozen wrapper, and
+// Evaluator calls it for every box it caches. A leaf's values depend on
+// its gates alone, so a Folder folds each leaf template once and hands
+// the same frozen slice to every leaf box built from it.
+//
+// CONCURRENCY: a Folder is NOT safe for concurrent use (the accumulators
+// and the leaf cache are shared across calls); confine it like a
+// circuit.Builder. The slices it returns are frozen and may be shared
+// with any number of readers, as long as nobody modifies them.
+type Folder[T any] struct {
+	S      Semiring[T]
+	reset  func(acc T) T
+	addTo  func(acc, x T) T
+	mulAdd func(acc, a, b T) T
+	freeze func(accs []T) []T
+	accs   []T
+	leaves map[*circuit.Gates][]T
+}
+
+// NewFolder returns a folder for the semiring, folding in place when it
+// implements Accumulator.
+func NewFolder[T any](s Semiring[T]) *Folder[T] {
+	f := &Folder[T]{S: s, leaves: map[*circuit.Gates][]T{}}
+	if acc, ok := s.(Accumulator[T]); ok {
+		f.reset, f.addTo, f.mulAdd, f.freeze = acc.Reset, acc.AddTo, acc.MulAddTo, acc.Freeze
+	} else {
+		f.reset = func(T) T { return s.Zero() }
+		f.addTo = s.Add
+		f.mulAdd = func(acc, a, b T) T { return s.Add(acc, s.Mul(a, b)) }
+		f.freeze = slices.Clone[[]T]
+	}
+	return f
+}
+
+// Box returns the values of b's ∪-gates, indexed by local ∪-gate, given
+// the values of the ∪-gates of b's children (nil for a leaf). It returns
+// nil for a box without ∪-gates.
+func (f *Folder[T]) Box(b *circuit.Box, left, right []T) []T {
+	nu := len(b.Unions)
+	if nu == 0 {
+		return nil
+	}
+	if b.IsLeaf() {
+		if v, ok := f.leaves[b.Gates]; ok {
+			return v
+		}
+	}
+	if len(f.accs) < nu {
+		f.accs = append(f.accs, make([]T, nu-len(f.accs))...)
+	}
+	accs := f.accs[:nu]
+	for u := range accs {
+		v := f.reset(accs[u])
+		for _, vi := range b.UnionVars(u) {
+			v = f.addTo(v, f.S.Var(b.Vars[vi]))
+		}
+		for _, ti := range b.UnionTimes(u) {
+			t := b.Times[ti]
+			v = f.mulAdd(v, left[t.Left], right[t.Right])
+		}
+		for _, l := range b.UnionLeft(u) {
+			v = f.addTo(v, left[l])
+		}
+		for _, r := range b.UnionRight(u) {
+			v = f.addTo(v, right[r])
+		}
+		accs[u] = v
+	}
+	vals := f.freeze(accs)
+	if b.IsLeaf() {
+		f.leaves[b.Gates] = vals
+	}
+	return vals
+}
+
+// Total is the value of the whole circuit at a root whose ∪-gate values
+// are vals: the sum over the accepting boxed set γ, plus One when the
+// empty assignment is accepted (the output of
+// circuit.Builder.RootAccepting).
+func Total[T any](s Semiring[T], vals []T, gamma bitset.Set, emptyOK bool) T {
+	v := s.Zero()
+	if emptyOK {
+		v = s.Add(v, s.One())
+	}
+	for u := gamma.Next(0); u >= 0; u = gamma.Next(u + 1) {
+		v = s.Add(v, vals[u])
+	}
+	return v
+}
+
+// Evaluator computes per-∪-gate semiring values of whole circuits, one
+// Folder step per box, caching each box's values by box identity. Boxes
+// rebuilt by updates get fresh identities, so cached values of untouched
+// subtrees stay valid across updates.
 //
 // CONCURRENCY: an Evaluator is NOT safe for concurrent use — every
-// method mutates the cache maps. The dynamic engine's parallel write
-// path therefore confines each Evaluator to one per-query pipeline,
-// touched by exactly one worker goroutine per publication; only the
-// immutable value slices it hands out via UnionsOf are shared with
-// lock-free readers (see that method's contract). The engine's -race
-// churn stress tests enforce this confinement.
+// method may fill the cache. Only the immutable value slices it hands out
+// via UnionsOf may be shared with lock-free readers.
 type Evaluator[T any] struct {
 	S     Semiring[T]
-	cache map[*circuit.Box]boxValues[T]
-	// acc is e.S when it also implements the in-place Accumulator
-	// extension (resolved once at construction, off the hot path).
-	acc Accumulator[T]
-}
-
-// boxValues is one box's cache entry. have guards partially computed
-// slices during recursive evaluation.
-type boxValues[T any] struct {
-	vals []T
-	have []bool
+	fold  *Folder[T]
+	cache map[*circuit.Box][]T
 }
 
 // NewEvaluator returns an evaluator for the semiring.
 func NewEvaluator[T any](s Semiring[T]) *Evaluator[T] {
-	e := &Evaluator[T]{
-		S:     s,
-		cache: map[*circuit.Box]boxValues[T]{},
+	return &Evaluator[T]{S: s, fold: NewFolder(s), cache: map[*circuit.Box][]T{}}
+}
+
+// UnionsOf evaluates every ∪-gate of box b (and, first, of every box
+// below it not yet cached) and returns the values, indexed by local
+// ∪-gate. The slice is frozen (see Folder), so callers may publish it
+// into concurrently read structures as long as they never modify it.
+// Returns nil for boxes without ∪-gates.
+func (e *Evaluator[T]) UnionsOf(b *circuit.Box) []T {
+	if v, ok := e.cache[b]; ok {
+		return v
 	}
-	e.acc, _ = s.(Accumulator[T])
-	return e
+	var l, r []T
+	if !b.IsLeaf() {
+		l, r = e.UnionsOf(b.Left), e.UnionsOf(b.Right)
+	}
+	v := e.fold.Box(b, l, r)
+	e.cache[b] = v
+	return v
 }
 
 // Union returns the value of ∪-gate u of box b.
-func (e *Evaluator[T]) Union(b *circuit.Box, u int) T {
-	bv, ok := e.cache[b]
-	if ok && bv.have[u] {
-		return bv.vals[u]
-	}
-	if !ok {
-		bv = boxValues[T]{vals: make([]T, len(b.Unions)), have: make([]bool, len(b.Unions))}
-		e.cache[b] = bv
-	}
-	g := &b.Unions[u]
-	v := e.S.Zero()
-	if e.acc != nil {
-		for _, vi := range g.Vars {
-			v = e.acc.AddTo(v, e.S.Var(b.Vars[vi]))
-		}
-		for _, ti := range g.Times {
-			tg := b.Times[ti]
-			v = e.acc.MulAddTo(v, e.Union(b.Left, int(tg.Left)), e.Union(b.Right, int(tg.Right)))
-		}
-		for _, l := range g.LeftUnions {
-			v = e.acc.AddTo(v, e.Union(b.Left, int(l)))
-		}
-		for _, r := range g.RightUnions {
-			v = e.acc.AddTo(v, e.Union(b.Right, int(r)))
-		}
-	} else {
-		for _, vi := range g.Vars {
-			v = e.S.Add(v, e.S.Var(b.Vars[vi]))
-		}
-		for _, ti := range g.Times {
-			tg := b.Times[ti]
-			v = e.S.Add(v, e.S.Mul(e.Union(b.Left, int(tg.Left)), e.Union(b.Right, int(tg.Right))))
-		}
-		for _, l := range g.LeftUnions {
-			v = e.S.Add(v, e.Union(b.Left, int(l)))
-		}
-		for _, r := range g.RightUnions {
-			v = e.S.Add(v, e.Union(b.Right, int(r)))
-		}
-	}
-	// Recursive calls insert entries for other boxes only; bv's slices
-	// alias b's cached entry, so writing through bv is writing the cache.
-	bv.vals[u] = v
-	bv.have[u] = true
-	return v
-}
+func (e *Evaluator[T]) Union(b *circuit.Box, u int) T { return e.UnionsOf(b)[u] }
 
 // Gamma evaluates the boxed set of accepting root gates plus the empty
 // assignment flag (the output of circuit.Builder.RootAccepting).
 func (e *Evaluator[T]) Gamma(b *circuit.Box, gamma bitset.Set, emptyOK bool) T {
-	v := e.S.Zero()
-	add := e.S.Add
-	if e.acc != nil {
-		add = e.acc.AddTo
-	}
-	if emptyOK {
-		v = add(v, e.S.One())
-	}
-	gamma.ForEach(func(u int) bool {
-		v = add(v, e.Union(b, u))
-		return true
-	})
-	return v
+	return Total(e.S, e.UnionsOf(b), gamma, emptyOK)
 }
 
-// UnionsOf evaluates every ∪-gate of box b and returns the cached value
-// slice, indexed by local ∪-gate. The slice is owned by the evaluator's
-// cache and is written at most once per box identity, so callers may
-// publish it into frozen, concurrently read structures (the engine
-// stores it on enumerate.IndexedBox wrappers) as long as they never
-// modify it. Returns nil for boxes without ∪-gates.
-func (e *Evaluator[T]) UnionsOf(b *circuit.Box) []T {
-	for u := range b.Unions {
-		e.Union(b, u)
-	}
-	return e.cache[b].vals
-}
-
-// Forget drops the cache entry of one box. The engine calls it when a
-// box retires from the live attachment map, so the writer-side cache
-// tracks the live term the way the attachment maps do; values already
-// published into snapshots are immutable and unaffected.
+// Forget drops the cache entry of one box, so a long-lived evaluator can
+// track a live term whose boxes retire; values already handed out are
+// frozen and unaffected.
 func (e *Evaluator[T]) Forget(b *circuit.Box) {
 	delete(e.cache, b)
-}
-
-// Prune drops cache entries for boxes no longer reachable from root,
-// bounding memory across long update sequences.
-func (e *Evaluator[T]) Prune(root *circuit.Box) {
-	live := map[*circuit.Box]bool{}
-	var walk func(b *circuit.Box)
-	walk = func(b *circuit.Box) {
-		if b == nil {
-			return
-		}
-		live[b] = true
-		walk(b.Left)
-		walk(b.Right)
-	}
-	walk(root)
-	for b := range e.cache {
-		if !live[b] {
-			delete(e.cache, b)
-		}
-	}
 }
 
 // Derivations is the counting semiring (ℕ, +, ×) over big integers:
@@ -211,13 +219,46 @@ func (Derivations) Mul(a, b *big.Int) *big.Int { return new(big.Int).Mul(a, b) }
 // Var returns 1: each var gate captures one assignment once.
 func (Derivations) Var(circuit.VarGate) *big.Int { return big.NewInt(1) }
 
+// Reset implements the Accumulator extension: acc = 0 in place.
+func (Derivations) Reset(acc *big.Int) *big.Int {
+	if acc == nil {
+		return new(big.Int)
+	}
+	return acc.SetInt64(0)
+}
+
 // AddTo implements the Accumulator extension: acc += x in place.
 func (Derivations) AddTo(acc, x *big.Int) *big.Int { return acc.Add(acc, x) }
 
-// MulAddTo implements the Accumulator extension: acc += a·b with one
-// temporary instead of two fresh values.
+// MulAddTo implements the Accumulator extension: acc += a·b in place,
+// without a temporary while every value fits in 64 bits.
 func (Derivations) MulAddTo(acc, a, b *big.Int) *big.Int {
+	if a.IsUint64() && b.IsUint64() && acc.IsUint64() {
+		hi, lo := bits.Mul64(a.Uint64(), b.Uint64())
+		if sum, carry := bits.Add64(acc.Uint64(), lo, 0); hi == 0 && carry == 0 {
+			return acc.SetUint64(sum)
+		}
+	}
 	return acc.Add(acc, new(big.Int).Mul(a, b))
+}
+
+// Freeze implements the Accumulator extension: the copies of one box's
+// counts live in one []big.Int over one shared word backing, so a box's
+// counts cost three allocations whatever their number.
+func (Derivations) Freeze(accs []*big.Int) []*big.Int {
+	words := 0
+	for _, a := range accs {
+		words += len(a.Bits())
+	}
+	ints := make([]big.Int, len(accs))
+	backing := make([]big.Word, words)
+	out := make([]*big.Int, len(accs))
+	for i, a := range accs {
+		n := copy(backing, a.Bits())
+		out[i] = ints[i].SetBits(backing[:n:n])
+		backing = backing[n:]
+	}
+	return out
 }
 
 // sizeInf is the +∞ (resp. -∞) marker for the tropical semirings.

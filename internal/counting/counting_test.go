@@ -24,12 +24,11 @@ func multiset(b *circuit.Box, u int, memo map[*circuit.Box][]map[string]int64) m
 	}
 	out := map[string]int64{}
 	memo[b][u] = out
-	g := b.Unions[u]
 	ev := circuit.NewEvaluator()
-	for _, vi := range g.Vars {
+	for _, vi := range b.UnionVars(u) {
 		out[ev.VarAssignment(b, int(vi)).Key()]++
 	}
-	for _, ti := range g.Times {
+	for _, ti := range b.UnionTimes(u) {
 		tg := b.Times[ti]
 		left := multiset(b.Left, int(tg.Left), memo)
 		right := multiset(b.Right, int(tg.Right), memo)
@@ -42,12 +41,12 @@ func multiset(b *circuit.Box, u int, memo map[*circuit.Box][]map[string]int64) m
 			}
 		}
 	}
-	for _, l := range g.LeftUnions {
+	for _, l := range b.UnionLeft(u) {
 		for k, c := range multiset(b.Left, int(l), memo) {
 			out[k] += c
 		}
 	}
-	for _, r := range g.RightUnions {
+	for _, r := range b.UnionRight(u) {
 		for k, c := range multiset(b.Right, int(r), memo) {
 			out[k] += c
 		}
@@ -198,27 +197,79 @@ func TestGammaEmptyFlag(t *testing.T) {
 	}
 }
 
-// TestPrune checks that pruning drops dead boxes but keeps live values.
-func TestPrune(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	_, c := buildRandom(rng, 2, 4)
-	if c == nil || c.Root == nil {
-		t.Skip("degenerate")
-	}
-	ev := NewEvaluator[bool](Bool{})
-	c.Walk(func(b *circuit.Box) {
-		for u := range b.Unions {
-			ev.Union(b, u)
+// TestFolderSharesLeavesAndFreezes pins the Folder contract the engine
+// relies on: folding every box from its children's values reproduces the
+// Evaluator's values, leaf boxes of one template get the same frozen
+// slice, and the frozen values never alias the fold's accumulators.
+func TestFolderSharesLeavesAndFreezes(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 20; trial++ {
+		_, c := buildRandom(rng, 2, 6)
+		if c == nil || c.Root == nil {
+			continue
 		}
-	})
-	before := len(ev.cache)
-	ev.Prune(c.Root)
-	if len(ev.cache) != before {
-		t.Fatal("prune dropped live boxes")
+		f := NewFolder[*big.Int](Derivations{})
+		ev := NewEvaluator[*big.Int](Derivations{})
+		vals := map[*circuit.Box][]*big.Int{}
+		byGates := map[*circuit.Gates][]*big.Int{}
+		c.Walk(func(b *circuit.Box) {
+			var v []*big.Int
+			if b.IsLeaf() {
+				v = f.Box(b, nil, nil)
+				if prev, ok := byGates[b.Gates]; ok && len(v) > 0 && &prev[0] != &v[0] {
+					t.Fatal("leaves of one template got different count slices")
+				}
+				byGates[b.Gates] = v
+			} else {
+				v = f.Box(b, vals[b.Left], vals[b.Right])
+			}
+			vals[b] = v
+		})
+		c.Walk(func(b *circuit.Box) {
+			want := ev.UnionsOf(b)
+			for u := range b.Unions {
+				if vals[b][u].Cmp(want[u]) != 0 {
+					t.Fatalf("fold of gate %d = %v, evaluator %v", u, vals[b][u], want[u])
+				}
+			}
+		})
+		root := append([]*big.Int(nil), vals[c.Root]...)
+		snapshot := make([]string, len(root))
+		for i, v := range root {
+			snapshot[i] = v.String()
+		}
+		// Further folds reuse the accumulators; frozen values must stay.
+		c.Walk(func(b *circuit.Box) {
+			if !b.IsLeaf() {
+				f.Box(b, vals[b.Left], vals[b.Right])
+			}
+		})
+		for i, v := range root {
+			if v.String() != snapshot[i] {
+				t.Fatal("a later fold changed a frozen value")
+			}
+		}
 	}
-	ev.Prune(nil)
-	if len(ev.cache) != 0 {
-		t.Fatal("prune kept dead boxes")
+}
+
+// TestDerivationsMulAddToOverflow checks the 64-bit fast path of
+// MulAddTo against plain big.Int arithmetic on both sides of the
+// overflow boundary.
+func TestDerivationsMulAddToOverflow(t *testing.T) {
+	max := new(big.Int).SetUint64(^uint64(0))
+	two := big.NewInt(2)
+	for _, c := range [][3]*big.Int{
+		{big.NewInt(5), big.NewInt(6), big.NewInt(7)},
+		{new(big.Int).Sub(max, big.NewInt(1)), big.NewInt(1), big.NewInt(1)},
+		{max, big.NewInt(1), big.NewInt(1)},
+		{big.NewInt(0), max, two},
+		{new(big.Int).Mul(max, max), max, max},
+	} {
+		want := new(big.Int).Add(c[0], new(big.Int).Mul(c[1], c[2]))
+		got := Derivations{}.MulAddTo(new(big.Int).Set(c[0]), c[1], c[2])
+		if got.Cmp(want) != 0 {
+			t.Fatalf("%v + %v·%v = %v, want %v", c[0], c[1], c[2], got, want)
+		}
 	}
 }
 

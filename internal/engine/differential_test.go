@@ -337,10 +337,14 @@ func runDiffScript(t *testing.T, s *diffScript) {
 	}
 }
 
-// checkAgainstOracle compares one snapshot with the oracle's sorted
-// result keys and checks At(j) self-consistency on every rank.
+// checkAgainstOracle deep-validates one snapshot (Snapshot.Validate),
+// compares it with the oracle's sorted result keys and checks At(j)
+// self-consistency on every rank.
 func checkAgainstOracle(t *testing.T, s *diffScript, step int, snap *engine.Snapshot, want []string) {
 	t.Helper()
+	if err := snap.Validate(); err != nil {
+		t.Fatalf("step %d: frozen snapshot invalid: %v\nscript:\n%s", step, err, s)
+	}
 	var drained []tree.Assignment
 	for a := range snap.Results() {
 		drained = append(drained, a)

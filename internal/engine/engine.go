@@ -13,8 +13,8 @@
 //
 //   - N per-query PIPELINES, one per registered query: a circuit
 //     builder for the query's homogenized automaton, the attachment map
-//     from live term nodes to frozen (Box, BoxIndex) units, the counting
-//     evaluator, the unambiguity verdict, and — in each published
+//     from live term nodes to frozen (Box, BoxIndex, counts) units, the
+//     count fold, the unambiguity verdict, and — in each published
 //     snapshot — the γ set of accepting states at the root. Only the
 //     O(log|T|)·poly(|Q|) box and index repair along the hollowing trunk
 //     (Lemma 7.3) scales with the number of queries — and
@@ -63,9 +63,9 @@
 // a shared pipeline is the identity: every twin's Snapshot in a
 // MultiSnapshot is the shared pipeline's snapshot, and Results / Count
 // / At ranks are preserved per query by construction. Unregister
-// decrements the refcount and retires the pipeline — attachments,
-// counting cache, boxes — only when it hits zero; a QueryID leaving
-// while its twin stays live never invalidates the shared structure.
+// decrements the refcount and retires the pipeline — attachments and
+// boxes — only when it hits zero; a QueryID leaving while its twin
+// stays live never invalidates the shared structure.
 // The write path fans out over DISTINCT pipelines (worker scheduling
 // weights by pipelines, not QueryIDs), which is what makes k standing
 // duplicates cost ~1 pipeline per batch. Options.NoDedupe keeps a
@@ -81,7 +81,7 @@
 // writer.
 //
 // GOROUTINE CONFINEMENT. A pipeline — its circuit.Builder, its attach
-// map, its counting.Evaluator, its γ cache — is touched by at most one
+// map, its counting.Folder, its γ cache — is touched by at most one
 // goroutine at a time: exactly one pool worker per publication (the
 // workers partition the pipeline slice), or the registering goroutine
 // before splice-in. Nothing in a pipeline is safe for concurrent use and
@@ -203,15 +203,15 @@ type pipeKey struct {
 // immutable trunk deltas. A pipeline is GOROUTINE-CONFINED: it is
 // mutated by exactly one goroutine at a time (one pool worker per
 // publication, or the registering goroutine before splice-in) and none
-// of its state — builder, attach map, counting evaluator, γ cache — is
+// of its state — builder, indexer, count fold, attach map, γ cache — is
 // safe for concurrent use.
 type pipeline struct {
 	// refs counts the QueryIDs served by this pipeline; the pipeline
-	// retires (attachments dropped, counting cache released) only when
-	// it reaches zero. key/shared record its slot in the engine's
-	// dedupe index (shared is false for Options.NoDedupe pipelines,
-	// which are never dedupe targets). All three are guarded by the
-	// engine mutex, not touched by the worker pool.
+	// retires (attachments dropped) only when it reaches zero.
+	// key/shared record its slot in the engine's dedupe index (shared
+	// is false for Options.NoDedupe pipelines, which are never dedupe
+	// targets). All three are guarded by the engine mutex, not touched
+	// by the worker pool.
 	refs   int
 	key    pipeKey
 	shared bool
@@ -228,15 +228,13 @@ type pipeline struct {
 	// hold their own references and are unaffected.
 	attach map[*forest.Node]*enumerate.IndexedBox
 
-	// counts is the counting-semiring evaluator (Section 4 multiset
-	// remark): per-box derivation counts cached by box identity, so the
-	// hollowing-trunk rebuild invalidates exactly the trunk and count
-	// maintenance rides the same O(log|T|)·poly(|Q|) repair as the
-	// index. attachNode publishes each box's count slice into its frozen
-	// wrapper (IndexedBox.Counts) for the lock-free readers; the
-	// evaluator cache itself is pipeline-owned and tracks the live term
-	// (Forget on retirement).
-	counts *counting.Evaluator[*big.Int]
+	// fold computes the derivation counts of the Section 4 multiset
+	// remark: attachNode folds each fresh box's counts from its
+	// children's wrappers into the box's own frozen wrapper
+	// (IndexedBox.Counts), so count maintenance rides the same
+	// O(log|T|)·poly(|Q|) trunk repair as the index, and the counts of a
+	// retired box go with its wrapper.
+	fold *counting.Folder[*big.Int]
 
 	// unambiguous records the registration-time tva.Unambiguous check:
 	// when set, derivation counts equal answer counts and snapshots take
@@ -263,17 +261,18 @@ type pipeline struct {
 	gammaRoot *circuit.Box
 }
 
-// attachNode builds the frozen (box, index) unit for one term node whose
-// children (if any) are already attached, and records it.
+// attachNode builds the frozen (box, index, counts) unit for one term
+// node whose children (if any) are already attached, and records it.
 func (p *pipeline) attachNode(n *forest.Node) {
 	var ib *enumerate.IndexedBox
 	if n.IsLeaf() {
 		ib = p.indexer.Wrap(p.builder.LeafBox(n.BinaryLabel(), n.TreeID), nil, nil, true)
+		ib.Counts = p.fold.Box(ib.Box, nil, nil)
 	} else {
 		l, r := p.attach[n.Left], p.attach[n.Right]
 		ib = p.indexer.Wrap(p.builder.InnerBox(n.BinaryLabel(), tree.InvalidNode, l.Box, r.Box), l, r, true)
+		ib.Counts = p.fold.Box(ib.Box, l.Counts, r.Counts)
 	}
-	ib.Counts = p.counts.UnionsOf(ib.Box)
 	p.attach[n] = ib
 	p.boxesRebuilt++
 }
@@ -329,22 +328,15 @@ func (p *pipeline) tryReuse(n, prev *forest.Node) *enumerate.IndexedBox {
 // either a signature-pruned REUSE of the superseded node's frozen (box,
 // index, counts) unit (tryReuse) or a fresh rebuild, sharing the
 // wrappers of all untouched subtrees either way (Lemma 7.3); then the
-// retirement cleanup — Forget the counting cache entry and drop the
-// attachment of every node the batch removed from the term (paid here,
-// on the replaying goroutine, not by the writer). Boxes kept alive by
-// reuse skip the Forget: their counts still serve the live attachment.
-// Nodes never attached are a no-op.
+// retirement cleanup — drop the attachment of every node the batch
+// removed from the term (paid here, on the replaying goroutine, not by
+// the writer). Nodes never attached are a no-op.
 func (p *pipeline) replay(delta forest.TrunkDelta) {
-	var kept map[*circuit.Box]bool
 	for i, n := range delta.Fresh {
 		if !p.fullRebuild {
 			if ib := p.tryReuse(n, delta.PrevOf(i)); ib != nil {
 				p.attach[n] = ib
 				p.boxesReused++
-				if kept == nil {
-					kept = make(map[*circuit.Box]bool, len(delta.Fresh))
-				}
-				kept[ib.Box] = true
 				continue
 			}
 		}
@@ -360,12 +352,7 @@ func (p *pipeline) replay(delta forest.TrunkDelta) {
 		}
 	}
 	for _, n := range delta.Retired {
-		if ib, ok := p.attach[n]; ok {
-			if !kept[ib.Box] {
-				p.counts.Forget(ib.Box)
-			}
-			delete(p.attach, n)
-		}
+		delete(p.attach, n)
 	}
 }
 
@@ -391,7 +378,7 @@ func (p *pipeline) applyDelta(delta forest.TrunkDelta, pub pubInfo) *Snapshot {
 	rootIB := p.attach[delta.Root]
 	if p.gammaRoot != rootIB.Box {
 		p.gamma, p.emptyOK = p.builder.RootAccepting(&circuit.Circuit{Root: rootIB.Box})
-		p.count = p.counts.Gamma(rootIB.Box, p.gamma, p.emptyOK)
+		p.count = counting.Total[*big.Int](counting.Derivations{}, rootIB.Counts, p.gamma, p.emptyOK)
 		p.gammaRoot = rootIB.Box
 	}
 	return &Snapshot{
@@ -407,7 +394,7 @@ func (p *pipeline) applyDelta(delta forest.TrunkDelta, pub pubInfo) *Snapshot {
 		pathCopies:       pub.pathCopies,
 		rebalances:       pub.rebalances,
 		translatedStates: p.translatedStates,
-		automatonStates:  p.builder.A.NumStates,
+		builder:          p.builder,
 		reads:            pub.reads,
 	}
 }
@@ -582,7 +569,7 @@ func (e *Engine) register(builder *circuit.Builder, translated int, opts Options
 		key:              key,
 		builder:          builder,
 		attach:           map[*forest.Node]*enumerate.IndexedBox{},
-		counts:           counting.NewEvaluator[*big.Int](counting.Derivations{}),
+		fold:             counting.NewFolder[*big.Int](counting.Derivations{}),
 		translatedStates: translated,
 		fullRebuild:      opts.FullRebuild,
 		// Off-lock: the builder is confined to this goroutine until

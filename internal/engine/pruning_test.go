@@ -69,6 +69,11 @@ func compareBoxTrees(t *testing.T, s *diffScript, step int, pruned, full *engine
 // comparePrunedFull checks one publication pair.
 func comparePrunedFull(t *testing.T, s *diffScript, step int, pruned, full *engine.Snapshot) {
 	t.Helper()
+	for _, snap := range []*engine.Snapshot{pruned, full} {
+		if err := snap.Validate(); err != nil {
+			t.Fatalf("step %d: frozen snapshot invalid: %v\nscript:\n%s", step, err, s)
+		}
+	}
 	compareBoxTrees(t, s, step, pruned, full)
 	ps, fs := drainSeq(pruned), drainSeq(full)
 	if !slices.Equal(ps, fs) {

@@ -48,7 +48,7 @@ type Snapshot struct {
 	emptyOK bool
 
 	// count is the total derivation count at the root (Section 4
-	// multiset remark), folded by the pipeline's counting evaluator at
+	// multiset remark), summed from the root wrapper's counts at
 	// publication; unambiguous records the registration-time
 	// tva.Unambiguous verdict that makes it an exact answer count.
 	count       *big.Int
@@ -61,7 +61,11 @@ type Snapshot struct {
 	pathCopies       int
 	rebalances       int
 	translatedStates int
-	automatonStates  int
+
+	// builder is the pipeline's circuit builder, read only through
+	// Program, RootAccepting and its automaton, which touch none of its
+	// scratch; Validate recomputes γ with it.
+	builder *circuit.Builder
 
 	statsOnce sync.Once
 	stats     Stats
@@ -158,8 +162,8 @@ func (s *Snapshot) drain() int {
 // this version: each satisfying assignment counted once per automaton
 // run witnessing it (the paper's Section 4 multiset semantics, with
 // empty-completion runs collapsed by homogenization). It is maintained
-// under updates by the pipeline's counting evaluator and read here in
-// O(1). For unambiguous automata — reported by DirectAccess — it equals
+// under updates on the frozen wrappers (IndexedBox.Counts) and read
+// here in O(1). For unambiguous automata — reported by DirectAccess — it equals
 // the number of satisfying assignments.
 func (s *Snapshot) Derivations() *big.Int {
 	if s.count == nil {
@@ -340,7 +344,7 @@ func (s *Snapshot) Stats() Stats {
 		u, x, v := c.CountGates()
 		s.stats = Stats{
 			TranslatedStates: s.translatedStates,
-			AutomatonStates:  s.automatonStates,
+			AutomatonStates:  s.builder.A.NumStates,
 			CircuitWidth:     c.Width(),
 			Boxes:            c.NumBoxes(),
 			UnionGates:       u,

@@ -22,7 +22,7 @@ func interesting(b *circuit.Box, r bitset.Matrix) bool {
 		if r.Row(u).Empty() {
 			continue
 		}
-		if len(b.Unions[u].Vars) > 0 || len(b.Unions[u].Times) > 0 {
+		if b.HasLocal(u) {
 			return true
 		}
 	}
@@ -88,9 +88,9 @@ func (d *Descender) stepBoxes(f *frame) {
 			d.pop() // empty relation: nothing below
 			return
 		}
-		r1 := d.mats.Compose(idx.Rel[fib], f.r)
+		r1 := d.mats.Compose(idx.Targets[fib].Rel, f.r)
 		f.kind, f.gamma = frameWalk, gates
-		d.pushBox(idx.Targets[fib], r1, f.sink, true)
+		d.pushBox(f.box.Target(fib), r1, f.sink, true)
 	case frameNaive:
 		f.kind = frameBelow // the children follow the box
 		if interesting(f.box.Box, f.r) {
@@ -108,8 +108,8 @@ func (d *Descender) stepBoxes(f *frame) {
 			d.pop()
 			return
 		}
-		bb := idx.Targets[fbb]
-		rb := d.mats.Compose(idx.Rel[fbb], f.r)
+		bb := f.box.Target(fbb)
+		rb := d.mats.Compose(idx.Targets[fbb].Rel, f.r)
 		r := d.mats.Compose(bb.Box.WLeft, rb)
 		f.box, f.r, f.gamma = bb.Left, r, r.NonEmptyRowsInto(d.mats.Set(r.Rows))
 		d.pushChild(bb.Right, bb.Box.WRight, rb, f.sink)

@@ -195,8 +195,8 @@ func routedVars(b *IndexedBox, g bitset.Set) map[varKey]bool {
 	}
 	out := make(map[varKey]bool, len(bp.Vars))
 	for vi := range bp.Vars {
-		if anyRouted(bp.VarOut[vi], g) {
-			out[varKey{bp.Vars[vi].Set, bp.Vars[vi].Node}] = true
+		if anyRouted(bp.VarOut(vi), g) {
+			out[varKey{bp.Vars[vi].Set, bp.Node}] = true
 		}
 	}
 	return out
@@ -275,7 +275,7 @@ func routedTimes(b *IndexedBox, g bitset.Set) []int32 {
 	bp := b.Box
 	var out []int32
 	for ti := range bp.Times {
-		if anyRouted(bp.TimesOut[ti], g) {
+		if anyRouted(bp.TimesOut(ti), g) {
 			out = append(out, int32(ti))
 		}
 	}

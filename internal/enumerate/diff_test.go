@@ -8,31 +8,26 @@ import (
 	"repro/internal/tree"
 )
 
-// leafBoxFor hand-assembles a leaf box with one var gate per entry,
-// each behind its own ∪-gate (gate i ← var i).
-func leafBoxFor(vars ...circuit.VarGate) *circuit.Box {
-	b := &circuit.Box{Vars: vars}
-	b.Unions = make([]circuit.UnionGate, len(vars))
-	b.VarOut = make([][]int32, len(vars))
-	for i := range vars {
-		b.Unions[i] = circuit.UnionGate{Vars: []int32{int32(i)}}
-		b.VarOut[i] = []int32{int32(i)}
+// leafBoxFor hand-assembles a leaf box for node with one var gate per
+// set, each behind its own ∪-gate (gate i ← var i).
+func leafBoxFor(node tree.NodeID, sets ...tree.VarSet) *circuit.Box {
+	vars := make([]circuit.VarGate, len(sets))
+	unions := make([]circuit.UnionInputs, len(sets))
+	kind := make([]circuit.GammaKind, len(sets))
+	idx := make([]int32, len(sets))
+	for i, s := range sets {
+		vars[i] = circuit.VarGate{Set: s}
+		unions[i] = circuit.UnionInputs{Vars: []int32{int32(i)}}
+		kind[i], idx[i] = circuit.GammaUnion, int32(i)
 	}
-	return b
+	return circuit.Assemble(node, nil, nil, kind, idx, vars, nil, unions)
 }
 
 // productBoxOver hand-assembles an inner box with a single ×-gate
 // pairing ∪-gate 0 of each child, behind ∪-gate 0.
 func productBoxOver(l, r *IndexedBox) *IndexedBox {
-	b := &circuit.Box{
-		Left:     l.Box,
-		Right:    r.Box,
-		Times:    []circuit.TimesGate{{Left: 0, Right: 0}},
-		Unions:   []circuit.UnionGate{{Times: []int32{0}}},
-		TimesOut: [][]int32{{0}},
-		WLeft:    bitset.MatrixOn(make([]uint64, bitset.Words(len(l.Box.Unions), 1)), len(l.Box.Unions), 1),
-		WRight:   bitset.MatrixOn(make([]uint64, bitset.Words(len(r.Box.Unions), 1)), len(r.Box.Unions), 1),
-	}
+	b := circuit.Assemble(tree.InvalidNode, l.Box, r.Box, []circuit.GammaKind{circuit.GammaUnion}, []int32{0},
+		nil, []circuit.TimesGate{{Left: 0, Right: 0}}, []circuit.UnionInputs{{Times: []int32{0}}})
 	return Wrap(b, l, r, true)
 }
 
@@ -57,10 +52,7 @@ func keysOf(as []tree.Assignment) []string {
 // exactly the dropped var route, a nil side drains the other in full,
 // and the emptyOK flag diffs as the empty assignment.
 func TestDifferLeaf(t *testing.T) {
-	b := Wrap(leafBoxFor(
-		circuit.VarGate{Set: 1, Node: 3},
-		circuit.VarGate{Set: 1, Node: 7},
-	), nil, nil, true)
+	b := Wrap(leafBoxFor(3, 1, 2), nil, nil, true)
 	g01 := gset(2, 0, 1)
 	g0 := gset(2, 0)
 
@@ -69,7 +61,7 @@ func TestDifferLeaf(t *testing.T) {
 		t.Fatalf("shared region with equal gates must prune: added %v removed %v", a, r)
 	}
 	a, r := d.Diff(b, g01, false, b, g0, false)
-	if len(a) != 0 || len(r) != 1 || r[0].Key() != "7:0;" {
+	if len(a) != 0 || len(r) != 1 || r[0].Key() != "3:1;" {
 		t.Fatalf("gate narrowing: added %v removed %v", keysOf(a), keysOf(r))
 	}
 	a, r = d.Diff(nil, bitset.NewSet(0), false, b, g0, false)
@@ -86,9 +78,9 @@ func TestDifferLeaf(t *testing.T) {
 // the diff must route through the shared-factor grouping (the other
 // factor is pointer-shared) and emit exactly the old and new products.
 func TestDifferProductSharedFactor(t *testing.T) {
-	l := Wrap(leafBoxFor(circuit.VarGate{Set: 1, Node: 1}), nil, nil, true)
-	r1 := Wrap(leafBoxFor(circuit.VarGate{Set: 2, Node: 2}), nil, nil, true)
-	r2 := Wrap(leafBoxFor(circuit.VarGate{Set: 2, Node: 9}), nil, nil, true)
+	l := Wrap(leafBoxFor(1, 1), nil, nil, true)
+	r1 := Wrap(leafBoxFor(2, 2), nil, nil, true)
+	r2 := Wrap(leafBoxFor(9, 2), nil, nil, true)
 	o := productBoxOver(l, r1)
 	n := productBoxOver(l, r2)
 	g := gset(1, 0)

@@ -279,13 +279,13 @@ outer:
 			// Empty relation: the caller's region count said otherwise.
 			return nil, -1, nil, ErrAmbiguous
 		}
-		b1 := idx.Targets[fib]
-		r1 := d.mats.Compose(idx.Rel[fib], r)
+		b1 := n.Target(fib)
+		r1 := d.mats.Compose(idx.Targets[fib].Rel, r)
 		bp := b1.Box
 
 		// Algorithm 2 at B1, part 1: var gates in ↓(Γ).
 		for vi := range bp.Vars {
-			prov := d.gateProv(r1, bp.VarOut[vi])
+			prov := d.gateProv(r1, bp.VarOut(vi))
 			if prov.Empty() {
 				continue
 			}
@@ -297,8 +297,7 @@ outer:
 			if j.Cmp(wv) < 0 {
 				d.record(frame{kind: frameBelow, box: b1, r: r1, sink: sink})
 				d.record(frame{kind: frameVars, box: b1, r: r1, at: int32(vi + 1), sink: sink})
-				vg := bp.Vars[vi]
-				return d.slab.leaf(vg.Set, vg.Node), col, j, nil
+				return d.slab.leaf(bp.Vars[vi].Set, bp.Node), col, j, nil
 			}
 			j.Sub(j, wv)
 		}
@@ -355,8 +354,8 @@ outer:
 				// Region exhausted with j left over: count inconsistency.
 				return nil, -1, nil, ErrAmbiguous
 			}
-			bb := idx.Targets[fbb]
-			rb := d.mats.Compose(idx.Rel[fbb], r)
+			bb := n.Target(fbb)
+			rb := d.mats.Compose(idx.Targets[fbb].Rel, r)
 			rr := d.mats.Compose(bb.Box.WRight, rb)
 			r = d.mats.Compose(bb.Box.WLeft, rb)
 			if !rr.Empty() {
@@ -489,26 +488,26 @@ func (d *Descender) simpleAtUnion(n *IndexedBox, u int, j *big.Int, sink int32) 
 	if n.Counts == nil && len(n.Box.Unions) > 0 {
 		return nil, ErrNoDirectAccess
 	}
-	g := &n.Box.Unions[u]
-	if j.IsInt64() && j.Int64() < int64(len(g.Vars)) {
-		d.record(frame{kind: frameInputs, cb: n.Box, u: int32(u), at: int32(j.Int64() + 1), sink: sink})
-		vg := n.Box.Vars[g.Vars[j.Int64()]]
-		return d.slab.leaf(vg.Set, vg.Node), nil
+	b := n.Box
+	vars := b.UnionVars(u)
+	if j.IsInt64() && j.Int64() < int64(len(vars)) {
+		d.record(frame{kind: frameInputs, cb: b, u: int32(u), at: int32(j.Int64() + 1), sink: sink})
+		return d.slab.leaf(b.Vars[vars[j.Int64()]].Set, b.Node), nil
 	}
-	j.Sub(j, d.ints.get().SetInt64(int64(len(g.Vars))))
+	j.Sub(j, d.ints.get().SetInt64(int64(len(vars))))
 	// in is the position of the current input in Algorithm 1's order,
 	// recorded for the cursor to resume after.
-	in := len(g.Vars)
+	in := len(vars)
 	blk := d.ints.get()
-	for _, t := range g.Times {
-		tg := n.Box.Times[t]
+	for _, t := range b.UnionTimes(u) {
+		tg := b.Times[t]
 		cl, cr := n.Left.Counts[tg.Left], n.Right.Counts[tg.Right]
 		blk.Mul(cl, cr)
 		if j.Cmp(blk) < 0 {
 			jl, jr := d.ints.get(), d.ints.get()
 			jl.DivMod(j, cr, jr)
-			d.record(frame{kind: frameInputs, cb: n.Box, u: int32(u), at: int32(in + 1), sink: sink})
-			p := d.record(frame{kind: frameSimpleProduct, cb: n.Box, u: t, sink: sink})
+			d.record(frame{kind: frameInputs, cb: b, u: int32(u), at: int32(in + 1), sink: sink})
+			p := d.record(frame{kind: frameSimpleProduct, cb: b, u: t, sink: sink})
 			sl, err := d.simpleAtUnion(n.Left, int(tg.Left), jl, p)
 			if err != nil {
 				return nil, err
@@ -523,35 +522,23 @@ func (d *Descender) simpleAtUnion(n *IndexedBox, u int, j *big.Int, sink int32) 
 		j.Sub(j, blk)
 		in++
 	}
-	for _, l := range g.LeftUnions {
+	for _, l := range b.UnionLeft(u) {
 		c := n.Left.Counts[l]
 		if j.Cmp(c) < 0 {
-			d.record(frame{kind: frameInputs, cb: n.Box, u: int32(u), at: int32(in + 1), sink: sink})
+			d.record(frame{kind: frameInputs, cb: b, u: int32(u), at: int32(in + 1), sink: sink})
 			return d.simpleAtUnion(n.Left, int(l), j, sink)
 		}
 		j.Sub(j, c)
 		in++
 	}
-	for _, r := range g.RightUnions {
+	for _, r := range b.UnionRight(u) {
 		c := n.Right.Counts[r]
 		if j.Cmp(c) < 0 {
-			d.record(frame{kind: frameInputs, cb: n.Box, u: int32(u), at: int32(in + 1), sink: sink})
+			d.record(frame{kind: frameInputs, cb: b, u: int32(u), at: int32(in + 1), sink: sink})
 			return d.simpleAtUnion(n.Right, int(r), j, sink)
 		}
 		j.Sub(j, c)
 		in++
 	}
 	return nil, ErrRankRange
-}
-
-// CountCircuit computes the per-gate derivation counts of a circuit
-// directly (no evaluator cache), for callers outside the engine that
-// wrapped a circuit with WrapCircuit and want direct access on it:
-// fills Counts on every wrapper bottom-up.
-func CountCircuit(root *IndexedBox, count func(b *circuit.Box) []*big.Int) {
-	root.Walk(func(n *IndexedBox) {
-		if n.Counts == nil {
-			n.Counts = count(n.Box)
-		}
-	})
 }

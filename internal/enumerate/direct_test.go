@@ -11,10 +11,22 @@ import (
 	"repro/internal/tva"
 )
 
+// fillCounts folds per-box derivation counts onto every wrapper
+// bottom-up with counting.Folder, the way the engine does.
+func fillCounts(root *IndexedBox) {
+	f := counting.NewFolder[*big.Int](counting.Derivations{})
+	root.Walk(func(n *IndexedBox) {
+		if n.IsLeaf() {
+			n.Counts = f.Box(n.Box, nil, nil)
+		} else {
+			n.Counts = f.Box(n.Box, n.Left.Counts, n.Right.Counts)
+		}
+	})
+}
+
 // countedCircuit builds a random circuit, wraps it with the index, and
-// fills per-box derivation counts through counting.Evaluator — the same
-// wiring the engine uses — returning also whether the homogenized
-// automaton is unambiguous.
+// fills per-box derivation counts (fillCounts), returning also whether
+// the homogenized automaton is unambiguous.
 func countedCircuit(rng *rand.Rand, states, leaves int) (root *IndexedBox, unamb bool, bd *circuit.Builder, c *circuit.Circuit) {
 	raw := tva.RandomBinary(rng, states, alphaAB, tree.NewVarSet(0, 1), 0.4)
 	a := raw.Homogenize()
@@ -31,8 +43,7 @@ func countedCircuit(rng *rand.Rand, states, leaves int) (root *IndexedBox, unamb
 		return nil, false, nil, nil
 	}
 	root = BuildIndex(c)
-	ev := counting.NewEvaluator[*big.Int](counting.Derivations{})
-	CountCircuit(root, ev.UnionsOf)
+	fillCounts(root)
 	return root, a.Unambiguous(), bd, c
 }
 

@@ -234,13 +234,12 @@ func (d *Descender) stepVars(f *frame, i int32) (*Rope, bitset.Set, bool) {
 	bp := f.box.Box
 	for vi := int(f.at); vi < len(bp.Vars); vi++ {
 		d.mats.Release(f.mark) // the previous output's scratch
-		prov := d.gateProv(f.r, bp.VarOut[vi])
+		prov := d.gateProv(f.r, bp.VarOut(vi))
 		if prov.Empty() {
 			continue
 		}
 		f.at = int32(vi + 1)
-		vg := bp.Vars[vi]
-		return d.route(f.sink, d.slab.leaf(vg.Set, vg.Node), prov)
+		return d.route(f.sink, d.slab.leaf(bp.Vars[vi].Set, bp.Node), prov)
 	}
 	d.mats.Release(f.mark)
 	if len(bp.Times) > 0 {
@@ -263,7 +262,7 @@ func (d *Descender) timesDown(bp *circuit.Box, r bitset.Matrix) (provT bitset.Ma
 	gammaL = d.mats.Set(len(bp.Left.Unions))
 	for ti, t := range bp.Times {
 		p := provT.Row(ti)
-		for _, u := range bp.TimesOut[ti] {
+		for _, u := range bp.TimesOut(ti) {
 			p.Or(r.Row(int(u)))
 		}
 		if !p.Empty() {

@@ -1,11 +1,14 @@
 package enumerate
 
 import (
+	"errors"
+	"fmt"
 	"math/big"
 	"slices"
 
 	"repro/internal/bitset"
 	"repro/internal/circuit"
+	"repro/internal/slab"
 )
 
 // IndexedBox pairs an immutable circuit box with the enumerate-layer
@@ -20,7 +23,10 @@ import (
 // index along a hollowing trunk by building fresh IndexedBox nodes over
 // the fresh boxes while reusing the wrappers of all untouched subtrees
 // (Lemma 7.3). Any number of goroutines may enumerate from the same
-// IndexedBox concurrently.
+// IndexedBox concurrently. Every term leaf has its own wrapper (the
+// engine's reuse tests and the Differ compare wrapper pointers), but
+// the index and counts of a leaf depend on its gates only and are
+// shared between leaves.
 type IndexedBox struct {
 	Box   *circuit.Box
 	Left  *IndexedBox
@@ -30,19 +36,30 @@ type IndexedBox struct {
 	// ModeSimple, the baselines that run on the engine's frozen roots,
 	// never read it.
 	Index *BoxIndex
-	// Counts, when counting is enabled, holds the number of circuit
-	// derivations of each local ∪-gate — the Section 4 multiset count of
-	// (run, valuation) pairs, computed by counting.Derivations — indexed
-	// by local ∪-gate. It is the per-box state of the direct-access
-	// descent (direct.go). Like everything else reachable from the
-	// wrapper it is frozen: the engine fills it before the wrapper is
-	// shared and nothing may mutate it (or the big.Ints inside) after.
-	// Nil when counting is disabled or the box has no ∪-gates.
+	// Counts holds the number of circuit derivations of each local
+	// ∪-gate — the Section 4 multiset count of (run, valuation) pairs,
+	// computed by counting.Derivations from the children's Counts —
+	// indexed by local ∪-gate. It is the per-box state of the
+	// direct-access descent (direct.go). Like everything else reachable
+	// from the wrapper it is frozen: the engine fills it before the
+	// wrapper is shared and nothing may mutate it (or the big.Ints
+	// inside) after; leaves of one template share one slice. Nil when
+	// counting is disabled or the box has no ∪-gates.
 	Counts []*big.Int
 }
 
 // IsLeaf reports whether the wrapped box is a leaf of the tree of boxes.
 func (n *IndexedBox) IsLeaf() bool { return n.Left == nil }
+
+// Target returns the wrapper at target position i of n's index.
+// Position 0 is n itself, which the index does not store: that is what
+// makes a leaf's index independent of its node, and shareable.
+func (n *IndexedBox) Target(i int16) *IndexedBox {
+	if i == 0 {
+		return n
+	}
+	return n.Index.Targets[i].Box
+}
 
 // Walk visits every wrapper bottom-up (children before parents).
 func (n *IndexedBox) Walk(f func(*IndexedBox)) {
@@ -55,17 +72,21 @@ func (n *IndexedBox) Walk(f func(*IndexedBox)) {
 }
 
 // Indexer builds IndexedBox wrappers. It owns the reusable construction
-// scratch (raw per-gate tables, seed buffers, child position maps), so a
-// long-lived Indexer — one per engine pipeline — makes per-box index
-// repair allocate only the frozen result arrays. The zero value is
-// ready to use.
+// scratch (raw per-gate tables, seed buffers, child position maps) and
+// the shared leaf indexes, so a long-lived Indexer — one per engine
+// pipeline — makes per-box index repair allocate only the frozen
+// result. The zero value is ready to use.
 //
 // CONCURRENCY: an Indexer is NOT safe for concurrent use (the scratch is
 // shared across calls); confine it like a circuit.Builder. The wrappers
 // it returns are immutable and freely shareable.
 type Indexer struct {
-	rawFib   []targetKey
-	rawFbb   []rawFbbVal
+	rawFib []targetKey
+	rawFbb []rawFbbVal
+	// seeds collects the targets of the box being indexed; once sorted
+	// it locates each target position (side 0 = the box itself, 1 = a
+	// target of the left child, 2 = of the right child; ci is the
+	// child-level position).
 	seeds    []targetKey
 	leftPos  []int16
 	rightPos []int16
@@ -75,18 +96,34 @@ type Indexer struct {
 	// keeps a previous index generation's backing arrays alive.
 	batchDst []bitset.Matrix
 	batchSrc []bitset.Matrix
+	// leaves[nu] is the index every leaf with nu ∪-gates shares.
+	leaves []*BoxIndex
+}
+
+// indexedUnit is an inner wrapper and its index in one allocation.
+type indexedUnit struct {
+	ib  IndexedBox
+	idx BoxIndex
 }
 
 // Wrap builds the IndexedBox for a box whose children wrappers are given
 // (nil for leaf boxes); left and right must wrap b.Left and b.Right.
 // With withIndex set, the children must have been wrapped with an index
 // too, and the box's part of I(C) is computed from theirs (Lemma 6.3).
+// An indexed inner wrapper takes three allocations: the wrapper with
+// its index, the target list, and one slab for the relations and the
+// position tables; a leaf wrapper takes one.
 func (ix *Indexer) Wrap(b *circuit.Box, left, right *IndexedBox, withIndex bool) *IndexedBox {
-	n := &IndexedBox{Box: b, Left: left, Right: right}
-	if withIndex {
-		n.Index = ix.buildBoxIndex(n)
+	switch {
+	case !withIndex:
+		return &IndexedBox{Box: b, Left: left, Right: right}
+	case left == nil:
+		return &IndexedBox{Box: b, Index: ix.leafIndex(len(b.Unions))}
 	}
-	return n
+	u := &indexedUnit{ib: IndexedBox{Box: b, Left: left, Right: right}}
+	u.ib.Index = &u.idx
+	ix.buildBoxIndex(&u.ib)
+	return &u.ib
 }
 
 // Wrap is Indexer.Wrap with one-shot scratch, for callers without a
@@ -116,14 +153,15 @@ func BuildIndex(c *circuit.Circuit) *IndexedBox { return WrapCircuit(c, true) }
 // BoxIndex is the per-box part of the index structure I(C) of Definition
 // 6.1. For each box B it stores:
 //
-//   - a list of target boxes: the boxes of the form fib(g) or fbb(g) for
+//   - a list of targets: the boxes of the form fib(g) or fbb(g) for
 //     ∪-gates g of B, closed under pairwise least common ancestors and
 //     sorted by preorder of the tree of boxes (the "linear order implied
-//     by preorder over 𝔅′" of Definition 6.1);
-//   - the reachability relation R(B*, B) for every target B* (Lemma 6.3);
-//   - the pairwise-lca table over the targets — row-major in one flat
-//     array, read through Lca(i, j) — which also answers ancestor
-//     queries (A ancestor of B iff lca(A,B) = A);
+//     by preorder over 𝔅′" of Definition 6.1), each with the
+//     reachability relation R(B*, B) (Lemma 6.3); position 0 is always
+//     B itself;
+//   - the pairwise-lca table over the targets, read through Lca(i, j),
+//     which also answers ancestor queries (A ancestor of B iff
+//     lca(A,B) = A);
 //   - per ∪-gate g: fib(g) as a target position, and the pair
 //     (FbbF, FbbE) summarizing the ∪-path structure below g. FbbE is the
 //     deepest box of g's unbranched descent path; FbbF is the first
@@ -135,26 +173,82 @@ func BuildIndex(c *circuit.Circuit) *IndexedBox { return WrapCircuit(c, true) }
 //
 // Everything is computed bottom-up from the children's BoxIndex values
 // (Lemma 6.3), which is what makes the index repairable along a hollowing
-// trunk after updates (Lemma 7.3).
+// trunk after updates (Lemma 7.3). The relations and the position
+// tables of one index live on one slab. A leaf's index depends only on
+// its number of ∪-gates, so leaves share it.
 type BoxIndex struct {
-	Targets []*IndexedBox
-	// locs locates each target: side 0 = the box itself (always target
-	// 0), 1 = a target of the left child, 2 = of the right child; ci is
-	// the child-level target position.
-	locs []targetKey
+	Targets []Target
+	lca     []int16 // row-major len(Targets)² table; see Lca
+	gates   []int16 // Fib, then FbbF, then FbbE, one entry per ∪-gate each
+}
 
-	Rel []bitset.Matrix // Rel[i] = R(Targets[i], B); rows Targets[i].Unions, cols B.Unions
-	lca []int16         // row-major len(Targets)² table; see Lca
+// Target is one entry of a BoxIndex's target list.
+type Target struct {
+	// Box is the target's wrapper; nil at position 0, the wrapper the
+	// index belongs to (read targets through IndexedBox.Target).
+	Box *IndexedBox
+	// Rel is R(target, B): rows are the target's ∪-gates, columns B's.
+	Rel bitset.Matrix
+}
 
-	Fib  []int16 // per ∪-gate: target position of fib(g)
-	FbbF []int16 // per ∪-gate: target position of fbb(g), -1 if undefined
-	FbbE []int16 // per ∪-gate: target position of the end of g's unbranched descent
+// CheckIndex verifies the shape of n's index: one fib/fbb entry per
+// ∪-gate of the box, every target position in range, position 0 not
+// stored and every other target present, each relation sized (target's
+// ∪-gates) × (box's ∪-gates), and an lca table that is symmetric, has
+// Lca(i, i) = i, and puts the box itself (position 0) above every
+// target.
+func (n *IndexedBox) CheckIndex() error {
+	idx := n.Index
+	if idx == nil {
+		return errors.New("enumerate: wrapper has no index")
+	}
+	nt, nu := len(idx.Targets), len(n.Box.Unions)
+	if nt == 0 || len(idx.lca) != nt*nt || len(idx.gates) != 3*nu {
+		return fmt.Errorf("enumerate: index sized for %d targets and %d gates, box has %d ∪-gates", nt, len(idx.gates)/3, nu)
+	}
+	if idx.Targets[0].Box != nil {
+		return errors.New("enumerate: index stores target position 0")
+	}
+	inRange := func(p int16) bool { return p >= 0 && int(p) < nt }
+	for i := range nt {
+		t := n.Target(int16(i))
+		if t == nil {
+			return fmt.Errorf("enumerate: target %d missing", i)
+		}
+		if rel := idx.Targets[i].Rel; rel.Rows != len(t.Box.Unions) || rel.Cols != nu {
+			return fmt.Errorf("enumerate: relation of target %d is %d×%d, want %d×%d", i, rel.Rows, rel.Cols, len(t.Box.Unions), nu)
+		}
+		for j := range nt {
+			l := idx.Lca(int16(i), int16(j))
+			if !inRange(l) || l != idx.Lca(int16(j), int16(i)) {
+				return fmt.Errorf("enumerate: lca(%d, %d) = %d is out of range or asymmetric", i, j, l)
+			}
+		}
+		if idx.Lca(int16(i), int16(i)) != int16(i) || idx.Lca(0, int16(i)) != 0 {
+			return fmt.Errorf("enumerate: lca table wrong on the diagonal or the box row at %d", i)
+		}
+	}
+	for g := range nu {
+		if f := idx.FbbF(g); !inRange(idx.Fib(g)) || !inRange(idx.FbbE(g)) || (f != -1 && !inRange(f)) {
+			return fmt.Errorf("enumerate: fib/fbb of gate %d out of range", g)
+		}
+	}
+	return nil
 }
 
 // Lca returns the target position of lca(Targets[i], Targets[j]).
 func (idx *BoxIndex) Lca(i, j int16) int16 {
 	return idx.lca[int(i)*len(idx.Targets)+int(j)]
 }
+
+// Fib returns the target position of fib(g) for ∪-gate g.
+func (idx *BoxIndex) Fib(g int) int16 { return idx.gates[g] }
+
+// FbbF returns the target position of fbb(g), -1 if undefined.
+func (idx *BoxIndex) FbbF(g int) int16 { return idx.gates[len(idx.gates)/3+g] }
+
+// FbbE returns the target position of the end of g's unbranched descent.
+func (idx *BoxIndex) FbbE(g int) int16 { return idx.gates[2*len(idx.gates)/3+g] }
 
 // targetKey identifies a prospective target during construction.
 type targetKey struct {
@@ -169,25 +263,33 @@ type rawFbbVal struct {
 	f, e int16
 }
 
-// buildBoxIndex computes the index for one wrapper from its children's
-// indexes (which must already be built).
-func (ix *Indexer) buildBoxIndex(n *IndexedBox) *BoxIndex {
+// leafIndex returns the shared index of leaves with nu ∪-gates: the box
+// itself is the only target, with the identity relation; every fib and
+// FbbE is the box, every fbb undefined.
+func (ix *Indexer) leafIndex(nu int) *BoxIndex {
+	if nu < len(ix.leaves) && ix.leaves[nu] != nil {
+		return ix.leaves[nu]
+	}
+	words := make([]uint64, bitset.Words(nu, nu)+slab.Words[int16](1+3*nu))
+	rel := bitset.IdentityOn(words[:bitset.Words(nu, nu)], nu)
+	rest := words[bitset.Words(nu, nu):]
+	tab := slab.Carve[int16](&rest, 1+3*nu)
+	idx := &BoxIndex{Targets: []Target{{Rel: rel}}, lca: tab[:1:1], gates: tab[1:]}
+	for g := range nu {
+		idx.gates[nu+g] = -1
+	}
+	if nu >= len(ix.leaves) {
+		ix.leaves = append(ix.leaves, make([]*BoxIndex, nu+1-len(ix.leaves))...)
+	}
+	ix.leaves[nu] = idx
+	return idx
+}
+
+// buildBoxIndex computes the index of an inner wrapper (n.Index, not
+// yet filled) from its children's indexes, which must already be built.
+func (ix *Indexer) buildBoxIndex(n *IndexedBox) {
 	b := n.Box
 	nu := len(b.Unions)
-	if n.IsLeaf() {
-		idx := &BoxIndex{
-			Targets: []*IndexedBox{n},
-			locs:    []targetKey{{0, 0}},
-			Rel:     []bitset.Matrix{bitset.Identity(nu)},
-			lca:     []int16{0},
-		}
-		flat := make([]int16, 3*nu)
-		idx.Fib, idx.FbbF, idx.FbbE = flat[:nu:nu], flat[nu:2*nu:2*nu], flat[2*nu:]
-		for g := 0; g < nu; g++ {
-			idx.FbbF[g] = -1 // Fib and FbbE stay 0: the box itself
-		}
-		return idx
-	}
 	li := n.Left.Index
 	ri := n.Right.Index
 
@@ -199,23 +301,22 @@ func (ix *Indexer) buildBoxIndex(n *IndexedBox) *BoxIndex {
 	rawFib := ix.rawFib[:nu]
 	rawFbb := ix.rawFbb[:nu]
 	for g := 0; g < nu; g++ {
-		u := &b.Unions[g]
-		hasLocal := len(u.Vars)+len(u.Times) > 0
+		lefts, rights := b.UnionLeft(g), b.UnionRight(g)
 		switch {
-		case hasLocal:
+		case b.HasLocal(g):
 			rawFib[g] = targetKey{0, 0}
-		case len(u.LeftUnions) > 0:
+		case len(lefts) > 0:
 			best := int16(-1)
-			for _, cg := range u.LeftUnions {
-				if f := li.Fib[cg]; best < 0 || f < best {
+			for _, cg := range lefts {
+				if f := li.Fib(int(cg)); best < 0 || f < best {
 					best = f
 				}
 			}
 			rawFib[g] = targetKey{1, best}
-		case len(u.RightUnions) > 0:
+		case len(rights) > 0:
 			best := int16(-1)
-			for _, cg := range u.RightUnions {
-				if f := ri.Fib[cg]; best < 0 || f < best {
+			for _, cg := range rights {
+				if f := ri.Fib(int(cg)); best < 0 || f < best {
 					best = f
 				}
 			}
@@ -226,31 +327,16 @@ func (ix *Indexer) buildBoxIndex(n *IndexedBox) *BoxIndex {
 			panic("enumerate: ∪-gate with no inputs")
 		}
 
-		hasL, hasR := len(u.LeftUnions) > 0, len(u.RightUnions) > 0
 		switch {
-		case hasL && hasR:
+		case len(lefts) > 0 && len(rights) > 0:
 			rawFbb[g] = rawFbbVal{0, 0, 0} // bidirectional at b itself
-		case !hasL && !hasR:
+		case len(lefts) == 0 && len(rights) == 0:
 			rawFbb[g] = rawFbbVal{0, -1, 0} // ∪-paths end here
-		case hasL:
-			f, e := int16(-1), int16(-1)
-			for _, cg := range u.LeftUnions {
-				if e < 0 {
-					f, e = li.FbbF[cg], li.FbbE[cg]
-				} else {
-					f, e = li.combineFbb(f, e, li.FbbF[cg], li.FbbE[cg])
-				}
-			}
+		case len(lefts) > 0:
+			f, e := li.foldFbb(lefts)
 			rawFbb[g] = rawFbbVal{1, f, e}
 		default:
-			f, e := int16(-1), int16(-1)
-			for _, cg := range u.RightUnions {
-				if e < 0 {
-					f, e = ri.FbbF[cg], ri.FbbE[cg]
-				} else {
-					f, e = ri.combineFbb(f, e, ri.FbbF[cg], ri.FbbE[cg])
-				}
-			}
+			f, e := ri.foldFbb(rights)
 			rawFbb[g] = rawFbbVal{2, f, e}
 		}
 	}
@@ -300,15 +386,11 @@ func (ix *Indexer) buildBoxIndex(n *IndexedBox) *BoxIndex {
 	}
 	ix.seeds = seeds
 
-	// Step 4: materialize targets, position maps, relations. The Rel
-	// matrices all live on one backing allocation.
+	// Step 4: materialize targets, position maps, relations. The
+	// relations and the position tables share one slab.
 	nt := len(seeds)
-	idx := &BoxIndex{
-		Targets: make([]*IndexedBox, nt),
-		locs:    make([]targetKey, nt),
-		Rel:     make([]bitset.Matrix, nt),
-	}
-	copy(idx.locs, seeds)
+	idx := n.Index
+	idx.Targets = make([]Target, nt)
 	ix.leftPos = growPos(ix.leftPos, len(li.Targets))
 	ix.rightPos = growPos(ix.rightPos, len(ri.Targets))
 	leftPos, rightPos := ix.leftPos, ix.rightPos
@@ -318,12 +400,15 @@ func (ix *Indexer) buildBoxIndex(n *IndexedBox) *BoxIndex {
 		case 0:
 			relWords += bitset.Words(nu, nu)
 		case 1:
-			relWords += bitset.Words(li.Rel[k.ci].Rows, nu)
+			relWords += bitset.Words(li.Targets[k.ci].Rel.Rows, nu)
 		default:
-			relWords += bitset.Words(ri.Rel[k.ci].Rows, nu)
+			relWords += bitset.Words(ri.Targets[k.ci].Rel.Rows, nu)
 		}
 	}
-	relBits := make([]uint64, relWords)
+	words := make([]uint64, relWords+slab.Words[int16](nt*nt+3*nu))
+	relBits, rest := words[:relWords], words[relWords:]
+	tab := slab.Carve[int16](&rest, nt*nt+3*nu)
+	idx.lca, idx.gates = tab[:nt*nt:nt*nt], tab[nt*nt:]
 	off := 0
 	carve := func(rows int) []uint64 {
 		w := bitset.Words(rows, nu)
@@ -336,8 +421,7 @@ func (ix *Indexer) buildBoxIndex(n *IndexedBox) *BoxIndex {
 	// contiguous run and its compositions against the shared wire matrix
 	// go through a single batched ComposeManyInto call (one validation
 	// and one kernel dispatch per box side, not per target).
-	idx.Targets[0] = n
-	idx.Rel[0] = bitset.IdentityOn(carve(nu), nu)
+	idx.Targets[0].Rel = bitset.IdentityOn(carve(nu), nu)
 	i2 := 1
 	for i2 < nt && seeds[i2].side == 1 {
 		i2++
@@ -346,10 +430,9 @@ func (ix *Indexer) buildBoxIndex(n *IndexedBox) *BoxIndex {
 	bSrc := ix.batchSrc[:0]
 	for pos := 1; pos < i2; pos++ {
 		k := seeds[pos]
-		idx.Targets[pos] = li.Targets[k.ci]
-		rel := li.Rel[k.ci]
-		idx.Rel[pos] = bitset.MatrixOn(carve(rel.Rows), rel.Rows, nu)
-		bDst = append(bDst, idx.Rel[pos])
+		rel := li.Targets[k.ci].Rel
+		idx.Targets[pos] = Target{Box: n.Left.Target(k.ci), Rel: bitset.MatrixOn(carve(rel.Rows), rel.Rows, nu)}
+		bDst = append(bDst, idx.Targets[pos].Rel)
 		bSrc = append(bSrc, rel)
 		leftPos[k.ci] = int16(pos)
 	}
@@ -357,37 +440,31 @@ func (ix *Indexer) buildBoxIndex(n *IndexedBox) *BoxIndex {
 	bDst, bSrc = bDst[:0], bSrc[:0]
 	for pos := i2; pos < nt; pos++ {
 		k := seeds[pos]
-		idx.Targets[pos] = ri.Targets[k.ci]
-		rel := ri.Rel[k.ci]
-		idx.Rel[pos] = bitset.MatrixOn(carve(rel.Rows), rel.Rows, nu)
-		bDst = append(bDst, idx.Rel[pos])
+		rel := ri.Targets[k.ci].Rel
+		idx.Targets[pos] = Target{Box: n.Right.Target(k.ci), Rel: bitset.MatrixOn(carve(rel.Rows), rel.Rows, nu)}
+		bDst = append(bDst, idx.Targets[pos].Rel)
 		bSrc = append(bSrc, rel)
 		rightPos[k.ci] = int16(pos)
 	}
 	bitset.ComposeManyInto(bDst, bSrc, b.WRight)
 	// Drop the matrix headers from the scratch so stale backings from
 	// this build don't stay reachable across later repairs.
-	for i := range bDst[:cap(bDst)] {
-		bDst[:cap(bDst)][i] = bitset.Matrix{}
-	}
-	for i := range bSrc[:cap(bSrc)] {
-		bSrc[:cap(bSrc)][i] = bitset.Matrix{}
-	}
+	clear(bDst[:cap(bDst)])
+	clear(bSrc[:cap(bSrc)])
 	ix.batchDst, ix.batchSrc = bDst[:0], bSrc[:0]
 
 	// Step 5: lca table, flat row-major.
-	idx.lca = make([]int16, nt*nt)
 	for i := 0; i < nt; i++ {
 		row := idx.lca[i*nt : (i+1)*nt]
 		for j := 0; j < nt; j++ {
-			si, sj := idx.locs[i].side, idx.locs[j].side
+			si, sj := seeds[i].side, seeds[j].side
 			switch {
 			case si == 0 || sj == 0 || si != sj:
 				row[j] = 0
 			case si == 1:
-				row[j] = leftPos[li.Lca(idx.locs[i].ci, idx.locs[j].ci)]
+				row[j] = leftPos[li.Lca(seeds[i].ci, seeds[j].ci)]
 			default:
-				row[j] = rightPos[ri.Lca(idx.locs[i].ci, idx.locs[j].ci)]
+				row[j] = rightPos[ri.Lca(seeds[i].ci, seeds[j].ci)]
 			}
 			if row[j] < 0 {
 				panic("enumerate: lca closure incomplete")
@@ -396,8 +473,7 @@ func (ix *Indexer) buildBoxIndex(n *IndexedBox) *BoxIndex {
 	}
 
 	// Step 6: map per-gate values to target positions.
-	flat := make([]int16, 3*nu)
-	idx.Fib, idx.FbbF, idx.FbbE = flat[:nu:nu], flat[nu:2*nu:2*nu], flat[2*nu:]
+	fib, fbbF, fbbE := idx.gates[:nu], idx.gates[nu:2*nu], idx.gates[2*nu:]
 	mapKey := func(k targetKey) int16 {
 		switch k.side {
 		case 0:
@@ -409,27 +485,26 @@ func (ix *Indexer) buildBoxIndex(n *IndexedBox) *BoxIndex {
 		}
 	}
 	for g := 0; g < nu; g++ {
-		idx.Fib[g] = mapKey(rawFib[g])
-		if idx.Fib[g] < 0 {
+		fib[g] = mapKey(rawFib[g])
+		if fib[g] < 0 {
 			panic("enumerate: fib target not materialized")
 		}
 		fb := rawFbb[g]
 		if fb.side == 0 {
-			idx.FbbF[g] = fb.f // 0 or -1
-			idx.FbbE[g] = 0
+			fbbF[g] = fb.f // 0 or -1
+			fbbE[g] = 0
 		} else {
 			if fb.f >= 0 {
-				idx.FbbF[g] = mapKey(targetKey{fb.side, fb.f})
+				fbbF[g] = mapKey(targetKey{fb.side, fb.f})
 			} else {
-				idx.FbbF[g] = -1
+				fbbF[g] = -1
 			}
-			idx.FbbE[g] = mapKey(targetKey{fb.side, fb.e})
+			fbbE[g] = mapKey(targetKey{fb.side, fb.e})
 		}
-		if idx.FbbE[g] < 0 {
+		if fbbE[g] < 0 {
 			panic("enumerate: fbb end target not materialized")
 		}
 	}
-	return idx
 }
 
 // growPos returns a length-n position buffer filled with -1.
@@ -486,7 +561,7 @@ func (idx *BoxIndex) combineFbb(f1, e1, f2, e2 int16) (f, e int16) {
 func (idx *BoxIndex) FoldFib(gamma bitset.Set) int16 {
 	best := int16(-1)
 	for g := gamma.Next(0); g >= 0; g = gamma.Next(g + 1) {
-		if f := idx.Fib[g]; best < 0 || f < best {
+		if f := idx.Fib(g); best < 0 || f < best {
 			best = f
 		}
 	}
@@ -501,11 +576,21 @@ func (idx *BoxIndex) FoldFbb(gamma bitset.Set) int16 {
 	if g < 0 {
 		return -1
 	}
-	f, e := idx.FbbF[g], idx.FbbE[g]
+	f, e := idx.FbbF(g), idx.FbbE(g)
 	for g = gamma.Next(g + 1); g >= 0; g = gamma.Next(g + 1) {
-		f, e = idx.combineFbb(f, e, idx.FbbF[g], idx.FbbE[g])
+		f, e = idx.combineFbb(f, e, idx.FbbF(g), idx.FbbE(g))
 	}
 	return f
+}
+
+// foldFbb is FoldFbb over a list of ∪-gates, returning both halves of
+// the summary; the list is nonempty.
+func (idx *BoxIndex) foldFbb(gates []int32) (f, e int16) {
+	f, e = idx.FbbF(int(gates[0])), idx.FbbE(int(gates[0]))
+	for _, g := range gates[1:] {
+		f, e = idx.combineFbb(f, e, idx.FbbF(int(g)), idx.FbbE(int(g)))
+	}
+	return f, e
 }
 
 // StrictAncestor reports whether target i is a strict ancestor of target

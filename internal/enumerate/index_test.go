@@ -26,10 +26,10 @@ func bruteReach(b *circuit.Box, gamma bitset.Set) map[*circuit.Box]bitset.Set {
 		left := bitset.NewSet(len(bx.Left.Unions))
 		right := bitset.NewSet(len(bx.Right.Unions))
 		gates.ForEach(func(g int) bool {
-			for _, l := range bx.Unions[g].LeftUnions {
+			for _, l := range bx.UnionLeft(g) {
 				left.Add(int(l))
 			}
-			for _, r := range bx.Unions[g].RightUnions {
+			for _, r := range bx.UnionRight(g) {
 				right.Add(int(r))
 			}
 			return true
@@ -53,7 +53,7 @@ func bruteFib(b *circuit.Box, gamma bitset.Set) *circuit.Box {
 		if gates, ok := reach[bx]; ok {
 			intr := false
 			gates.ForEach(func(g int) bool {
-				if len(bx.Unions[g].Vars) > 0 || len(bx.Unions[g].Times) > 0 {
+				if bx.HasLocal(g) {
 					intr = true
 					return false
 				}
@@ -85,10 +85,10 @@ func bruteFbb(b *circuit.Box, gamma bitset.Set) *circuit.Box {
 		if gates, ok := reach[bx]; ok && !bx.IsLeaf() {
 			hasL, hasR := false, false
 			gates.ForEach(func(g int) bool {
-				if len(bx.Unions[g].LeftUnions) > 0 {
+				if len(bx.UnionLeft(g)) > 0 {
 					hasL = true
 				}
-				if len(bx.Unions[g].RightUnions) > 0 {
+				if len(bx.UnionRight(g)) > 0 {
 					hasR = true
 				}
 				return true
@@ -141,22 +141,22 @@ func TestIndexFibFbbAgainstBruteForce(t *testing.T) {
 		if wantFib == nil {
 			t.Fatal("every nonempty boxed set has an interesting box")
 		}
-		if idx.Targets[gotFibPos].Box != wantFib {
+		if nb.Target(gotFibPos).Box != wantFib {
 			t.Fatalf("trial %d: fib mismatch: got %p want %p", trials,
-				idx.Targets[gotFibPos].Box, wantFib)
+				nb.Target(gotFibPos).Box, wantFib)
 		}
 
 		wantFbb := bruteFbb(b, gamma)
 		gotFbbPos := idx.FoldFbb(gamma)
 		if wantFbb == nil {
 			if gotFbbPos >= 0 {
-				t.Fatalf("trial %d: fbb should be undefined, got %p", trials, idx.Targets[gotFbbPos])
+				t.Fatalf("trial %d: fbb should be undefined, got %p", trials, nb.Target(gotFbbPos))
 			}
 		} else {
 			if gotFbbPos < 0 {
 				t.Fatalf("trial %d: fbb undefined, want %p", trials, wantFbb)
 			}
-			if idx.Targets[gotFbbPos].Box != wantFbb {
+			if nb.Target(gotFbbPos).Box != wantFbb {
 				t.Fatalf("trial %d: fbb mismatch", trials)
 			}
 		}
@@ -164,8 +164,8 @@ func TestIndexFibFbbAgainstBruteForce(t *testing.T) {
 		// Reachability relations must match brute-force propagation.
 		reach := bruteReach(b, gamma)
 		for i, target := range idx.Targets {
-			wantGates, ok := reach[target.Box]
-			r := bitset.Compose(idx.Rel[i], seedRelation(b, gamma))
+			wantGates, ok := reach[nb.Target(int16(i)).Box]
+			r := bitset.Compose(target.Rel, seedRelation(b, gamma))
 			gotGates := r.NonEmptyRows()
 			if !ok {
 				if !gotGates.Empty() {
@@ -223,8 +223,8 @@ func TestIndexLcaTable(t *testing.T) {
 			idx := n.Index
 			for i := range idx.Targets {
 				for j := range idx.Targets {
-					want := lca(idx.Targets[i], idx.Targets[j])
-					got := idx.Targets[idx.Lca(int16(i), int16(j))]
+					want := lca(n.Target(int16(i)), n.Target(int16(j)))
+					got := n.Target(idx.Lca(int16(i), int16(j)))
 					if got != want {
 						t.Fatalf("lca table wrong at box %p (%d, %d)", n.Box, i, j)
 					}

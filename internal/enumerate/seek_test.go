@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/circuit"
-	"repro/internal/counting"
 	"repro/internal/tree"
 	"repro/internal/tva"
 )
@@ -60,8 +59,7 @@ func countedCircuitOf(rng *rand.Rand, raw *tva.Binary, leaves int) (root *Indexe
 	}
 	c = bd.Build(tva.RandomBinaryTree(rng, leaves, alphaAB))
 	root = BuildIndex(c)
-	ev := counting.NewEvaluator[*big.Int](counting.Derivations{})
-	CountCircuit(root, ev.UnionsOf)
+	fillCounts(root)
 	return root, a.Unambiguous(), bd, c
 }
 

@@ -43,23 +43,22 @@ func (d *Descender) stepSimple(f *frame) (*Rope, bool) {
 		d.push(m, frame{kind: frameInputs, cb: cb, u: int32(u), sink: sink})
 		return nil, false
 	}
-	g, k := &cb.Unions[f.u], int(f.at)
+	u, k := int(f.u), int(f.at)
 	f.at++
-	if k < len(g.Vars) {
-		vg := cb.Vars[g.Vars[k]]
-		rope, _, ok := d.route(sink, d.slab.leaf(vg.Set, vg.Node), bitset.Set{})
+	vars, times := cb.UnionVars(u), cb.UnionTimes(u)
+	lefts, rights := cb.UnionLeft(u), cb.UnionRight(u)
+	switch nv, nt, nl := len(vars), len(times), len(lefts); {
+	case k < nv:
+		rope, _, ok := d.route(sink, d.slab.leaf(cb.Vars[vars[k]].Set, cb.Node), bitset.Set{})
 		return rope, ok
-	}
-	if k -= len(g.Vars); k < len(g.Times) {
-		p := d.push(m, frame{kind: frameSimpleProduct, cb: cb, u: g.Times[k], sink: sink})
-		d.push(m, frame{kind: frameInputs, cb: cb.Left, u: cb.Times[g.Times[k]].Left, sink: p})
-		return nil, false
-	}
-	switch k -= len(g.Times); {
-	case k < len(g.LeftUnions):
-		d.push(m, frame{kind: frameInputs, cb: cb.Left, u: g.LeftUnions[k], sink: sink})
-	case k-len(g.LeftUnions) < len(g.RightUnions):
-		d.push(m, frame{kind: frameInputs, cb: cb.Right, u: g.RightUnions[k-len(g.LeftUnions)], sink: sink})
+	case k < nv+nt:
+		t := times[k-nv]
+		p := d.push(m, frame{kind: frameSimpleProduct, cb: cb, u: t, sink: sink})
+		d.push(m, frame{kind: frameInputs, cb: cb.Left, u: cb.Times[t].Left, sink: p})
+	case k < nv+nt+nl:
+		d.push(m, frame{kind: frameInputs, cb: cb.Left, u: lefts[k-nv-nt], sink: sink})
+	case k < nv+nt+nl+len(rights):
+		d.push(m, frame{kind: frameInputs, cb: cb.Right, u: rights[k-nv-nt-nl], sink: sink})
 	default:
 		d.pop()
 	}
