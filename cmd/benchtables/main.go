@@ -1,66 +1,22 @@
-// Command benchtables regenerates the experiment tables by running the
-// experiment harness and printing markdown, and can emit the
-// machine-readable concurrent-readers baseline for the perf trajectory.
+// Command benchtables runs the experiments of internal/experiments and
+// prints their markdown tables. Experiments that record a baseline can
+// also write it as machine-readable JSON.
 //
 // Usage:
 //
-//	benchtables              # full sizes (minutes)
-//	benchtables -quick       # reduced sizes (tens of seconds)
-//	benchtables -only E4,E7  # a subset
-//	benchtables -concurrent BENCH_concurrent.json
-//	                         # run the concurrent-readers experiment and
-//	                         # write its JSON baseline (also printed as a
-//	                         # markdown table); combine with -quick/-only
-//	benchtables -multiquery BENCH_multiquery.json
-//	                         # run the multi-query experiment (C2: shared
-//	                         # QuerySet vs k independent engines, plus the
-//	                         # duplicate-heavy C2-dup sweep: k registrations
-//	                         # over d distinct specs, pipeline dedupe vs
-//	                         # NoDedupe) and write its JSON baseline
-//	benchtables -directaccess BENCH_directaccess.json
-//	                         # run the direct-access experiment (D1: Count
-//	                         # and At(j) latency vs answer-set size, engine
-//	                         # vs drain) and write its JSON baseline
-//	benchtables -parallel BENCH_parallel.json
-//	                         # run the parallel-write-path experiment (C3:
-//	                         # per-edit publish latency vs standing queries
-//	                         # for workers ∈ {1,4,8}) and write its JSON
-//	                         # baseline
-//	benchtables -enumparallel BENCH_enum_parallel.json
-//	                         # run the parallel-enumeration experiment
-//	                         # (E1-par: full-result materialization via
-//	                         # All / ParallelAll(w) / Chunks) and write
-//	                         # its JSON baseline
-//	benchtables -structural BENCH_structural.json
-//	                         # run the structural-edit experiment (S1:
-//	                         # subtree-move cost vs moved size, S2:
-//	                         # BulkLoad vs sequential construction, S3:
-//	                         # weighted structural workload with rebalance
-//	                         # accounting) and write its JSON baseline
-//	benchtables -delta BENCH_delta.json
-//	                         # run the answer-delta streaming experiment
-//	                         # (E-delta: per-publication subscriber cost
-//	                         # vs changed-answer count, plus the scale
-//	                         # sweep pinning the change at 2 answers)
-//	                         # and write its JSON baseline
-//	benchtables -kernels BENCH_kernels.json
-//	                         # run the vectorized-kernel experiment
-//	                         # (E-kernel: AVX2/POPCNT dispatch vs the
-//	                         # portable Go loops, kernel-level ns/op and
-//	                         # end-to-end repair/drain, with the host's
-//	                         # CPU feature flags recorded) and write its
-//	                         # JSON baseline
-//	benchtables -build BENCH_build.json
-//	                         # run the box-construction experiment (B1:
-//	                         # build throughput plus per-update repair ns
-//	                         # and allocs, pruned vs full rebuild) and
-//	                         # write its JSON baseline; add
-//	                         # -buildref OLD.json to embed a previous
-//	                         # run's numbers as the comparison reference
+//	benchtables                    # every experiment, full sizes
+//	benchtables -quick             # reduced sizes
+//	benchtables -only E4,C1,B1     # a subset, by registry ID
+//	benchtables -quick -json DIR   # also write each selected baseline
+//	                               # to DIR/BENCH_<name>.json
+//	benchtables -only B1 -json DIR -buildref OLD.json
+//	                               # embed a previous B1 run as the
+//	                               # comparison reference
 //	benchtables -cpuprofile cpu.pprof -memprofile mem.pprof ...
-//	                         # write pprof profiles covering whatever
-//	                         # experiments the other flags select, so perf
-//	                         # changes can attach profile evidence
+//	                               # profile the selected experiments
+//
+// The IDs are E1–E10, T1, T2 and F1 (tables only) and C1, C2, D1, C3,
+// E1-par, E-struct, E-delta, E-kernel and B1 (baselines).
 package main
 
 import (
@@ -70,8 +26,10 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"time"
 
@@ -89,21 +47,44 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	fs := flag.NewFlagSet("benchtables", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	quick := fs.Bool("quick", false, "run reduced input sizes")
-	only := fs.String("only", "", "comma-separated experiment IDs (e.g. E1,E4,T2)")
-	concurrent := fs.String("concurrent", "", "run the concurrent-readers experiment and write its JSON baseline to this path")
-	multiquery := fs.String("multiquery", "", "run the multi-query experiment and write its JSON baseline to this path")
-	directaccess := fs.String("directaccess", "", "run the direct-access experiment and write its JSON baseline to this path")
-	parallel := fs.String("parallel", "", "run the parallel-write-path experiment and write its JSON baseline to this path")
-	enumparallel := fs.String("enumparallel", "", "run the parallel-enumeration experiment and write its JSON baseline to this path")
-	structural := fs.String("structural", "", "run the structural-edit experiment and write its JSON baseline to this path")
-	delta := fs.String("delta", "", "run the answer-delta streaming experiment and write its JSON baseline to this path")
-	kernels := fs.String("kernels", "", "run the vectorized-kernel experiment and write its JSON baseline to this path")
-	build := fs.String("build", "", "run the box-construction experiment and write its JSON baseline to this path")
-	buildref := fs.String("buildref", "", "embed a previous -build baseline (its \"current\" run) as the pre-PR reference of this -build run")
+	only := fs.String("only", "", "comma-separated experiment IDs (e.g. E1,E4,C1); default: all")
+	jsonDir := fs.String("json", "", "write each selected baseline to DIR/BENCH_<name>.json")
+	buildref := fs.String("buildref", "", "embed a previous B1 baseline (its \"current\" run) as the pre-PR reference of this B1 run")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile covering the selected experiments to this path")
 	memprofile := fs.String("memprofile", "", "write a heap profile taken after the selected experiments to this path")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+
+	selected := experiments.Registry
+	if *only != "" {
+		selected = nil
+		for _, id := range strings.Split(*only, ",") {
+			e, ok := experiments.Lookup(strings.TrimSpace(id))
+			if !ok {
+				return fmt.Errorf("unknown experiment %q", id)
+			}
+			selected = append(selected, e)
+		}
+	}
+	var ref *experiments.BuildBaseline
+	if *buildref != "" {
+		if !slices.ContainsFunc(selected, func(e experiments.Experiment) bool { return e.ID == "B1" }) {
+			return errors.New("-buildref needs B1 among the selected experiments")
+		}
+		data, err := os.ReadFile(*buildref)
+		if err != nil {
+			return err
+		}
+		ref = new(experiments.BuildBaseline)
+		if err := json.Unmarshal(data, ref); err != nil {
+			return fmt.Errorf("parsing -buildref %s: %w", *buildref, err)
+		}
+	}
+	if *jsonDir != "" {
+		if err := os.MkdirAll(*jsonDir, 0o755); err != nil {
+			return err
+		}
 	}
 
 	// The memprofile defer is registered FIRST so that (LIFO) the CPU
@@ -139,192 +120,38 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		defer pprof.StopCPUProfile()
 	}
 
-	want := map[string]bool{}
-	if *only != "" {
-		for _, id := range strings.Split(*only, ",") {
-			want[strings.TrimSpace(strings.ToUpper(id))] = true
-		}
-	}
-
-	all := map[string]func() experiments.Table{
-		"E1":  func() experiments.Table { return experiments.E1Table1(*quick) },
-		"E2":  func() experiments.Table { return experiments.E2Preprocessing(*quick) },
-		"E3":  func() experiments.Table { return experiments.E3Delay(*quick) },
-		"E4":  func() experiments.Table { return experiments.E4Updates(*quick) },
-		"E5":  func() experiments.Table { return experiments.E5Combined(*quick) },
-		"E6":  func() experiments.Table { return experiments.E6Words(*quick) },
-		"E7":  func() experiments.Table { return experiments.E7MarkedAncestor(*quick) },
-		"E8":  func() experiments.Table { return experiments.E8JumpAblation(*quick) },
-		"E9":  func() experiments.Table { return experiments.E9CircuitSize(*quick) },
-		"E10": func() experiments.Table { return experiments.E10MatMul(*quick) },
-		"T1":  experiments.T1Homogenize,
-		"T2":  experiments.T2Translation,
-		"F1":  experiments.F1Order,
-	}
-	order := []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "T1", "T2", "F1"}
-
-	start := time.Now()
-	// Baseline flags alone skip the table sweep unless IDs were
-	// requested.
-	runTables := (*concurrent == "" && *multiquery == "" && *directaccess == "" && *parallel == "" && *enumparallel == "" && *structural == "" && *delta == "" && *kernels == "" && *build == "") || len(want) > 0
-	if runTables {
-		for _, id := range order {
-			if len(want) > 0 && !want[id] {
-				continue
-			}
-			t0 := time.Now()
-			tb := all[id]()
-			fmt.Fprintln(stdout, tb.Markdown())
-			fmt.Fprintf(stderr, "[%s done in %v]\n", id, time.Since(t0).Round(time.Millisecond))
-		}
-	}
-	if *concurrent != "" {
-		t0 := time.Now()
-		base := experiments.ConcurrentReaders(*quick)
-		fmt.Fprintln(stdout, base.Table().Markdown())
-		data, err := json.MarshalIndent(base, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(*concurrent, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(stderr, "[C1 done in %v, baseline written to %s]\n",
-			time.Since(t0).Round(time.Millisecond), *concurrent)
-	}
-	if *multiquery != "" {
-		t0 := time.Now()
-		base := experiments.MultiQuery(*quick)
-		fmt.Fprintln(stdout, base.Table().Markdown())
-		fmt.Fprintln(stdout, base.DuplicateTable().Markdown())
-		data, err := json.MarshalIndent(base, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(*multiquery, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(stderr, "[C2 done in %v, baseline written to %s]\n",
-			time.Since(t0).Round(time.Millisecond), *multiquery)
-	}
-	if *directaccess != "" {
-		t0 := time.Now()
-		base := experiments.DirectAccess(*quick)
-		fmt.Fprintln(stdout, base.Table().Markdown())
-		data, err := json.MarshalIndent(base, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(*directaccess, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(stderr, "[D1 done in %v, baseline written to %s]\n",
-			time.Since(t0).Round(time.Millisecond), *directaccess)
-	}
-	// The speedup columns of both parallel experiments are meaningless
-	// on one core: warn loudly instead of silently committing ~1×
-	// baselines (the JSONs still record cpus/gomaxprocs either way).
-	if (*parallel != "" || *enumparallel != "") && runtime.NumCPU() == 1 {
+	// The speedup columns of the parallel experiments are meaningless on
+	// one core: warn loudly instead of silently committing ~1× baselines
+	// (the JSONs still record cpus/gomaxprocs either way).
+	if runtime.NumCPU() == 1 {
 		fmt.Fprintln(stderr, "benchtables: WARNING: runtime.NumCPU() == 1 — workers time-share one core, "+
 			"speedup columns will sit near 1x; re-record on multi-core hardware for meaningful scaling numbers")
 	}
-	if *parallel != "" {
+
+	start := time.Now()
+	for _, e := range selected {
 		t0 := time.Now()
-		base := experiments.Parallel(*quick)
-		fmt.Fprintln(stdout, base.Table().Markdown())
-		data, err := json.MarshalIndent(base, "", "  ")
-		if err != nil {
-			return err
+		res := e.Run(*quick)
+		if b, ok := res.Data.(*experiments.BuildBaseline); ok && ref != nil {
+			b.PrePR = &ref.Current
+			res.Tables = []experiments.Table{b.Table()}
 		}
-		if err := os.WriteFile(*parallel, append(data, '\n'), 0o644); err != nil {
-			return err
+		for _, t := range res.Tables {
+			fmt.Fprintln(stdout, t.Markdown())
 		}
-		fmt.Fprintf(stderr, "[C3 done in %v, baseline written to %s]\n",
-			time.Since(t0).Round(time.Millisecond), *parallel)
-	}
-	if *enumparallel != "" {
-		t0 := time.Now()
-		base := experiments.EnumParallel(*quick)
-		fmt.Fprintln(stdout, base.Table().Markdown())
-		data, err := json.MarshalIndent(base, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(*enumparallel, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(stderr, "[E1-par done in %v, baseline written to %s]\n",
-			time.Since(t0).Round(time.Millisecond), *enumparallel)
-	}
-	if *structural != "" {
-		t0 := time.Now()
-		base := experiments.Structural(*quick)
-		fmt.Fprintln(stdout, base.MoveTable().Markdown())
-		fmt.Fprintln(stdout, base.BulkTable().Markdown())
-		fmt.Fprintln(stdout, base.MixTable().Markdown())
-		data, err := json.MarshalIndent(base, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(*structural, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(stderr, "[E-struct done in %v, baseline written to %s]\n",
-			time.Since(t0).Round(time.Millisecond), *structural)
-	}
-	if *delta != "" {
-		t0 := time.Now()
-		base := experiments.Delta(*quick)
-		fmt.Fprintln(stdout, base.Table().Markdown())
-		fmt.Fprintln(stdout, base.ScaleTable().Markdown())
-		data, err := json.MarshalIndent(base, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(*delta, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(stderr, "[E-delta done in %v, baseline written to %s]\n",
-			time.Since(t0).Round(time.Millisecond), *delta)
-	}
-	if *kernels != "" {
-		t0 := time.Now()
-		base := experiments.Kernels(*quick)
-		fmt.Fprintln(stdout, base.Table().Markdown())
-		data, err := json.MarshalIndent(base, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(*kernels, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(stderr, "[E-kernel done in %v, baseline written to %s]\n",
-			time.Since(t0).Round(time.Millisecond), *kernels)
-	}
-	if *build != "" {
-		t0 := time.Now()
-		base := experiments.Build(*quick)
-		if *buildref != "" {
-			data, err := os.ReadFile(*buildref)
+		note := ""
+		if *jsonDir != "" && e.Baseline != "" {
+			data, err := json.MarshalIndent(res.Data, "", "  ")
 			if err != nil {
 				return err
 			}
-			var ref experiments.BuildBaseline
-			if err := json.Unmarshal(data, &ref); err != nil {
-				return fmt.Errorf("parsing -buildref %s: %w", *buildref, err)
+			path := filepath.Join(*jsonDir, "BENCH_"+e.Baseline+".json")
+			if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+				return err
 			}
-			base.PrePR = &ref.Current
+			note = ", baseline written to " + path
 		}
-		fmt.Fprintln(stdout, base.Table().Markdown())
-		data, err := json.MarshalIndent(base, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(*build, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(stderr, "[B1 done in %v, baseline written to %s]\n",
-			time.Since(t0).Round(time.Millisecond), *build)
+		fmt.Fprintf(stderr, "[%s done in %v%s]\n", e.ID, time.Since(t0).Round(time.Millisecond), note)
 	}
 	fmt.Fprintf(stderr, "[total %v]\n", time.Since(start).Round(time.Millisecond))
 	return nil

@@ -350,8 +350,8 @@ func TestMatrixCountEmptyKernels(t *testing.T) {
 //
 // Each kernel benchmark runs the live (possibly vector) path and the
 // forced-generic path on identical operands; the E-kernel experiment
-// (internal/experiments) reports the same comparison as a committed
-// baseline with the CPU feature flags alongside.
+// (`benchtables -only E-kernel`) reports the same comparison in the
+// committed BENCH_kernels.json, with the CPU feature flags alongside.
 
 func BenchmarkOrWords(b *testing.B) {
 	rng := rand.New(rand.NewSource(7))

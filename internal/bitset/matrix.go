@@ -53,14 +53,6 @@ func MatrixOn(bits []uint64, rows, cols int) Matrix {
 	return Matrix{Rows: rows, Cols: cols, stride: stride, bits: bits}
 }
 
-// NewMatrixPair returns two all-false matrices carved from one backing
-// allocation — the box builder's wire-matrix pair (WLeft, WRight).
-func NewMatrixPair(rows1, cols1, rows2, cols2 int) (Matrix, Matrix) {
-	n1 := Words(rows1, cols1)
-	bits := make([]uint64, n1+Words(rows2, cols2))
-	return MatrixOn(bits[:n1:n1], rows1, cols1), MatrixOn(bits[n1:], rows2, cols2)
-}
-
 // IdentityOn is Identity on a caller-provided backing (see MatrixOn).
 func IdentityOn(bits []uint64, n int) Matrix {
 	m := MatrixOn(bits, n, n)

@@ -183,10 +183,6 @@ func (g *Gates) TimesOut(t int) []int32 {
 	return g.VarOut(len(g.Vars) + t)
 }
 
-// NumUnions returns the number of ∪-gates in the box (its contribution to
-// the circuit width, Definition 3.6).
-func (b *Box) NumUnions() int { return len(b.Unions) }
-
 // IsLeaf reports whether the box is a leaf of the tree of boxes.
 func (b *Box) IsLeaf() bool { return b.Left == nil }
 
@@ -223,23 +219,6 @@ func (c *Circuit) CountGates() (unions, times, vars int) {
 		vars += len(b.Vars)
 	})
 	return
-}
-
-// Depth returns the height of the tree of boxes, a proxy for the circuit
-// depth of Lemma 3.7 (the circuit depth is within a constant factor).
-func (c *Circuit) Depth() int {
-	var h func(b *Box) int
-	h = func(b *Box) int {
-		if b == nil {
-			return -1
-		}
-		l, r := h(b.Left), h(b.Right)
-		if l > r {
-			return l + 1
-		}
-		return r + 1
-	}
-	return h(c.Root)
 }
 
 // Walk visits every box bottom-up (children before parents).

@@ -21,9 +21,9 @@ import (
 // publication on an E4-style update stream, with and without the
 // signature-pruning fast path, plus a relabel-neutral stream (labels the
 // query does not distinguish) where pruning should collapse repair to
-// O(1) boxes. cmd/benchtables -build writes the JSON baseline
-// (BENCH_build.json); -buildref embeds a previous run as the comparison
-// reference with computed speedups.
+// O(1) boxes. `benchtables -only B1 -json DIR` writes the JSON baseline
+// (DIR/BENCH_build.json); -buildref embeds a previous run as the
+// comparison reference with computed speedups.
 
 // BuildRepairPoint is one repair row of the B1 experiment: an update
 // workload replayed through a single-query engine, single edits (one
@@ -71,12 +71,11 @@ type BuildRun struct {
 // before the zero-allocation/pruning work (embedded via -buildref) — the
 // acceptance criterion compares Current's "relabel" row against PrePR's.
 type BuildBaseline struct {
-	TreeNodes  int    `json:"tree_nodes"`
-	Edits      int    `json:"edits"`
-	Builds     int    `json:"builds"`
-	CPUs       int    `json:"cpus"`
-	GoMaxProcs int    `json:"gomaxprocs"`
-	QuerySpec  string `json:"query_spec"`
+	TreeNodes int `json:"tree_nodes"`
+	Edits     int `json:"edits"`
+	Builds    int `json:"builds"`
+	Env
+	QuerySpec string `json:"query_spec"`
 	// Kernels records the bitset kernel dispatch of the measuring binary
 	// (CPU features, vector set) — part of the environment block, since
 	// repair cost depends on which kernels ran.
@@ -116,13 +115,12 @@ func Build(quick bool) BuildBaseline {
 	}
 
 	base := BuildBaseline{
-		TreeNodes:  n,
-		Edits:      edits,
-		Builds:     builds,
-		CPUs:       runtime.NumCPU(),
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		QuerySpec:  spec,
-		Kernels:    bitset.Kernels(),
+		TreeNodes: n,
+		Edits:     edits,
+		Builds:    builds,
+		Env:       currentEnv(),
+		QuerySpec: spec,
+		Kernels:   bitset.Kernels(),
 	}
 
 	// Preprocessing throughput: full pipeline builds, mean over `builds`

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -31,10 +30,10 @@ type ConcurrentPoint struct {
 // BENCH_concurrent.json), the perf trajectory anchor for the snapshot
 // engine.
 type ConcurrentBaseline struct {
-	GOMAXPROCS int               `json:"gomaxprocs"`
-	TreeNodes  int               `json:"tree_nodes"`
-	Query      string            `json:"query"`
-	Points     []ConcurrentPoint `json:"points"`
+	Env
+	TreeNodes int               `json:"tree_nodes"`
+	Query     string            `json:"query"`
+	Points    []ConcurrentPoint `json:"points"`
 }
 
 // ConcurrentReaders measures aggregate snapshot-enumeration throughput
@@ -58,9 +57,9 @@ func ConcurrentReaders(quick bool) ConcurrentBaseline {
 	q := workload.AncestorQuery()
 
 	base := ConcurrentBaseline{
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		TreeNodes:  n,
-		Query:      "ancestor (E1-E4 standing query)",
+		Env:       currentEnv(),
+		TreeNodes: n,
+		Query:     "ancestor (E1-E4 standing query)",
 	}
 	for _, readers := range []int{1, 4, 16} {
 		eng := newOneQuery(ut.Clone(), q, engine.Options{})
@@ -132,7 +131,7 @@ func (b ConcurrentBaseline) Table() Table {
 	t := Table{
 		ID:     "C1",
 		Title:  "Concurrent snapshot readers under an update stream",
-		Claim:  fmt.Sprintf("lock-free readers scale with cores (GOMAXPROCS=%d); updates never block them", b.GOMAXPROCS),
+		Claim:  fmt.Sprintf("lock-free readers scale with cores (GOMAXPROCS=%d); updates never block them", b.GoMaxProcs),
 		Header: []string{"readers", "results/s", "speedup", "enumerations", "writer updates"},
 	}
 	for _, p := range b.Points {

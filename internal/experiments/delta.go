@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 	"time"
 
 	"repro/internal/engine"
@@ -53,17 +52,15 @@ type DeltaScalePoint struct {
 // while a pull consumer re-draining Results() pays for the whole
 // answer set every time. Points sweeps the changed-answer count on a
 // fixed ~20k-answer query; Scale pins the change at 2 answers and
-// grows the answer set. CPUs and GoMaxProcs record the measurement
-// environment (the experiment is single-threaded, but they anchor the
-// baseline to its hardware like every other committed baseline).
+// grows the answer set. The experiment is single-threaded; Env still
+// anchors the baseline to its hardware.
 type DeltaBaseline struct {
-	Query      string            `json:"query"`
-	TreeNodes  int               `json:"tree_nodes"`
-	Answers    int               `json:"answers"`
-	CPUs       int               `json:"cpus"`
-	GoMaxProcs int               `json:"gomaxprocs"`
-	Points     []DeltaPoint      `json:"points"`
-	Scale      []DeltaScalePoint `json:"scale"`
+	Query     string `json:"query"`
+	TreeNodes int    `json:"tree_nodes"`
+	Answers   int    `json:"answers"`
+	Env
+	Points []DeltaPoint      `json:"points"`
+	Scale  []DeltaScalePoint `json:"scale"`
 }
 
 // deltaPair is one measurement fixture: two engines over identical
@@ -177,7 +174,7 @@ func (p deltaPair) measure(k, reps int, rng *rand.Rand) DeltaPoint {
 
 	i := 0
 	pt := DeltaPoint{ChangedAnswers: k}
-	pt.DeltaNs = measureNs(reps, func() {
+	pt.DeltaNs = medianNs(reps, func() {
 		s, _, err := p.push.ApplyBatch(alt(i))
 		if err != nil {
 			panic(err)
@@ -242,11 +239,10 @@ func Delta(quick bool) DeltaBaseline {
 
 	p := newDeltaPair(n, 191)
 	base := DeltaBaseline{
-		Query:      "select:b",
-		TreeNodes:  n,
-		Answers:    p.answers,
-		CPUs:       runtime.NumCPU(),
-		GoMaxProcs: runtime.GOMAXPROCS(0),
+		Query:     "select:b",
+		TreeNodes: n,
+		Answers:   p.answers,
+		Env:       currentEnv(),
 	}
 	for _, k := range ks {
 		base.Points = append(base.Points, p.measure(k, reps, rng))

@@ -74,12 +74,12 @@ func DirectAccess(quick bool) DirectAccessBaseline {
 		mid := answers / 2
 
 		p := DirectAccessPoint{TreeNodes: n, Answers: answers}
-		p.CountDirectNs = measureNs(reps, func() {
+		p.CountDirectNs = medianNs(reps, func() {
 			if s.Count() != answers {
 				panic("direct count diverged")
 			}
 		})
-		p.CountDrainNs = measureNs(3, func() {
+		p.CountDrainNs = medianNs(3, func() {
 			c := 0
 			for range s.Results() {
 				c++
@@ -88,12 +88,12 @@ func DirectAccess(quick bool) DirectAccessBaseline {
 				panic("drain count diverged")
 			}
 		})
-		p.AtDirectNs = measureNs(reps, func() {
+		p.AtDirectNs = medianNs(reps, func() {
 			if _, err := s.At(mid); err != nil {
 				panic(err)
 			}
 		})
-		p.AtDrainNs = measureNs(3, func() {
+		p.AtDrainNs = medianNs(3, func() {
 			i := 0
 			for range s.Results() {
 				if i == mid {
@@ -102,7 +102,7 @@ func DirectAccess(quick bool) DirectAccessBaseline {
 				i++
 			}
 		})
-		p.PageDirectNs = measureNs(reps/4+1, func() {
+		p.PageDirectNs = medianNs(reps/4+1, func() {
 			if got := s.Page(mid, 16); len(got) == 0 {
 				panic("empty page")
 			}
@@ -112,17 +112,6 @@ func DirectAccess(quick bool) DirectAccessBaseline {
 		base.Points = append(base.Points, p)
 	}
 	return base
-}
-
-// measureNs runs f reps times and returns the median latency in ns.
-func measureNs(reps int, f func()) float64 {
-	ds := make([]time.Duration, 0, reps)
-	for i := 0; i < reps; i++ {
-		t0 := time.Now()
-		f()
-		ds = append(ds, time.Since(t0))
-	}
-	return float64(median(ds).Nanoseconds())
 }
 
 // Table renders the baseline for the benchtables output.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
-	"time"
 
 	"repro/internal/engine"
 	"repro/internal/tree"
@@ -37,12 +36,11 @@ type EnumParallelPoint struct {
 // differential suite (ParallelAll == All on every corpus entry), not by
 // this table.
 type EnumParallelBaseline struct {
-	TreeNodes  int                 `json:"tree_nodes"`
-	Answers    int                 `json:"answers"`
-	CPUs       int                 `json:"cpus"`
-	GoMaxProcs int                 `json:"gomaxprocs"`
-	Note       string              `json:"note,omitempty"`
-	Points     []EnumParallelPoint `json:"points"`
+	TreeNodes int `json:"tree_nodes"`
+	Answers   int `json:"answers"`
+	Env
+	Note   string              `json:"note,omitempty"`
+	Points []EnumParallelPoint `json:"points"`
 }
 
 // EnumParallel measures full-result materialization of a select query
@@ -66,12 +64,11 @@ func EnumParallel(quick bool) EnumParallelBaseline {
 	answers := snap.Count()
 
 	base := EnumParallelBaseline{
-		TreeNodes:  n,
-		Answers:    answers,
-		CPUs:       runtime.NumCPU(),
-		GoMaxProcs: runtime.GOMAXPROCS(0),
+		TreeNodes: n,
+		Answers:   answers,
+		Env:       currentEnv(),
 	}
-	if base.CPUs == 1 || base.GoMaxProcs == 1 {
+	if base.singleCore() {
 		base.Note = "measured on a single available core: workers time-share, speedups near 1x are expected; " +
 			"the parallel path's engagement and exactness are proven by the differential suite " +
 			"(TestParallelAllMatchesSequential), not by this table"
@@ -80,13 +77,7 @@ func EnumParallel(quick bool) EnumParallelBaseline {
 	measure := func(sweep func()) float64 {
 		sweep() // warm: slabs, GC state
 		runtime.GC()
-		ds := make([]time.Duration, 0, reps)
-		for i := 0; i < reps; i++ {
-			t0 := time.Now()
-			sweep()
-			ds = append(ds, time.Since(t0))
-		}
-		return float64(median(ds).Nanoseconds())
+		return medianNs(reps, sweep)
 	}
 	record := func(api string, workers int, ns, allNs float64) {
 		base.Points = append(base.Points, EnumParallelPoint{

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 	"time"
 
 	"repro/internal/bitset"
@@ -25,10 +24,11 @@ import (
 //     ns/answer, vector vs purego — how much of the pipeline the
 //     kernels actually carry.
 //
-// The committed baseline (BENCH_kernels.json, written by cmd/benchtables
-// -kernels) records the CPU feature flags alongside the numbers: on a
-// host without AVX2 the two paths coincide, speedups sit at ~1.0, and
-// the JSON says so via kernels.avx2=false rather than pretending.
+// The committed baseline (BENCH_kernels.json, written by
+// `benchtables -only E-kernel -json DIR`) records the CPU feature flags
+// alongside the numbers: on a host without AVX2 the two paths coincide,
+// speedups sit at ~1.0, and the JSON says so via kernels.avx2=false
+// rather than pretending.
 // CI bounds (when avx2 is true) require ≥1.5x on the multi-word
 // orWords and composeInto points.
 
@@ -57,11 +57,10 @@ type KernelEndToEnd struct {
 // KernelsBaseline is the machine-readable output of experiment E-kernel
 // (written by cmd/benchtables as BENCH_kernels.json).
 type KernelsBaseline struct {
-	CPUs       int    `json:"cpus"`
-	GoMaxProcs int    `json:"gomaxprocs"`
-	TreeNodes  int    `json:"tree_nodes"`
-	Edits      int    `json:"edits"`
-	QuerySpec  string `json:"query_spec"`
+	Env
+	TreeNodes int    `json:"tree_nodes"`
+	Edits     int    `json:"edits"`
+	QuerySpec string `json:"query_spec"`
 	// Kernels records what this binary detected and dispatched — the
 	// feature flags that make the speedup numbers interpretable.
 	Kernels bitset.KernelInfo `json:"kernels"`
@@ -107,12 +106,11 @@ func Kernels(quick bool) KernelsBaseline {
 	}
 	spec, q := buildQuery()
 	base := KernelsBaseline{
-		CPUs:       runtime.NumCPU(),
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		TreeNodes:  n,
-		Edits:      edits,
-		QuerySpec:  spec,
-		Kernels:    bitset.Kernels(),
+		Env:       currentEnv(),
+		TreeNodes: n,
+		Edits:     edits,
+		QuerySpec: spec,
+		Kernels:   bitset.Kernels(),
 	}
 	rng := rand.New(rand.NewSource(171))
 

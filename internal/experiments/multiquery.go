@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 	"time"
 
 	"repro/internal/engine"
@@ -73,14 +72,12 @@ type DuplicateMultiQueryPoint struct {
 // perf trajectory anchor for the QuerySet engine. Points is the
 // distinct-query scaling sweep (shared QuerySet vs k independent
 // engines); DuplicatePoints is the duplicate-heavy sweep (pipeline
-// dedupe vs NoDedupe on one QuerySet). Cpus and Gomaxprocs record the
-// hardware the numbers were taken on, like the parallel baselines.
+// dedupe vs NoDedupe on one QuerySet).
 type MultiQueryBaseline struct {
-	TreeNodes       int                        `json:"tree_nodes"`
-	Batches         int                        `json:"batches"`
-	BatchSize       int                        `json:"batch_size"`
-	Cpus            int                        `json:"cpus"`
-	Gomaxprocs      int                        `json:"gomaxprocs"`
+	TreeNodes int `json:"tree_nodes"`
+	Batches   int `json:"batches"`
+	BatchSize int `json:"batch_size"`
+	Env
 	QuerySpecs      []string                   `json:"query_specs"`
 	Points          []MultiQueryPoint          `json:"points"`
 	DuplicatePoints []DuplicateMultiQueryPoint `json:"duplicate_points"`
@@ -178,8 +175,7 @@ func MultiQuery(quick bool) MultiQueryBaseline {
 		TreeNodes:  n,
 		Batches:    batches,
 		BatchSize:  size,
-		Cpus:       runtime.NumCPU(),
-		Gomaxprocs: runtime.GOMAXPROCS(0),
+		Env:        currentEnv(),
 		QuerySpecs: specs,
 	}
 	for _, k := range []int{1, 2, 4, 8} {

@@ -34,20 +34,18 @@ type ParallelPoint struct {
 // available core the workers time-share and the speedup columns sit
 // near 1×, so compare rows only within one environment.
 type ParallelBaseline struct {
-	TreeNodes  int             `json:"tree_nodes"`
-	Edits      int             `json:"edits"`
-	CPUs       int             `json:"cpus"`
-	GoMaxProcs int             `json:"gomaxprocs"`
+	TreeNodes int `json:"tree_nodes"`
+	Edits     int `json:"edits"`
+	Env
 	Note       string          `json:"note,omitempty"`
 	QuerySpecs []string        `json:"query_specs"`
 	Points     []ParallelPoint `json:"points"`
 }
 
-// ParallelQueries returns the pool of 16 distinct standing queries of
+// parallelQueries returns the pool of 16 distinct standing queries of
 // the parallel experiment (the C2 pool of 8 plus 8 more path and
-// descendant-depth variants), with their specs. Exported so
-// BenchmarkParallelPipelines measures exactly the C3 workload.
-func ParallelQueries() ([]string, []*tva.Unranked) {
+// descendant-depth variants), with their specs.
+func parallelQueries() ([]string, []*tva.Unranked) {
 	specs, qs := standingQueries()
 	alpha := []tree.Label{"a", "b", "c"}
 	more := []struct {
@@ -82,7 +80,7 @@ func Parallel(quick bool) ParallelBaseline {
 	if quick {
 		n, edits = 2000, 80
 	}
-	specs, queries := ParallelQueries()
+	specs, queries := parallelQueries()
 
 	rng := rand.New(rand.NewSource(131))
 	ut, err := workload.Tree(workload.ShapeRandom, n, rng)
@@ -93,11 +91,10 @@ func Parallel(quick bool) ParallelBaseline {
 	base := ParallelBaseline{
 		TreeNodes:  n,
 		Edits:      edits,
-		CPUs:       runtime.NumCPU(),
-		GoMaxProcs: runtime.GOMAXPROCS(0),
+		Env:        currentEnv(),
 		QuerySpecs: specs,
 	}
-	if base.CPUs == 1 || base.GoMaxProcs == 1 {
+	if base.singleCore() {
 		base.Note = "measured on a single available core: workers time-share, speedups near 1x are expected; " +
 			"re-record on multi-core hardware for meaningful scaling numbers"
 	}

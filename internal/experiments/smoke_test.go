@@ -1,15 +1,17 @@
 package experiments
 
-import (
-	"fmt"
-	"testing"
-)
+import "testing"
 
 func TestSmokeQuickTables(t *testing.T) {
-	for _, tb := range []Table{E8JumpAblation(true), E10MatMul(true), T1Homogenize(), T2Translation(), F1Order(), Kernels(true).Table()} {
-		if len(tb.Rows) == 0 {
-			t.Fatalf("%s: empty", tb.ID)
+	for _, id := range []string{"E8", "E10", "T1", "T2", "F1", "E-kernel"} {
+		e, ok := Lookup(id)
+		if !ok {
+			t.Fatalf("%s: not in the registry", id)
 		}
-		fmt.Println(tb.Markdown())
+		for _, tb := range e.Run(true).Tables {
+			if len(tb.Rows) == 0 {
+				t.Fatalf("%s: table %s is empty", id, tb.ID)
+			}
+		}
 	}
 }

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 	"time"
 
 	"repro/internal/engine"
@@ -53,11 +52,11 @@ type StructuralMixPoint struct {
 // StructuralBaseline is the machine-readable output of experiment
 // E-struct (written by cmd/benchtables as BENCH_structural.json).
 type StructuralBaseline struct {
-	Query      string                `json:"query"`
-	GOMAXPROCS int                   `json:"gomaxprocs"`
-	Moves      []StructuralMovePoint `json:"moves"`
-	Bulk       []StructuralBulkPoint `json:"bulk"`
-	Mix        []StructuralMixPoint  `json:"mix"`
+	Query string `json:"query"`
+	Env
+	Moves []StructuralMovePoint `json:"moves"`
+	Bulk  []StructuralBulkPoint `json:"bulk"`
+	Mix   []StructuralMixPoint  `json:"mix"`
 }
 
 // structuralMoveTree builds the move-sweep document: a root with two
@@ -104,8 +103,8 @@ func pickLabel(rng *rand.Rand) tree.Label {
 // structural workload with rebalance accounting.
 func Structural(quick bool) StructuralBaseline {
 	base := StructuralBaseline{
-		Query:      "markedAncestor (a over {a,b,c}; unambiguous)",
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		Query: "markedAncestor (a over {a,b,c}; unambiguous)",
+		Env:   currentEnv(),
 	}
 
 	// Move sweep: fixed tree, growing moved subtree. The per-move cost

@@ -250,19 +250,6 @@ func (c *editCore) TermRoot() *Node { return c.Root }
 // (dynamic-engine interface, shared by Forest and Word).
 func (c *editCore) Rebalances() int { return c.Rebuilds }
 
-// CheckBalance verifies the published height invariant: the term root's
-// height is within its scapegoat budget. The differential suites assert
-// it after every edit.
-func (c *editCore) CheckBalance() error {
-	if c.Root == nil {
-		return errNilRoot
-	}
-	if c.Root.Height > c.heightBudget(c.Root.Weight) {
-		return balanceError(c.Root.Height, c.Root.Weight, c.heightBudget(c.Root.Weight))
-	}
-	return nil
-}
-
 // CheckBalanceDeep verifies the height invariant for EVERY subterm, not
 // just the root: each node is within budget at creation or becomes a
 // scapegoat (rebuilt, or retired under a rebuilt ancestor), and

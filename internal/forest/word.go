@@ -30,8 +30,7 @@ type Word struct {
 }
 
 // NewWord builds the balanced term for the given nonempty word. This is
-// the word bulk load: one O(n) balanced build instead of n inserts —
-// BulkLoadWord is the documented alias.
+// the word bulk load: one O(n) balanced build instead of n inserts.
 func NewWord(letters []tree.Label) (*Word, error) {
 	if len(letters) == 0 {
 		return nil, fmt.Errorf("forest: the empty word has no term encoding")
@@ -49,10 +48,6 @@ func NewWord(letters []tree.Label) (*Word, error) {
 	w.size = len(letters)
 	return w, nil
 }
-
-// BulkLoadWord builds the balanced term for a whole word directly — the
-// structural-edit counterpart of n sequential inserts.
-func BulkLoadWord(letters []tree.Label) (*Word, error) { return NewWord(letters) }
 
 func (w *Word) newLetter(l tree.Label) *Node {
 	n := &Node{Op: LeafTree, Label: l, TreeID: w.nextID, Weight: 1, HoleNode: tree.InvalidNode}

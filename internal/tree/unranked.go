@@ -23,15 +23,6 @@ type UNode struct {
 // IsLeaf reports whether the node has no children.
 func (n *UNode) IsLeaf() bool { return n.FirstChild == nil }
 
-// Children returns the children of n in sibling order.
-func (n *UNode) Children() []*UNode {
-	var out []*UNode
-	for c := n.FirstChild; c != nil; c = c.NextSib {
-		out = append(out, c)
-	}
-	return out
-}
-
 // Unranked is a mutable unranked Λ-tree. It owns its nodes and hands out
 // stable NodeIDs; the dynamic enumeration pipeline addresses nodes through
 // those IDs.

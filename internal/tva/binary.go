@@ -62,15 +62,6 @@ type Binary struct {
 // Size returns |A| = |Q| + |ι| + |δ| as defined in Section 2.
 func (a *Binary) Size() int { return a.NumStates + len(a.Init) + len(a.Delta) }
 
-// FinalSet returns the final states as a bit set.
-func (a *Binary) FinalSet() bitset.Set {
-	f := bitset.NewSet(a.NumStates)
-	for _, q := range a.Final {
-		f.Add(int(q))
-	}
-	return f
-}
-
 // InitByLabel groups the initial relation by label.
 func (a *Binary) InitByLabel() map[tree.Label][]InitRule {
 	m := map[tree.Label][]InitRule{}

@@ -35,15 +35,6 @@ type Unranked struct {
 // Size returns |A| = |Q| + |ι| + |δ|.
 func (a *Unranked) Size() int { return a.NumStates + len(a.Init) + len(a.Delta) }
 
-// FinalSet returns the final states as a bit set.
-func (a *Unranked) FinalSet() bitset.Set {
-	f := bitset.NewSet(a.NumStates)
-	for _, q := range a.Final {
-		f.Add(int(q))
-	}
-	return f
-}
-
 // Validate checks basic well-formedness.
 func (a *Unranked) Validate() error {
 	labels := map[tree.Label]bool{}
