@@ -62,23 +62,11 @@ func (s Set) Clone() Set {
 	return c
 }
 
-// CopyFrom overwrites s with the contents of o. The sets must have the same
-// capacity.
-func (s Set) CopyFrom(o Set) {
-	if s.n != o.n {
-		panic(fmt.Sprintf("bitset: CopyFrom capacity mismatch %d != %d", s.n, o.n))
-	}
-	copy(s.words, o.words)
-}
-
 // Or adds every element of o to s.
 func (s Set) Or(o Set) { orWords(s.words, o.words) }
 
 // And removes from s every element not in o.
 func (s Set) And(o Set) { andWords(s.words, o.words) }
-
-// AndNot removes from s every element of o.
-func (s Set) AndNot(o Set) { andNotWords(s.words, o.words) }
 
 // Intersects reports whether s and o share an element.
 func (s Set) Intersects(o Set) bool { return intersectWords(s.words, o.words) }

@@ -77,12 +77,6 @@ func TestSetOps(t *testing.T) {
 		t.Fatalf("And wrong: %v", i)
 	}
 
-	d := a.Clone()
-	d.AndNot(b)
-	if d.Count() != 1 || !d.Has(1) {
-		t.Fatalf("AndNot wrong: %v", d)
-	}
-
 	if !a.Intersects(b) {
 		t.Fatal("Intersects should be true")
 	}
@@ -163,11 +157,6 @@ func TestMatrixBasics(t *testing.T) {
 	if m.Count() != 3 {
 		t.Fatalf("Count = %d", m.Count())
 	}
-	m.Unset(1, 65)
-	if m.Get(1, 65) {
-		t.Fatal("Unset failed")
-	}
-
 	r := m.Row(2)
 	if !r.Has(69) || r.Count() != 1 {
 		t.Fatal("Row wrong")
@@ -200,8 +189,8 @@ func TestMatrixNonEmptyRowsAndColUnion(t *testing.T) {
 func TestIdentityCompose(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	m := randomMatrix(rng, 17, 23, 0.3)
-	id17 := Identity(17)
-	id23 := Identity(23)
+	id17 := IdentityOn(make([]uint64, Words(17, 17)), 17)
+	id23 := IdentityOn(make([]uint64, Words(23, 23)), 23)
 	if !Compose(id17, m).Equal(m) {
 		t.Fatal("I∘m != m")
 	}

@@ -92,9 +92,6 @@ func orWordsAVX2(dst, src *uint64, n int)
 func andWordsAVX2(dst, src *uint64, n int)
 
 //go:noescape
-func andNotWordsAVX2(dst, src *uint64, n int)
-
-//go:noescape
 func intersectsAVX2(a, b *uint64, n int) bool
 
 //go:noescape
@@ -125,14 +122,6 @@ func andWords(dst, src []uint64) {
 		return
 	}
 	andWordsGeneric(dst, src)
-}
-
-func andNotWords(dst, src []uint64) {
-	if n := len(src); useAVX2 && n >= minVecOr && len(dst) >= n {
-		andNotWordsAVX2(&dst[0], &src[0], n)
-		return
-	}
-	andNotWordsGeneric(dst, src)
 }
 
 func intersectWords(a, b []uint64) bool {

@@ -16,9 +16,8 @@ func kernelInfo() KernelInfo {
 
 func forceGeneric() (restore func()) { return func() {} }
 
-func orWords(dst, src []uint64)     { orWordsGeneric(dst, src) }
-func andWords(dst, src []uint64)    { andWordsGeneric(dst, src) }
-func andNotWords(dst, src []uint64) { andNotWordsGeneric(dst, src) }
+func orWords(dst, src []uint64)  { orWordsGeneric(dst, src) }
+func andWords(dst, src []uint64) { andWordsGeneric(dst, src) }
 
 func intersectWords(a, b []uint64) bool { return intersectWordsGeneric(a, b) }
 func anyWords(p []uint64) bool          { return anyWordsGeneric(p) }

@@ -60,7 +60,6 @@ func FuzzOrWords(f *testing.F) {
 		}{
 			{"or", orWords},
 			{"and", andWords},
-			{"andnot", andNotWords},
 		}
 		for _, op := range ops {
 			dv := append([]uint64(nil), dst...)

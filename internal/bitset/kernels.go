@@ -84,25 +84,6 @@ func andWordsGeneric(dst, src []uint64) {
 	}
 }
 
-// andNotWordsGeneric clears from dst every bit set in the first
-// len(src) words of src.
-func andNotWordsGeneric(dst, src []uint64) {
-	if len(src) == 0 {
-		return
-	}
-	_ = dst[len(src)-1]
-	w := 0
-	for ; w+4 <= len(src); w += 4 {
-		dst[w] &^= src[w]
-		dst[w+1] &^= src[w+1]
-		dst[w+2] &^= src[w+2]
-		dst[w+3] &^= src[w+3]
-	}
-	for ; w < len(src); w++ {
-		dst[w] &^= src[w]
-	}
-}
-
 // intersectWordsGeneric reports whether a and b share a set bit in the
 // first len(b) words.
 func intersectWordsGeneric(a, b []uint64) bool {

@@ -116,40 +116,6 @@ anddone:
 	VZEROUPPER
 	RET
 
-// func andNotWordsAVX2(dst, src *uint64, n int)
-//
-// dst &^= src. VPANDN computes NOT(second Go operand's register) AND
-// (first Go operand), so loading src into the NOT slot and the dst
-// memory word into the other gives dst & ^src.
-TEXT ·andNotWordsAVX2(SB), NOSPLIT, $0-24
-	MOVQ dst+0(FP), DI
-	MOVQ src+8(FP), SI
-	MOVQ n+16(FP), CX
-	XORQ AX, AX
-
-an4:
-	LEAQ 4(AX), DX
-	CMPQ DX, CX
-	JG   an1
-	VMOVDQU (SI)(AX*8), Y0
-	VPANDN  (DI)(AX*8), Y0, Y1
-	VMOVDQU Y1, (DI)(AX*8)
-	MOVQ    DX, AX
-	JMP     an4
-
-an1:
-	CMPQ AX, CX
-	JGE  andone
-	MOVQ (SI)(AX*8), DX
-	NOTQ DX
-	ANDQ DX, (DI)(AX*8)
-	INCQ AX
-	JMP  an1
-
-andone:
-	VZEROUPPER
-	RET
-
 // func intersectsAVX2(a, b *uint64, n int) bool
 TEXT ·intersectsAVX2(SB), NOSPLIT, $0-25
 	MOVQ a+0(FP), SI

@@ -64,7 +64,6 @@ func TestWordKernelsDifferential(t *testing.T) {
 	}{
 		{"or", orWords},
 		{"and", andWords},
-		{"andnot", andNotWords},
 	}
 	for _, n := range kernelLengths {
 		for trial := 0; trial < 8; trial++ {

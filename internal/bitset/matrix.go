@@ -24,15 +24,6 @@ func NewMatrix(rows, cols int) Matrix {
 	return Matrix{Rows: rows, Cols: cols, stride: stride, bits: make([]uint64, rows*stride)}
 }
 
-// Identity returns the n×n identity relation.
-func Identity(n int) Matrix {
-	m := NewMatrix(n, n)
-	for i := 0; i < n; i++ {
-		m.Set(i, i)
-	}
-	return m
-}
-
 // Words returns the number of backing words a rows×cols matrix needs,
 // for callers that lay several matrices out on one allocation (MatrixOn).
 func Words(rows, cols int) int { return rows * ((cols + 63) / 64) }
@@ -53,7 +44,8 @@ func MatrixOn(bits []uint64, rows, cols int) Matrix {
 	return Matrix{Rows: rows, Cols: cols, stride: stride, bits: bits}
 }
 
-// IdentityOn is Identity on a caller-provided backing (see MatrixOn).
+// IdentityOn returns the n×n identity relation laid out on a
+// caller-provided backing (see MatrixOn).
 func IdentityOn(bits []uint64, n int) Matrix {
 	m := MatrixOn(bits, n, n)
 	for i := 0; i < n; i++ {
@@ -145,9 +137,6 @@ func ComposeManyInto(dsts, as []Matrix, b Matrix) {
 
 // Set makes (i, j) true.
 func (m Matrix) Set(i, j int) { m.bits[i*m.stride+j>>6] |= 1 << uint(j&63) }
-
-// Unset makes (i, j) false.
-func (m Matrix) Unset(i, j int) { m.bits[i*m.stride+j>>6] &^= 1 << uint(j&63) }
 
 // Get reports whether (i, j) is true.
 func (m Matrix) Get(i, j int) bool { return m.bits[i*m.stride+j>>6]&(1<<uint(j&63)) != 0 }

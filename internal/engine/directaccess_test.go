@@ -2,7 +2,6 @@ package engine
 
 import (
 	"errors"
-	"math/big"
 	"math/rand"
 	"testing"
 
@@ -201,85 +200,49 @@ func TestAmbiguousQueryFallsBack(t *testing.T) {
 	checkDirectAccess(t, s)
 }
 
-// TestDirectAccessModes checks the baseline modes' direct-access matrix
-// at the enumeration layer, on the engine's own frozen (box, index,
-// counts) roots of the ambiguous //a//b query, across edits: ModeSimple
-// has direct access even here (one output per derivation, so
-// Derivations elements, each reached by AtInt at its rank), ModeNaive
-// has none (ErrNoDirectAccess), and both enumerate the snapshot's
-// answer set.
+// TestDirectAccessModes checks the ModeNaive baseline at the
+// enumeration layer, on the engine's own frozen (box, index, counts)
+// roots of the ambiguous //a//b query, across edits: it enumerates the
+// snapshot's answer set and has no direct access (ErrNoDirectAccess).
 func TestDirectAccessModes(t *testing.T) {
 	q := paths.MustCompile("//a//b", []tree.Label{"a", "b", "c"}, 0)
-	for _, tc := range []struct {
-		name   string
-		mode   enumerate.Mode
-		direct bool
-	}{
-		{"simple", enumerate.ModeSimple, true},
-		{"naive", enumerate.ModeNaive, false},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(13))
-			ut := tva.RandomUnrankedTree(rng, 25, []tree.Label{"a", "b", "c"})
-			e, qid := treeQuery(t, ut, q, Options{})
-			checkModeOnRoot(t, e.Snapshot().Query(qid), tc.mode, tc.direct)
-			for step := 0; step < 6; step++ {
-				m, _, err := e.ApplyBatch(randomTreeBatch(rng, e.Tree(), 3))
-				if err != nil {
-					t.Fatal(err)
-				}
-				checkModeOnRoot(t, m.Query(qid), tc.mode, tc.direct)
+	t.Run("naive", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(13))
+		ut := tva.RandomUnrankedTree(rng, 25, []tree.Label{"a", "b", "c"})
+		e, qid := treeQuery(t, ut, q, Options{})
+		checkNaiveOnRoot(t, e.Snapshot().Query(qid))
+		for step := 0; step < 6; step++ {
+			m, _, err := e.ApplyBatch(randomTreeBatch(rng, e.Tree(), 3))
+			if err != nil {
+				t.Fatal(err)
 			}
-		})
-	}
+			checkNaiveOnRoot(t, m.Query(qid))
+		}
+	})
 }
 
-// checkModeOnRoot runs one baseline enumeration mode on a snapshot's
-// frozen root and checks it against the snapshot: the same answer set,
-// and — when the mode has direct access — one element per derivation,
-// with AtInt(j) equal to the j-th for every j.
-func checkModeOnRoot(t *testing.T, s *Snapshot, mode enumerate.Mode, direct bool) {
+// checkNaiveOnRoot runs ModeNaive on a snapshot's frozen root and checks
+// it against the snapshot: the same answer set, and no ranked access.
+func checkNaiveOnRoot(t *testing.T, s *Snapshot) {
 	t.Helper()
 	_, gamma, emptyOK := s.Accepting()
-	var got []tree.Assignment
-	for a := range enumerate.Assignments(s.Root(), gamma, emptyOK, mode) {
-		got = append(got, a)
-	}
 	answers, seen := map[string]bool{}, map[string]bool{}
 	for _, a := range s.All() {
 		answers[a.Key()] = true
 	}
-	for _, a := range got {
+	for a := range enumerate.Assignments(s.Root(), gamma, emptyOK, enumerate.ModeNaive) {
 		if !answers[a.Key()] {
-			t.Fatalf("v%d: mode %d enumerates %v, not an answer", s.Version(), mode, a)
+			t.Fatalf("v%d: ModeNaive enumerates %v, not an answer", s.Version(), a)
 		}
 		seen[a.Key()] = true
 	}
 	if len(seen) != len(answers) {
-		t.Fatalf("v%d: mode %d enumerates %d of %d answers", s.Version(), mode, len(seen), len(answers))
+		t.Fatalf("v%d: ModeNaive enumerates %d of %d answers", s.Version(), len(seen), len(answers))
 	}
 	d := enumerate.GetDescender()
 	defer enumerate.PutDescender(d)
-	if !direct {
-		if _, err := d.AtInt(s.Root(), gamma, emptyOK, mode, 0); len(got) > 0 && !errors.Is(err, enumerate.ErrNoDirectAccess) {
-			t.Fatalf("v%d: mode %d AtInt(0) = %v, want ErrNoDirectAccess", s.Version(), mode, err)
-		}
-		return
-	}
-	if n := s.Derivations(); n.Cmp(big.NewInt(int64(len(got)))) != 0 {
-		t.Fatalf("v%d: mode %d enumerates %d elements, Derivations = %s", s.Version(), mode, len(got), n)
-	}
-	for j := range got {
-		r, err := d.AtInt(s.Root(), gamma, emptyOK, mode, j)
-		if err != nil {
-			t.Fatalf("v%d: AtInt(%d): %v", s.Version(), j, err)
-		}
-		if a := materialize(r); a.Key() != got[j].Key() {
-			t.Fatalf("v%d: AtInt(%d) = %v, enumeration[%d] = %v", s.Version(), j, a, j, got[j])
-		}
-	}
-	if _, err := d.AtInt(s.Root(), gamma, emptyOK, mode, len(got)); !errors.Is(err, enumerate.ErrRankRange) {
-		t.Fatalf("v%d: AtInt past the end = %v, want ErrRankRange", s.Version(), err)
+	if _, err := d.AtInt(s.Root(), gamma, emptyOK, enumerate.ModeNaive, 0); !errors.Is(err, enumerate.ErrNoDirectAccess) {
+		t.Fatalf("v%d: ModeNaive AtInt(0) = %v, want ErrNoDirectAccess", s.Version(), err)
 	}
 }
 

@@ -131,7 +131,7 @@ func (s *Snapshot) Chunks(workers, chunkSize int) iter.Seq[[]tree.Assignment] {
 		if n == 0 {
 			return
 		}
-		chunks := (n + chunkSize - 1) / chunkSize
+		chunks := (n-1)/chunkSize + 1 // n + chunkSize - 1 overflows a saturated Count
 		if workers > chunks {
 			workers = chunks
 		}

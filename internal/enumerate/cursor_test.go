@@ -49,7 +49,7 @@ func TestRopesSteadyStateAllocs(t *testing.T) {
 		if n < 200 {
 			continue
 		}
-		for _, mode := range []Mode{ModeIndexed, ModeNaive, ModeSimple} {
+		for _, mode := range []Mode{ModeIndexed, ModeNaive} {
 			drain := func() {
 				for range Ropes(root, gamma, emptyOK, mode) {
 				}
@@ -88,64 +88,62 @@ func TestConcurrentAbandonedStreams(t *testing.T) {
 		}
 		cases++
 		gamma, _ := bd.RootAccepting(c)
-		for _, mode := range []Mode{ModeIndexed, ModeSimple} {
-			want := ropeKeys(Ropes(root, gamma, false, mode))
-			n := len(want)
-			if n == 0 {
-				continue
-			}
-			var wg sync.WaitGroup
-			for w := 0; w < 6; w++ {
-				wg.Add(1)
-				go func(seed int64) {
-					defer wg.Done()
-					rng := rand.New(rand.NewSource(seed))
-					for it := 0; it < 30; it++ {
-						from, stop := 0, rng.Intn(n+1)
-						var got []string
-						if rng.Intn(2) == 0 {
-							for r := range Ropes(root, gamma, false, mode) {
-								if len(got) == stop {
-									break
-								}
-								got = append(got, r.Materialize().Key())
+		want := ropeKeys(Ropes(root, gamma, false, ModeIndexed))
+		n := len(want)
+		if n == 0 {
+			continue
+		}
+		var wg sync.WaitGroup
+		for w := 0; w < 6; w++ {
+			wg.Add(1)
+			go func(seed int64) {
+				defer wg.Done()
+				rng := rand.New(rand.NewSource(seed))
+				for it := 0; it < 30; it++ {
+					from, stop := 0, rng.Intn(n+1)
+					var got []string
+					if rng.Intn(2) == 0 {
+						for r := range Ropes(root, gamma, false, ModeIndexed) {
+							if len(got) == stop {
+								break
 							}
-						} else {
-							from = rng.Intn(n)
-							stop = rng.Intn(n - from + 1)
-							d := GetDescender()
-							seq, err := d.RopesFromInt(root, gamma, false, mode, from)
-							if err != nil {
-								t.Errorf("mode %v: RopesFrom(%d): %v", mode, from, err)
-								PutDescender(d)
-								return
-							}
-							for r := range seq {
-								if len(got) == stop {
-									break
-								}
-								got = append(got, r.Materialize().Key())
-							}
-							PutDescender(d)
+							got = append(got, r.Materialize().Key())
 						}
-						if len(got) != min(stop, n-from) {
-							t.Errorf("mode %v: stream from %d stopped at %d of %d", mode, from, len(got), stop)
+					} else {
+						from = rng.Intn(n)
+						stop = rng.Intn(n - from + 1)
+						d := GetDescender()
+						seq, err := d.RopesFromInt(root, gamma, false, ModeIndexed, from)
+						if err != nil {
+							t.Errorf("RopesFrom(%d): %v", from, err)
+							PutDescender(d)
 							return
 						}
-						for i, k := range got {
-							if k != want[from+i] {
-								t.Errorf("mode %v: answer %d of the stream from %d = %s, want %s", mode, i, from, k, want[from+i])
-								return
+						for r := range seq {
+							if len(got) == stop {
+								break
 							}
+							got = append(got, r.Materialize().Key())
+						}
+						PutDescender(d)
+					}
+					if len(got) != min(stop, n-from) {
+						t.Errorf("stream from %d stopped at %d of %d", from, len(got), stop)
+						return
+					}
+					for i, k := range got {
+						if k != want[from+i] {
+							t.Errorf("answer %d of the stream from %d = %s, want %s", i, from, k, want[from+i])
+							return
 						}
 					}
-				}(int64(w))
-			}
-			wg.Wait()
-			// A pooled cursor reused after the abandoned streams drains in full.
-			if got := ropeKeys(Ropes(root, gamma, false, mode)); !slices.Equal(got, want) {
-				t.Fatalf("mode %v: reused cursor drained %d answers, want the %d of the first drain", mode, len(got), n)
-			}
+				}
+			}(int64(w))
+		}
+		wg.Wait()
+		// A pooled cursor reused after the abandoned streams drains in full.
+		if got := ropeKeys(Ropes(root, gamma, false, ModeIndexed)); !slices.Equal(got, want) {
+			t.Fatalf("reused cursor drained %d answers, want the %d of the first drain", len(got), n)
 		}
 	}
 }

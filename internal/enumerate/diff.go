@@ -52,12 +52,10 @@ type Differ struct {
 }
 
 // NewDiffer returns a Differ enumerating candidate regions with
-// Algorithm 2 over the given mode's box-enumeration strategy (ModeSimple
-// is rejected by the engine before it gets here; the differ itself only
-// needs a duplicate-free strategy).
+// Algorithm 2 over the given mode's box-enumeration strategy.
 func NewDiffer(mode Mode) *Differ {
 	return &Differ{
-		mode:    boxEnumFor(mode),
+		mode:    mode,
 		added:   map[string]tree.Assignment{},
 		removed: map[string]tree.Assignment{},
 	}

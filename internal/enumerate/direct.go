@@ -9,11 +9,11 @@ import (
 )
 
 // This file implements rank-indexed direct access over a frozen
-// (box, index, counts) tree: At(root, Γ, emptyOK, mode, j) returns the
-// j-th rope of Ropes(root, Γ, emptyOK, mode) without producing the
-// first j. The descent is count-guided: per-box derivation counts
-// (IndexedBox.Counts, maintained by the engine with the same hollowing-
-// trunk invalidation as the index) tell, at every branch point of the
+// (box, index, counts) tree: Descender.At(root, Γ, emptyOK, ModeIndexed,
+// j) returns the j-th rope of Ropes(root, Γ, emptyOK, ModeIndexed)
+// without producing the first j. The descent is count-guided: per-box
+// derivation counts (IndexedBox.Counts, maintained by the engine with
+// the same hollowing-trunk invalidation as the index) tell, at every branch point of the
 // enumeration recursion, how many outputs each branch contributes, so
 // whole branches are skipped in O(poly(w)) each. Total cost is
 // O(h·poly(w)) for a box tree of height h — independent of the number
@@ -35,30 +35,25 @@ import (
 // structurally visible, which is why the automaton-level check is the
 // authoritative gate.)
 //
-// For ModeIndexed the descent mirrors the cursor's Algorithm 3 frames
-// (the fib jump order) with Algorithm 2's var/product order per
-// interesting box. Product blocks are handled by WEIGHTED ranks: the
-// j-th product of a box is found by descending the left factors with
-// per-gate weights (how many outputs each left factor fans out to),
-// then the right factors with the remaining offset — the same recursion
-// as the enumeration, so the order matches output for output.
-//
-// For ModeSimple the descent follows Algorithm 1's gate recursion
-// directly (vars, then ×-gates left-major, then child ∪-gates), where
-// derivation counts are exact block lengths even for ambiguous
-// automata, because Algorithm 1 enumerates with multiplicity.
+// The descent mirrors the cursor's Algorithm 3 frames (the fib jump
+// order) with Algorithm 2's var/product order per interesting box.
+// Product blocks are handled by WEIGHTED ranks: the j-th product of a
+// box is found by descending the left factors with per-gate weights
+// (how many outputs each left factor fans out to), then the right
+// factors with the remaining offset — the same recursion as the
+// enumeration, so the order matches output for output.
 //
 // All transient state — relation matrices, weights, factor-weight
 // vectors — lives on a Descender (scratch.go), so a worker calling At in
 // a loop reuses one set of slabs; the answer rope is carved from the
-// descender's append-only rope slab. The package-level
-// At wraps a throwaway Descender for one-shot callers.
+// descender's append-only rope slab.
 
 // Errors reported by the direct-access descent.
 var (
 	// ErrNoDirectAccess means the wrapper tree was built without the
-	// structures the requested mode needs (counts, or the Definition 6.1
-	// index for ModeIndexed — ModeNaive has no direct-access support).
+	// structures the descent needs (counts, or the Definition 6.1 index),
+	// or the requested mode is not ModeIndexed: only the indexed
+	// enumeration has direct access.
 	ErrNoDirectAccess = errors.New("enumerate: wrapper tree has no direct-access support")
 	// ErrRankRange means j is outside [0, Total).
 	ErrRankRange = errors.New("enumerate: rank out of range")
@@ -70,8 +65,8 @@ var (
 
 // Total returns the number of derivations of the boxed set gamma, plus
 // one for the empty assignment if emptyOK: the exact length of the
-// ModeSimple enumeration always, and of the duplicate-free enumerations
-// exactly when the automaton is unambiguous.
+// duplicate-free enumerations when the automaton is unambiguous, and an
+// overcount otherwise.
 func Total(root *IndexedBox, gamma bitset.Set, emptyOK bool) (*big.Int, error) {
 	return totalInto(new(big.Int), root, gamma, emptyOK)
 }
@@ -96,48 +91,17 @@ func totalInto(total *big.Int, root *IndexedBox, gamma bitset.Set, emptyOK bool)
 }
 
 // At returns the j-th rope (0-based) of Ropes(root, gamma, emptyOK,
-// mode). A nil rope with a nil error is the empty assignment. At never
-// mutates j. One-shot wrapper over a fresh Descender; loops over many
-// ranks should hold a Descender and call its At instead.
-func At(root *IndexedBox, gamma bitset.Set, emptyOK bool, mode Mode, j *big.Int) (*Rope, error) {
-	return new(Descender).At(root, gamma, emptyOK, mode, j)
-}
-
-// At returns the j-th rope (0-based) of Ropes(root, gamma, emptyOK,
 // mode), reusing the descender's scratch: the call recycles the scratch
 // of previous calls, while the rope, like every rope, is persistent. A
-// nil rope with a nil error is the empty assignment. At never mutates j.
+// nil rope with a nil error is the empty assignment. Ranks outside
+// [0, Total) fail with ErrRankRange, and modes other than ModeIndexed
+// with ErrNoDirectAccess. At never mutates j.
 func (d *Descender) At(root *IndexedBox, gamma bitset.Set, emptyOK bool, mode Mode, j *big.Int) (*Rope, error) {
-	if j.Sign() < 0 {
-		return nil, ErrRankRange
+	rope, ok, err := d.seek(root, gamma, emptyOK, mode, j)
+	if err == nil && !ok {
+		err = ErrRankRange
 	}
-	d.Reset()
-	total, err := totalInto(d.ints.get(), root, gamma, emptyOK)
-	if err != nil {
-		return nil, err
-	}
-	if j.Cmp(total) >= 0 {
-		return nil, ErrRankRange
-	}
-	rank := d.ints.get().Set(j)
-	if emptyOK {
-		if rank.Sign() == 0 {
-			return nil, nil
-		}
-		rank.Sub(rank, bigOne)
-	}
-	switch mode {
-	case ModeSimple:
-		return d.simpleAt(root, gamma, rank)
-	case ModeIndexed:
-		if root.Index == nil {
-			return nil, ErrNoDirectAccess
-		}
-		rope, _, _, err := d.descendRegion(root, d.seedRelation(root.Box, gamma), nil, rank, -1)
-		return rope, err
-	default:
-		return nil, ErrNoDirectAccess
-	}
+	return rope, err
 }
 
 // AtInt is At for a machine-word rank, reusing an internal big.Int.
@@ -462,83 +426,4 @@ func (d *Descender) descendProducts(b1 *IndexedBox, provT bitset.Matrix, gammaL 
 		return nil, -1, nil, err
 	}
 	return d.slab.concat(sl, sr), cols[rcol], off2, nil
-}
-
-// simpleAt finds the j-th rope of Simple(root.Box, gamma): Algorithm
-// 1's enumeration order, where derivation counts are exact block
-// lengths by construction (one output per derivation), ambiguous or
-// not.
-func (d *Descender) simpleAt(root *IndexedBox, gamma bitset.Set, j *big.Int) (*Rope, error) {
-	for g := gamma.Next(0); g >= 0; g = gamma.Next(g + 1) {
-		c := root.Counts[g]
-		if j.Cmp(c) < 0 {
-			d.record(frame{kind: frameGamma, cb: root.Box, gamma: gamma, at: int32(g + 1), sink: -1})
-			return d.simpleAtUnion(root, g, j, -1)
-		}
-		j.Sub(j, c)
-	}
-	return nil, ErrRankRange
-}
-
-// simpleAtUnion finds the j-th rope of the inputs of ∪-gate u of n.Box:
-// var inputs first, then ×-inputs left-factor-major, then the child
-// ∪-inputs, exactly the input order of Algorithm 1 (stepSimple). The
-// trail frames it records carry sink as the receiver of its outputs.
-func (d *Descender) simpleAtUnion(n *IndexedBox, u int, j *big.Int, sink int32) (*Rope, error) {
-	if n.Counts == nil && len(n.Box.Unions) > 0 {
-		return nil, ErrNoDirectAccess
-	}
-	b := n.Box
-	vars := b.UnionVars(u)
-	if j.IsInt64() && j.Int64() < int64(len(vars)) {
-		d.record(frame{kind: frameInputs, cb: b, u: int32(u), at: int32(j.Int64() + 1), sink: sink})
-		return d.slab.leaf(b.Vars[vars[j.Int64()]].Set, b.Node), nil
-	}
-	j.Sub(j, d.ints.get().SetInt64(int64(len(vars))))
-	// in is the position of the current input in Algorithm 1's order,
-	// recorded for the cursor to resume after.
-	in := len(vars)
-	blk := d.ints.get()
-	for _, t := range b.UnionTimes(u) {
-		tg := b.Times[t]
-		cl, cr := n.Left.Counts[tg.Left], n.Right.Counts[tg.Right]
-		blk.Mul(cl, cr)
-		if j.Cmp(blk) < 0 {
-			jl, jr := d.ints.get(), d.ints.get()
-			jl.DivMod(j, cr, jr)
-			d.record(frame{kind: frameInputs, cb: b, u: int32(u), at: int32(in + 1), sink: sink})
-			p := d.record(frame{kind: frameSimpleProduct, cb: b, u: t, sink: sink})
-			sl, err := d.simpleAtUnion(n.Left, int(tg.Left), jl, p)
-			if err != nil {
-				return nil, err
-			}
-			q := d.record(frame{kind: frameRight, sl: sl, sink: p})
-			sr, err := d.simpleAtUnion(n.Right, int(tg.Right), jr, q)
-			if err != nil {
-				return nil, err
-			}
-			return d.slab.concat(sl, sr), nil
-		}
-		j.Sub(j, blk)
-		in++
-	}
-	for _, l := range b.UnionLeft(u) {
-		c := n.Left.Counts[l]
-		if j.Cmp(c) < 0 {
-			d.record(frame{kind: frameInputs, cb: b, u: int32(u), at: int32(in + 1), sink: sink})
-			return d.simpleAtUnion(n.Left, int(l), j, sink)
-		}
-		j.Sub(j, c)
-		in++
-	}
-	for _, r := range b.UnionRight(u) {
-		c := n.Right.Counts[r]
-		if j.Cmp(c) < 0 {
-			d.record(frame{kind: frameInputs, cb: b, u: int32(u), at: int32(in + 1), sink: sink})
-			return d.simpleAtUnion(n.Right, int(r), j, sink)
-		}
-		j.Sub(j, c)
-		in++
-	}
-	return nil, ErrRankRange
 }

@@ -47,67 +47,46 @@ func countedCircuit(rng *rand.Rand, states, leaves int) (root *IndexedBox, unamb
 	return root, a.Unambiguous(), bd, c
 }
 
-// TestAtMatchesRopesOrder checks, on random circuits, that At(j)
-// returns exactly the j-th rope of Ropes for every rank: ModeSimple
-// always (one output per derivation), ModeIndexed whenever the
-// automaton is unambiguous. Total must match the enumeration length in
-// the same cases.
+// TestAtMatchesRopesOrder checks, on random circuits of unambiguous
+// automata, that At(j) on a fresh Descender returns exactly the j-th
+// rope of Ropes for every rank, that ranks -1 and Total fail, and that
+// Total matches the enumeration length.
 func TestAtMatchesRopesOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	trials, indexedTrials := 0, 0
-	for trials < 150 {
+	for trials := 0; trials < 55; {
 		root, unamb, bd, c := countedCircuit(rng, 1+rng.Intn(3), 1+rng.Intn(8))
-		if root == nil {
+		if root == nil || !unamb {
 			continue
 		}
 		trials++
 		gamma, emptyOK := bd.RootAccepting(c)
-		modes := []Mode{ModeSimple}
-		if unamb {
-			modes = append(modes, ModeIndexed)
-			indexedTrials++
+		keys := ropeKeys(Ropes(root, gamma, emptyOK, ModeIndexed))
+		total, err := Total(root, gamma, emptyOK)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for _, mode := range modes {
-			var keys []string
-			for r := range Ropes(root, gamma, emptyOK, mode) {
-				if r == nil {
-					keys = append(keys, "<empty>")
-				} else {
-					keys = append(keys, r.Materialize().Key())
-				}
-			}
-			total, err := Total(root, gamma, emptyOK)
+		if total.Cmp(big.NewInt(int64(len(keys)))) != 0 {
+			t.Fatalf("Total = %s, enumerated %d", total, len(keys))
+		}
+		for j := range keys {
+			r, err := new(Descender).At(root, gamma, emptyOK, ModeIndexed, big.NewInt(int64(j)))
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("At(%d): %v", j, err)
 			}
-			if mode == ModeSimple || unamb {
-				if total.Cmp(big.NewInt(int64(len(keys)))) != 0 {
-					t.Fatalf("mode %v: Total = %s, enumerated %d (unamb=%v)", mode, total, len(keys), unamb)
-				}
+			got := "<empty>"
+			if r != nil {
+				got = r.Materialize().Key()
 			}
-			for j := range keys {
-				r, err := At(root, gamma, emptyOK, mode, big.NewInt(int64(j)))
-				if err != nil {
-					t.Fatalf("mode %v: At(%d): %v", mode, j, err)
-				}
-				got := "<empty>"
-				if r != nil {
-					got = r.Materialize().Key()
-				}
-				if got != keys[j] {
-					t.Fatalf("mode %v: At(%d) = %s, want %s", mode, j, got, keys[j])
-				}
-			}
-			if _, err := At(root, gamma, emptyOK, mode, big.NewInt(int64(len(keys)))); err == nil {
-				t.Fatalf("mode %v: At past the end succeeded", mode)
-			}
-			if _, err := At(root, gamma, emptyOK, mode, big.NewInt(-1)); err == nil {
-				t.Fatalf("mode %v: At(-1) succeeded", mode)
+			if got != keys[j] {
+				t.Fatalf("At(%d) = %s, want %s", j, got, keys[j])
 			}
 		}
-	}
-	if indexedTrials < 20 {
-		t.Fatalf("too few unambiguous trials: %d", indexedTrials)
+		if _, err := new(Descender).At(root, gamma, emptyOK, ModeIndexed, big.NewInt(int64(len(keys)))); err != ErrRankRange {
+			t.Fatalf("At past the end = %v, want ErrRankRange", err)
+		}
+		if _, err := new(Descender).At(root, gamma, emptyOK, ModeIndexed, big.NewInt(-1)); err != ErrRankRange {
+			t.Fatalf("At(-1) = %v, want ErrRankRange", err)
+		}
 	}
 }
 
@@ -124,11 +103,11 @@ func TestAtErrors(t *testing.T) {
 		if gamma.Empty() {
 			continue
 		}
-		if _, err := At(root, gamma, emptyOK, ModeNaive, big.NewInt(0)); err != ErrNoDirectAccess {
+		if _, err := new(Descender).At(root, gamma, emptyOK, ModeNaive, big.NewInt(0)); err != ErrNoDirectAccess {
 			t.Fatalf("ModeNaive At = %v, want ErrNoDirectAccess", err)
 		}
 		bare := BuildIndex(c) // no counts filled
-		if _, err := At(bare, gamma, emptyOK, ModeIndexed, big.NewInt(0)); err != ErrNoDirectAccess {
+		if _, err := new(Descender).At(bare, gamma, emptyOK, ModeIndexed, big.NewInt(0)); err != ErrNoDirectAccess {
 			t.Fatalf("countless At = %v, want ErrNoDirectAccess", err)
 		}
 		if _, err := Total(bare, gamma, emptyOK); err != ErrNoDirectAccess {

@@ -29,19 +29,7 @@ const (
 	// ModeNaive is Algorithm 2 over the naive box enumeration:
 	// duplicate-free, delay proportional to circuit depth (Section 5).
 	ModeNaive
-	// ModeSimple is Algorithm 1: duplicates allowed, delay proportional
-	// to circuit depth (Section 4).
-	ModeSimple
 )
-
-// boxEnumFor returns the mode whose box enumeration Algorithm 2 runs
-// under m: the index jumps of ModeIndexed, else the naive traversal.
-func boxEnumFor(m Mode) Mode {
-	if m == ModeIndexed {
-		return ModeIndexed
-	}
-	return ModeNaive
-}
 
 // frameKind tells which piece of the enumeration recursion a frame
 // stands for.
@@ -54,12 +42,7 @@ const (
 	frameProducts                  // the products at box `box`: sink of the left factors; r = provenance row per ×-gate
 	frameBelow                     // the regions below output box `box` (r = its relation)
 	frameRegion                    // Algorithm 3's b-enum on region (box, r)
-	// Both product kinds.
-	frameRight // sink of the right factors completing left factor sl; gamma = the ×-gates they may complete
-	// Algorithm 1.
-	frameGamma         // the ∪-gates of gamma (of box cb) from gate `at` on
-	frameInputs        // the inputs of ∪-gate u of box cb from position `at` on
-	frameSimpleProduct // ×-gate u of box cb: sink of the left factors
+	frameRight                     // sink of the right factors completing left factor sl; gamma = the ×-gates they may complete
 	// Never on a seek's trail: the naive traversal and box mode.
 	frameNaive // the naive box enumeration on region (box, r)
 	frameBox   // box-enumeration output (box, r)
@@ -71,10 +54,9 @@ const (
 // arena back to mark, the position its scratch starts at.
 type frame struct {
 	kind  frameKind
-	u, at int32
+	at    int32
 	sink  int32
 	box   *IndexedBox
-	cb    *circuit.Box // ModeSimple frames
 	r     bitset.Matrix
 	gamma bitset.Set
 	sl    *Rope
@@ -94,7 +76,7 @@ func Boxwise(b *IndexedBox, gamma bitset.Set, mode Mode) iter.Seq2[*Rope, bitset
 		}
 		d := GetDescender()
 		defer PutDescender(d)
-		d.start(b, gamma, boxEnumFor(mode), false)
+		d.start(b, gamma, mode, false)
 		for {
 			r, prov, ok := d.next()
 			if !ok || !yield(r, prov) {
@@ -149,10 +131,6 @@ func Assignments(b *IndexedBox, gamma bitset.Set, emptyOK bool, mode Mode) iter.
 func (d *Descender) start(b *IndexedBox, gamma bitset.Set, mode Mode, boxes bool) {
 	d.Reset()
 	d.boxes = boxes
-	if mode == ModeSimple {
-		d.push(d.mats.Mark(), frame{kind: frameGamma, cb: b.Box, gamma: gamma, sink: -1})
-		return
-	}
 	d.region = frameRegion
 	if mode == ModeNaive {
 		d.region = frameNaive
@@ -195,9 +173,9 @@ func (d *Descender) pushRegion(b *IndexedBox, gamma bitset.Set, sink int32) {
 }
 
 // next runs the cursor to its next answer: the rope, and its provenance
-// (columns of the root relation deriving it; empty in ModeSimple), which
-// is scratch valid until the following call. ok is false once the
-// enumeration is exhausted. In box mode the answer is d.out instead.
+// (columns of the root relation deriving it), which is scratch valid
+// until the following call. ok is false once the enumeration is
+// exhausted. In box mode the answer is d.out instead.
 func (d *Descender) next() (rope *Rope, prov bitset.Set, ok bool) {
 	for len(d.stack) > 0 {
 		i := int32(len(d.stack) - 1)
@@ -207,15 +185,11 @@ func (d *Descender) next() (rope *Rope, prov bitset.Set, ok bool) {
 			if rope, prov, ok = d.stepVars(f, i); ok {
 				return rope, prov, true
 			}
-		case frameGamma, frameInputs:
-			if rope, ok = d.stepSimple(f); ok {
-				return rope, bitset.Set{}, true
-			}
 		case frameBox:
 			d.out = BoxRelation{f.box, f.r}
 			d.pop()
 			return nil, bitset.Set{}, true
-		case frameProducts, frameSimpleProduct, frameRight:
+		case frameProducts, frameRight:
 			d.pop() // its factors are exhausted
 		default:
 			d.stepBoxes(f)
@@ -287,11 +261,9 @@ func (d *Descender) route(s int32, rope *Rope, prov bitset.Set) (*Rope, bitset.S
 			return nil, bitset.Set{}, false
 		}
 		p := &d.stack[f.sink]
-		if p.kind == frameProducts {
-			var ok bool
-			if prov, ok = d.productProv(p.box.Box, p.r, f.gamma, prov); !ok {
-				return nil, bitset.Set{}, false
-			}
+		var ok bool
+		if prov, ok = d.productProv(p.box.Box, p.r, f.gamma, prov); !ok {
+			return nil, bitset.Set{}, false
 		}
 		rope = d.slab.concat(f.sl, rope)
 		s = p.sink
@@ -302,17 +274,10 @@ func (d *Descender) route(s int32, rope *Rope, prov bitset.Set) (*Rope, bitset.S
 // startRight is Algorithm 2 lines 11-14 for left factor sl, with
 // provenance provL, arriving at the product frame s: it pushes a
 // frameRight holding sl and the ×-gates sl feeds, then the enumeration
-// of the right factors those ×-gates read. In ModeSimple the product
-// frame stands for one ×-gate, whose right ∪-gate is enumerated.
+// of the right factors those ×-gates read.
 func (d *Descender) startRight(s int32, sl *Rope, provL bitset.Set) {
 	p := &d.stack[s]
 	m := d.mats.Mark()
-	if p.kind == frameSimpleProduct {
-		cb := p.cb
-		q := d.push(m, frame{kind: frameRight, sl: sl, sink: s})
-		d.push(m, frame{kind: frameInputs, cb: cb.Right, u: cb.Times[p.u].Right, sink: q})
-		return
-	}
 	b, provT := p.box, p.r
 	bp := b.Box
 	liveT := d.mats.Set(len(bp.Times))

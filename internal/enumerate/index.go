@@ -32,9 +32,9 @@ type IndexedBox struct {
 	Left  *IndexedBox
 	Right *IndexedBox
 	// Index is nil when the wrapper was built without the Definition 6.1
-	// index (withIndex false). The engine always builds it; ModeNaive and
-	// ModeSimple, the baselines that run on the engine's frozen roots,
-	// never read it.
+	// index (withIndex false). The engine always builds it; ModeNaive,
+	// the baseline that runs on the engine's frozen roots, never reads
+	// it.
 	Index *BoxIndex
 	// Counts holds the number of circuit derivations of each local
 	// ∪-gate — the Section 4 multiset count of (run, valuation) pairs,

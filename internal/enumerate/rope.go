@@ -1,8 +1,6 @@
-// Package enumerate implements the enumeration algorithms of Sections 4-6
-// of the paper on assignment circuits built by package circuit:
+// Package enumerate implements the enumeration algorithms of Sections 5
+// and 6 of the paper on assignment circuits built by package circuit:
 //
-//   - Algorithm 1 (Simple): enumeration with duplicates and delay linear
-//     in the circuit depth, kept as a baseline and correctness anchor.
 //   - Algorithm 2 (the boxwise scheme of Section 5): duplicate-free
 //     enumeration with provenance, parameterized by a box-enumeration
 //     strategy.

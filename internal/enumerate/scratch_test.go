@@ -7,63 +7,55 @@ import (
 )
 
 // TestDescenderMatchesAt drives one long-lived Descender across many
-// circuits, modes and ranks — including interleaved revisits of earlier
-// ranks — and checks every answer against the one-shot package At. This
-// pins the scratch-reuse contract: recycled matrices, weights and ropes
-// never leak state from one At call into the next.
+// circuits and ranks — including interleaved revisits of earlier ranks
+// — and checks every answer against At on a fresh Descender. This pins
+// the scratch-reuse contract: recycled matrices, weights and ropes never
+// leak state from one At call into the next.
 func TestDescenderMatchesAt(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	d := NewDescender()
-	trials := 0
-	for trials < 60 {
+	for trials := 0; trials < 26; {
 		root, unamb, bd, c := countedCircuit(rng, 1+rng.Intn(3), 1+rng.Intn(8))
-		if root == nil {
+		if root == nil || !unamb {
 			continue
 		}
 		trials++
 		gamma, emptyOK := bd.RootAccepting(c)
-		modes := []Mode{ModeSimple}
-		if unamb {
-			modes = append(modes, ModeIndexed)
+		total, err := Total(root, gamma, emptyOK)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for _, mode := range modes {
-			total, err := Total(root, gamma, emptyOK)
+		if !total.IsInt64() || total.Int64() > 2048 {
+			continue
+		}
+		n := int(total.Int64())
+		// Visit ranks in a scrambled order so consecutive descents take
+		// different shapes through the same scratch.
+		for _, j := range rng.Perm(n) {
+			want, err := new(Descender).At(root, gamma, emptyOK, ModeIndexed, big.NewInt(int64(j)))
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("At(%d): %v", j, err)
 			}
-			if !total.IsInt64() || total.Int64() > 2048 {
-				continue
+			got, err := d.AtInt(root, gamma, emptyOK, ModeIndexed, j)
+			if err != nil {
+				t.Fatalf("Descender.AtInt(%d): %v", j, err)
 			}
-			n := int(total.Int64())
-			// Visit ranks in a scrambled order so consecutive descents take
-			// different shapes through the same scratch.
-			order := rng.Perm(n)
-			for _, j := range order {
-				want, err := At(root, gamma, emptyOK, mode, big.NewInt(int64(j)))
-				if err != nil {
-					t.Fatalf("At(%d): %v", j, err)
-				}
-				got, err := d.AtInt(root, gamma, emptyOK, mode, j)
-				if err != nil {
-					t.Fatalf("Descender.AtInt(%d): %v", j, err)
-				}
-				wk, gk := "<empty>", "<empty>"
-				if want != nil {
-					wk = want.Materialize().Key()
-				}
-				if got != nil {
-					gk = got.Materialize().Key()
-				}
-				if wk != gk {
-					t.Fatalf("mode %v rank %d: Descender = %s, want %s", mode, j, gk, wk)
-				}
+			wk, gk := "<empty>", "<empty>"
+			if want != nil {
+				wk = want.Materialize().Key()
 			}
-			if _, err := d.AtInt(root, gamma, emptyOK, mode, n); err != ErrRankRange {
-				t.Fatalf("mode %v: past-the-end AtInt = %v, want ErrRankRange", mode, err)
+			if got != nil {
+				gk = got.Materialize().Key()
 			}
-			if _, err := d.AtInt(root, gamma, emptyOK, mode, -1); err != ErrRankRange {
-				t.Fatalf("mode %v: AtInt(-1) = %v, want ErrRankRange", mode, err)
+			if wk != gk {
+				t.Fatalf("rank %d: Descender = %s, want %s", j, gk, wk)
 			}
+		}
+		if _, err := d.AtInt(root, gamma, emptyOK, ModeIndexed, n); err != ErrRankRange {
+			t.Fatalf("past-the-end AtInt = %v, want ErrRankRange", err)
+		}
+		if _, err := d.AtInt(root, gamma, emptyOK, ModeIndexed, -1); err != ErrRankRange {
+			t.Fatalf("AtInt(-1) = %v, want ErrRankRange", err)
 		}
 	}
 }
@@ -104,17 +96,17 @@ func TestDescenderSteadyStateAllocs(t *testing.T) {
 			work() // touch every descent shape: reach the high-water mark
 		}
 		oneShot := testing.AllocsPerRun(20, func() {
-			if _, err := At(root, gamma, emptyOK, ModeIndexed, big.NewInt(int64(j%n))); err != nil {
+			if _, err := new(Descender).At(root, gamma, emptyOK, ModeIndexed, big.NewInt(int64(j%n))); err != nil {
 				t.Fatal(err)
 			}
 			j++
 		})
 		reused := testing.AllocsPerRun(20, work)
 		if reused > 4 {
-			t.Fatalf("steady-state Descender.At allocates %.1f/call, want ≈0 (one-shot At: %.1f)", reused, oneShot)
+			t.Fatalf("steady-state Descender.At allocates %.1f/call, want ≈0 (At on a fresh Descender: %.1f)", reused, oneShot)
 		}
 		if reused > oneShot {
-			t.Fatalf("Descender.At (%.1f allocs) costs more than one-shot At (%.1f)", reused, oneShot)
+			t.Fatalf("Descender.At (%.1f allocs) costs more than At on a fresh Descender (%.1f)", reused, oneShot)
 		}
 		return
 	}

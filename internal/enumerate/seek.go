@@ -17,14 +17,13 @@ import (
 // trail, as cursor frames (enum.go), the piece of the recursion still
 // pending after that branch: the walk of a region, the right region
 // below an interesting box, the rest of a box's var gates and its
-// products, the regions below it, the remaining inputs of an Algorithm
-// 1 ∪-gate. A landing inside a product records the product frame, the
-// left factor's frames, a frameRight holding the landed left factor,
-// and the right factor's frames, exactly the stack the cursor has right
-// after emitting that product. The finished trail is therefore the
-// cursor's state right after answer j: the stream yields the landed
-// answer, then runs the cursor on a copy of the trail. No answer before
-// rank j is ever produced.
+// products, the regions below it. A landing inside a product records
+// the product frame, the left factor's frames, a frameRight holding the
+// landed left factor, and the right factor's frames, exactly the stack
+// the cursor has right after emitting that product. The finished trail
+// is therefore the cursor's state right after answer j: the stream
+// yields the landed answer, then runs the cursor on a copy of the
+// trail. No answer before rank j is ever produced.
 
 // record appends a frame to the trail and returns its position.
 func (d *Descender) record(f frame) int32 {
@@ -32,64 +31,75 @@ func (d *Descender) record(f frame) int32 {
 	return int32(len(d.trail) - 1)
 }
 
-// RopesFrom returns the ropes of Ropes(root, gamma, emptyOK, mode) from
-// rank j (0-based) on, in the same order, without producing the first
-// j: the seek is one count-guided descent, run before RopesFrom
-// returns, and the stream continues with the enumeration's own delay.
-// j may equal the total (an empty stream); ranks beyond it fail with
-// ErrRankRange, and the descent's ErrNoDirectAccess / ErrAmbiguous are
-// reported as At reports them. The stream runs the descender's cursor
-// on the seek's trail: it is valid only until the descender's next At,
-// RopesFrom or Reset, and each iteration recycles the scratch of the
-// previous one. The ropes it yields are persistent heap values.
-func (d *Descender) RopesFrom(root *IndexedBox, gamma bitset.Set, emptyOK bool, mode Mode, j *big.Int) (iter.Seq[*Rope], error) {
+// seek is the part of At and RopesFrom before their answer: it checks
+// j against Total, steps past the empty assignment, which comes first
+// when emptyOK, and runs the count-guided descent (direct.go) to rank j,
+// leaving the trail. ok is false, with no error, at j == Total. A nil
+// rope with ok is the empty assignment. j is not mutated, and the call
+// allocates nothing once the descender's scratch has grown.
+func (d *Descender) seek(root *IndexedBox, gamma bitset.Set, emptyOK bool, mode Mode, j *big.Int) (rope *Rope, ok bool, err error) {
 	if j.Sign() < 0 {
-		return nil, ErrRankRange
+		return nil, false, ErrRankRange
+	}
+	if mode != ModeIndexed {
+		return nil, false, ErrNoDirectAccess
 	}
 	d.Reset()
 	total, err := totalInto(d.ints.get(), root, gamma, emptyOK)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	switch c := j.Cmp(total); {
 	case c > 0:
-		return nil, ErrRankRange
+		return nil, false, ErrRankRange
 	case c == 0:
-		return func(func(*Rope) bool) {}, nil
+		return nil, false, nil
 	}
-	lead := emptyOK && j.Sign() == 0 // the empty assignment comes first
 	rank := d.ints.get().Set(j)
-	if emptyOK && !lead {
+	if emptyOK {
+		if rank.Sign() == 0 {
+			return nil, true, nil
+		}
 		rank.Sub(rank, bigOne)
 	}
-	var landed *Rope // nil: the empty assignment is the only answer left
-	if !lead || total.Cmp(bigOne) > 0 {
-		switch mode {
-		case ModeSimple:
-			landed, err = d.simpleAt(root, gamma, rank)
-		case ModeIndexed:
-			if root.Index == nil {
-				return nil, ErrNoDirectAccess
-			}
-			landed, _, _, err = d.descendRegion(root, d.seedRelation(root.Box, gamma), nil, rank, -1)
-		default:
-			err = ErrNoDirectAccess
-		}
-		if err != nil {
-			return nil, err
-		}
+	if root.Index == nil {
+		return nil, false, ErrNoDirectAccess
 	}
-	seek := d.mats.Mark()
+	rope, _, _, err = d.descendRegion(root, d.seedRelation(root.Box, gamma), nil, rank, -1)
+	return rope, err == nil, err
+}
+
+// RopesFrom returns the ropes of Ropes(root, gamma, emptyOK, mode) from
+// rank j (0-based) on, in the same order, without producing the first
+// j: the seek is one count-guided descent, run before RopesFrom
+// returns, and the stream continues with the enumeration's own delay.
+// j may equal the total (an empty stream); otherwise RopesFrom fails
+// as At fails. The stream runs the descender's cursor on the seek's
+// trail: it is valid only until the descender's next At, RopesFrom or
+// Reset, and each iteration recycles the scratch of the previous one.
+// The ropes it yields are persistent heap values.
+func (d *Descender) RopesFrom(root *IndexedBox, gamma bitset.Set, emptyOK bool, mode Mode, j *big.Int) (iter.Seq[*Rope], error) {
+	// The empty assignment leads the stream from rank 0; the seek lands
+	// on the answer after it, which the cursor needs to resume.
+	lead := emptyOK && j.Sign() == 0
+	if lead {
+		j = bigOne
+	}
+	landed, ok, err := d.seek(root, gamma, emptyOK, mode, j)
+	if err != nil {
+		return nil, err
+	}
+	mark := d.mats.Mark()
 	return func(yield func(*Rope) bool) {
-		if lead && !yield(nil) || landed == nil || !yield(landed) {
+		if lead && !yield(nil) || !ok || !yield(landed) {
 			return
 		}
 		// The trail frames' scratch is the seek's: it stays put.
-		d.mats.Release(seek)
+		d.mats.Release(mark)
 		d.stack = append(d.stack[:0], d.trail...)
 		d.deep = max(d.deep, len(d.stack))
 		for i := range d.stack {
-			d.stack[i].mark = seek
+			d.stack[i].mark = mark
 		}
 		d.region, d.boxes = frameRegion, false
 		d.stream(yield)

@@ -64,32 +64,32 @@ func countedCircuitOf(rng *rand.Rand, raw *tva.Binary, leaves int) (root *Indexe
 }
 
 // TestRopesFromMatchesSuffix is the differential test of the seek: on
-// random counted circuits, RopesFrom(j) streams exactly Ropes[j:] for
-// every rank j in [0, total] — ModeSimple always, ModeIndexed whenever
-// the automaton is unambiguous — through one long-lived Descender, so
-// the trail of one seek never leaks into the next. Every fourth circuit
-// runs selectAB, so every kind of trail frame is replayed. Larger
-// answer sets are checked at the boundary ranks 0, 1, total−1, total
-// and a random sample. The seek starts no enumeration (EnumStarts stays
-// put), and an abandoned stream stops cleanly.
+// random counted circuits of unambiguous automata, RopesFrom(j) streams
+// exactly Ropes[j:] for every rank j in [0, total], through one
+// long-lived Descender, so the trail of one seek never leaks into the
+// next. Every fourth circuit drawn runs selectAB, so every kind of trail
+// frame is replayed. Larger answer sets are checked at the boundary
+// ranks 0, 1, total−1, total and a random sample. The seek starts no
+// enumeration (EnumStarts stays put), and an abandoned stream stops
+// cleanly.
 func TestRopesFromMatchesSuffix(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	d := NewDescender()
 	kinds := map[frameKind]int{}
-	trials, indexedTrials, emptyTrials := 0, 0, 0
-	for trials < 200 {
+	trials, emptyTrials := 0, 0
+	for drawn := 0; trials < 121; drawn++ {
 		var (
 			root  *IndexedBox
 			unamb bool
 			bd    *circuit.Builder
 			c     *circuit.Circuit
 		)
-		if trials%4 == 3 {
+		if drawn%4 == 3 {
 			root, unamb, bd, c = countedCircuitOf(rng, selectAB(), 2+rng.Intn(20))
 		} else {
 			root, unamb, bd, c = countedCircuit(rng, 1+rng.Intn(3), 1+rng.Intn(12))
 		}
-		if root == nil {
+		if root == nil || !unamb {
 			continue
 		}
 		gamma, emptyOK := bd.RootAccepting(c)
@@ -100,72 +100,64 @@ func TestRopesFromMatchesSuffix(t *testing.T) {
 		if emptyOK {
 			emptyTrials++
 		}
-		modes := []Mode{ModeSimple}
-		if unamb {
-			modes = append(modes, ModeIndexed)
-			indexedTrials++
-		}
-		for _, mode := range modes {
-			want := ropeKeys(Ropes(root, gamma, emptyOK, mode))
-			n := len(want)
-			ranks := []int{0, 1, n - 1, n}
-			if n <= 200 {
-				ranks = ranks[:0]
-				for j := 0; j <= n; j++ {
-					ranks = append(ranks, j)
-				}
-			} else {
-				for k := 0; k < 20; k++ {
-					ranks = append(ranks, rng.Intn(n))
-				}
+		want := ropeKeys(Ropes(root, gamma, emptyOK, ModeIndexed))
+		n := len(want)
+		ranks := []int{0, 1, n - 1, n}
+		if n <= 200 {
+			ranks = ranks[:0]
+			for j := 0; j <= n; j++ {
+				ranks = append(ranks, j)
 			}
-			for _, j := range ranks {
-				if j < 0 || j > n {
-					continue
-				}
-				before := EnumStarts.Load()
-				seq, err := d.RopesFrom(root, gamma, emptyOK, mode, big.NewInt(int64(j)))
-				if err != nil {
-					t.Fatalf("mode %v: RopesFrom(%d) of %d: %v", mode, j, n, err)
-				}
-				got := ropeKeys(seq)
-				if EnumStarts.Load() != before {
-					t.Fatalf("mode %v: RopesFrom(%d) started an enumeration", mode, j)
-				}
-				if len(got) != n-j {
-					t.Fatalf("mode %v: RopesFrom(%d) streamed %d ropes, want %d", mode, j, len(got), n-j)
-				}
-				for i := range got {
-					if got[i] != want[j+i] {
-						t.Fatalf("mode %v: RopesFrom(%d)[%d] = %s, want Ropes[%d] = %s", mode, j, i, got[i], j+i, want[j+i])
-					}
-				}
-				for _, f := range d.trail {
-					kinds[f.kind]++
-				}
-				// Abandon a fresh stream after one rope.
-				seq, err = d.RopesFrom(root, gamma, emptyOK, mode, big.NewInt(int64(j)))
-				if err != nil {
-					t.Fatal(err)
-				}
-				for range seq {
-					break
-				}
-			}
-			if _, err := d.RopesFrom(root, gamma, emptyOK, mode, big.NewInt(int64(n+1))); err != ErrRankRange {
-				t.Fatalf("mode %v: RopesFrom past the end = %v, want ErrRankRange", mode, err)
-			}
-			if _, err := d.RopesFrom(root, gamma, emptyOK, mode, big.NewInt(-1)); err != ErrRankRange {
-				t.Fatalf("mode %v: RopesFrom(-1) = %v, want ErrRankRange", mode, err)
+		} else {
+			for k := 0; k < 20; k++ {
+				ranks = append(ranks, rng.Intn(n))
 			}
 		}
+		for _, j := range ranks {
+			if j < 0 || j > n {
+				continue
+			}
+			before := EnumStarts.Load()
+			seq, err := d.RopesFrom(root, gamma, emptyOK, ModeIndexed, big.NewInt(int64(j)))
+			if err != nil {
+				t.Fatalf("RopesFrom(%d) of %d: %v", j, n, err)
+			}
+			got := ropeKeys(seq)
+			if EnumStarts.Load() != before {
+				t.Fatalf("RopesFrom(%d) started an enumeration", j)
+			}
+			if len(got) != n-j {
+				t.Fatalf("RopesFrom(%d) streamed %d ropes, want %d", j, len(got), n-j)
+			}
+			for i := range got {
+				if got[i] != want[j+i] {
+					t.Fatalf("RopesFrom(%d)[%d] = %s, want Ropes[%d] = %s", j, i, got[i], j+i, want[j+i])
+				}
+			}
+			for _, f := range d.trail {
+				kinds[f.kind]++
+			}
+			// Abandon a fresh stream after one rope.
+			seq, err = d.RopesFrom(root, gamma, emptyOK, ModeIndexed, big.NewInt(int64(j)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for range seq {
+				break
+			}
+		}
+		if _, err := d.RopesFrom(root, gamma, emptyOK, ModeIndexed, big.NewInt(int64(n+1))); err != ErrRankRange {
+			t.Fatalf("RopesFrom past the end = %v, want ErrRankRange", err)
+		}
+		if _, err := d.RopesFrom(root, gamma, emptyOK, ModeIndexed, big.NewInt(-1)); err != ErrRankRange {
+			t.Fatalf("RopesFrom(-1) = %v, want ErrRankRange", err)
+		}
 	}
-	t.Logf("%d trials: %d indexed, %d with the empty assignment; trail frames by kind %v",
-		trials, indexedTrials, emptyTrials, kinds)
-	if indexedTrials < 20 || emptyTrials == 0 {
-		t.Fatalf("weak coverage: %d indexed trials, %d with the empty assignment", indexedTrials, emptyTrials)
+	t.Logf("%d trials, %d with the empty assignment; trail frames by kind %v", trials, emptyTrials, kinds)
+	if emptyTrials == 0 {
+		t.Fatal("weak coverage: no trial with the empty assignment")
 	}
-	for k := frameWalk; k <= frameSimpleProduct; k++ {
+	for k := frameWalk; k <= frameRight; k++ {
 		if kinds[k] == 0 {
 			t.Fatalf("no seek recorded a frame of kind %d: %v", k, kinds)
 		}

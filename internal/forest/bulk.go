@@ -162,19 +162,3 @@ func (w *Word) DeleteRange(from, k int) error {
 	w.publish(w.joinTerms(a, c))
 	return nil
 }
-
-// SplitAt splits the document: the receiver keeps positions [0, i), and
-// a NEW INDEPENDENT word holding positions [i, size) is returned (under
-// fresh letter IDs — the two documents share no term nodes, so their
-// edit histories cannot interfere). Both sides must be nonempty.
-func (w *Word) SplitAt(i int) (*Word, error) {
-	if i <= 0 || i >= w.size {
-		return nil, fmt.Errorf("forest: SplitAt: position %d out of (0,%d)", i, w.size)
-	}
-	_, labels := w.Letters()
-	suffix := append([]tree.Label(nil), labels[i:]...)
-	if err := w.DeleteRange(i, w.size-i); err != nil {
-		return nil, err
-	}
-	return NewWord(suffix)
-}

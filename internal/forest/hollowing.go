@@ -1,48 +1,10 @@
 package forest
 
-// Hollowing is the formal update language of Definition 7.2: a new trunk
-// of term nodes whose □-leaves are filled by reused subterms of the
-// previous term (the function η). The dynamic engine consumes the trunk
-// in children-first order (TrunkDelta.Fresh); this type packages the same
-// information for inspection and for the trunk-size experiments.
-type Hollowing struct {
-	// Trunk lists the nodes of T′′ that are not □-leaves: the freshly
-	// built or modified term nodes, children before parents.
-	Trunk []*Node
-	// Reused lists the maximal reused subterms: the images of η, i.e.
-	// children of trunk nodes that were carried over unchanged.
-	Reused []*Node
-}
-
-// HollowingFromTrunk reconstructs the Definition 7.2 view from a drained
-// trunk: every child of a trunk node that is not itself in the trunk is a
-// reused subterm (a □-leaf of T′′ mapped by η).
-func HollowingFromTrunk(trunk []*Node) Hollowing {
-	inTrunk := map[*Node]bool{}
-	for _, n := range trunk {
-		inTrunk[n] = true
-	}
-	h := Hollowing{Trunk: trunk}
-	seen := map[*Node]bool{}
-	for _, n := range trunk {
-		for _, c := range []*Node{n.Left, n.Right} {
-			if c != nil && !inTrunk[c] && !seen[c] {
-				seen[c] = true
-				h.Reused = append(h.Reused, c)
-			}
-		}
-	}
-	return h
-}
-
-// TrunkSize returns |T′′| up to the □-leaves: the number of rebuilt
-// nodes, which bounds the circuit/index repair work of Lemma 7.3.
-func (h Hollowing) TrunkSize() int { return len(h.Trunk) }
-
-// TrunkDelta is one batch's hollowing information in immutable,
-// REPLAYABLE form: the freshly built trunk nodes (children before
-// parents, deduplicated), the nodes the batch dropped from the term, and
-// the resulting term root. Unlike the consume-once Drain/DrainRetired
+// TrunkDelta is one batch's hollowing (Definition 7.2: a new trunk of
+// term nodes whose □-leaves are reused subterms of the previous term) in
+// immutable, REPLAYABLE form: the freshly built trunk nodes (children
+// before parents, deduplicated), the nodes the batch dropped from the
+// term, and the resulting term root. Unlike the consume-once Drain/DrainRetired
 // protocol it is a plain value — once produced it never changes, every
 // node reachable from it is frozen (path copying never mutates published
 // nodes), and any number of consumers may replay it concurrently or

@@ -307,33 +307,6 @@ func TestWordRangeOps(t *testing.T) {
 	}
 }
 
-// TestWordSplitAt checks the document split: the receiver keeps the
-// prefix, the returned word holds the suffix, and both stay valid.
-func TestWordSplitAt(t *testing.T) {
-	w, err := NewWord([]tree.Label{"a", "b", "c", "d", "e"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	w2, err := w.SplitAt(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, pl := w.Letters()
-	_, sl := w2.Letters()
-	if len(pl) != 2 || pl[0] != "a" || pl[1] != "b" {
-		t.Fatalf("prefix = %v", pl)
-	}
-	if len(sl) != 3 || sl[0] != "c" || sl[1] != "d" || sl[2] != "e" {
-		t.Fatalf("suffix = %v", sl)
-	}
-	if _, err := w.SplitAt(0); err == nil {
-		t.Fatal("SplitAt(0) should fail")
-	}
-	if _, err := w.SplitAt(2); err == nil {
-		t.Fatal("SplitAt(len) should fail")
-	}
-}
-
 // TestDeepSkewStressWord drives the rope from one end — repeated concat
 // of small runs, then repeated front deletions — which must trigger
 // rebalances while every invariant holds.

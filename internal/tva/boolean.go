@@ -6,66 +6,6 @@ import (
 	"repro/internal/tree"
 )
 
-// Union returns a (nondeterministic) binary TVA accepting a tree under a
-// valuation iff a or b does. Both automata must share the same alphabet
-// and variable universe.
-func Union(a, b *Binary) *Binary {
-	out := &Binary{
-		NumStates: a.NumStates + b.NumStates,
-		Alphabet:  mergeAlphabets(a.Alphabet, b.Alphabet),
-		Vars:      a.Vars | b.Vars,
-	}
-	out.Init = append(out.Init, a.Init...)
-	for _, r := range b.Init {
-		out.Init = append(out.Init, InitRule{r.Label, r.Set, r.State + State(a.NumStates)})
-	}
-	out.Delta = append(out.Delta, a.Delta...)
-	for _, t := range b.Delta {
-		out.Delta = append(out.Delta, Triple{t.Label, t.Left + State(a.NumStates), t.Right + State(a.NumStates), t.Out + State(a.NumStates)})
-	}
-	out.Final = append(out.Final, a.Final...)
-	for _, q := range b.Final {
-		out.Final = append(out.Final, q+State(a.NumStates))
-	}
-	return out
-}
-
-// Intersect returns the product automaton accepting exactly the trees and
-// valuations accepted by both a and b.
-func Intersect(a, b *Binary) *Binary {
-	out := &Binary{
-		NumStates: a.NumStates * b.NumStates,
-		Alphabet:  mergeAlphabets(a.Alphabet, b.Alphabet),
-		Vars:      a.Vars | b.Vars,
-	}
-	enc := func(p, q State) State { return p*State(b.NumStates) + q }
-	bInit := b.InitByLabel()
-	for _, ra := range a.Init {
-		for _, rb := range bInit[ra.Label] {
-			if ra.Set == rb.Set {
-				out.Init = append(out.Init, InitRule{ra.Label, ra.Set, enc(ra.State, rb.State)})
-			}
-		}
-	}
-	bDelta := b.DeltaByLabel()
-	for _, ta := range a.Delta {
-		for _, tb := range bDelta[ta.Label] {
-			out.Delta = append(out.Delta, Triple{
-				ta.Label,
-				enc(ta.Left, tb.Left),
-				enc(ta.Right, tb.Right),
-				enc(ta.Out, tb.Out),
-			})
-		}
-	}
-	for _, fa := range a.Final {
-		for _, fb := range b.Final {
-			out.Final = append(out.Final, enc(fa, fb))
-		}
-	}
-	return out.Trim()
-}
-
 // Determinize performs the bottom-up subset construction, producing a
 // deterministic binary TVA equivalent to a: for every (label, annotation)
 // pair and every pair of child states there is at most one successor
@@ -188,50 +128,6 @@ func Determinize(a *Binary) *Binary {
 	return out
 }
 
-// Complete adds a non-accepting sink state so that every (label,
-// annotation) pair has an initial rule and every (label, state pair) has a
-// transition. Required before complementing a deterministic automaton.
-func Complete(a *Binary) *Binary {
-	out := &Binary{
-		NumStates: a.NumStates + 1,
-		Alphabet:  append([]tree.Label(nil), a.Alphabet...),
-		Vars:      a.Vars,
-		Init:      append([]InitRule(nil), a.Init...),
-		Delta:     append([]Triple(nil), a.Delta...),
-		Final:     append([]State(nil), a.Final...),
-	}
-	sink := State(a.NumStates)
-	initSeen := map[InitRule]bool{}
-	for _, r := range a.Init {
-		initSeen[InitRule{r.Label, r.Set, 0}] = true
-	}
-	for _, l := range a.Alphabet {
-		tree.SubsetsOf(a.Vars, func(s tree.VarSet) {
-			if !initSeen[InitRule{l, s, 0}] {
-				out.Init = append(out.Init, InitRule{l, s, sink})
-			}
-		})
-	}
-	type pk struct {
-		l      tree.Label
-		q1, q2 State
-	}
-	deltaSeen := map[pk]bool{}
-	for _, t := range a.Delta {
-		deltaSeen[pk{t.Label, t.Left, t.Right}] = true
-	}
-	for _, l := range a.Alphabet {
-		for q1 := State(0); q1 <= sink; q1++ {
-			for q2 := State(0); q2 <= sink; q2++ {
-				if !deltaSeen[pk{l, q1, q2}] {
-					out.Delta = append(out.Delta, Triple{l, q1, q2, sink})
-				}
-			}
-		}
-	}
-	return out
-}
-
 // IsDeterministic reports whether the automaton has at most one initial
 // state per (label, annotation) and one successor per (label, q1, q2).
 func (a *Binary) IsDeterministic() bool {
@@ -258,26 +154,6 @@ func (a *Binary) IsDeterministic() bool {
 		seenD[dk{t.Label, t.Left, t.Right}] = t.Out
 	}
 	return true
-}
-
-// Complement returns an automaton accepting exactly the (tree, valuation)
-// pairs a rejects, relative to a's alphabet and variable universe. The
-// input is determinized and completed first, so this is exponential in
-// general.
-func Complement(a *Binary) *Binary {
-	d := Complete(Determinize(a))
-	finals := map[State]bool{}
-	for _, q := range d.Final {
-		finals[q] = true
-	}
-	var flipped []State
-	for q := State(0); int(q) < d.NumStates; q++ {
-		if !finals[q] {
-			flipped = append(flipped, q)
-		}
-	}
-	d.Final = flipped
-	return d.Trim()
 }
 
 func mergeAlphabets(a, b []tree.Label) []tree.Label {

@@ -20,40 +20,6 @@ func sameAssignments(t *testing.T, label string, want, got map[string]tree.Assig
 	}
 }
 
-func TestUnionIntersectBinary(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	alpha := []tree.Label{"a", "b"}
-	vars := tree.NewVarSet(0)
-	for trial := 0; trial < 30; trial++ {
-		a := RandomBinary(rng, 1+rng.Intn(3), alpha, vars, 0.4)
-		b := RandomBinary(rng, 1+rng.Intn(3), alpha, vars, 0.4)
-		u := Union(a, b)
-		x := Intersect(a, b)
-		bt := RandomBinaryTree(rng, 1+rng.Intn(4), alpha)
-		wa, _ := a.SatisfyingAssignments(bt, 6)
-		wb, _ := b.SatisfyingAssignments(bt, 6)
-		wu, _ := u.SatisfyingAssignments(bt, 6)
-		wx, _ := x.SatisfyingAssignments(bt, 6)
-		// Union = wa ∪ wb.
-		wantU := map[string]tree.Assignment{}
-		for k, v := range wa {
-			wantU[k] = v
-		}
-		for k, v := range wb {
-			wantU[k] = v
-		}
-		sameAssignments(t, "union", wantU, wu)
-		// Intersection = wa ∩ wb.
-		wantX := map[string]tree.Assignment{}
-		for k, v := range wa {
-			if _, ok := wb[k]; ok {
-				wantX[k] = v
-			}
-		}
-		sameAssignments(t, "intersect", wantX, wx)
-	}
-}
-
 func TestDeterminizeEquivalentAndDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	alpha := []tree.Label{"a", "b"}
@@ -68,75 +34,5 @@ func TestDeterminizeEquivalentAndDeterministic(t *testing.T) {
 		want, _ := a.SatisfyingAssignments(bt, 6)
 		got, _ := d.SatisfyingAssignments(bt, 6)
 		sameAssignments(t, "determinize", want, got)
-	}
-}
-
-func TestComplementBinary(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	alpha := []tree.Label{"a", "b"}
-	vars := tree.NewVarSet(0)
-	for trial := 0; trial < 20; trial++ {
-		a := RandomBinary(rng, 1+rng.Intn(3), alpha, vars, 0.4)
-		c := Complement(a)
-		bt := RandomBinaryTree(rng, 1+rng.Intn(3), alpha)
-		// Complement must accept exactly the valuations a rejects.
-		leaves := bt.Leaves()
-		subsets := []tree.VarSet{}
-		tree.SubsetsOf(vars, func(s tree.VarSet) { subsets = append(subsets, s) })
-		var rec func(i int, nu tree.Valuation)
-		rec = func(i int, nu tree.Valuation) {
-			if i == len(leaves) {
-				if a.Accepts(bt, nu) == c.Accepts(bt, nu) {
-					t.Fatalf("trial %d: complement agrees with original on %v", trial, nu)
-				}
-				return
-			}
-			for _, s := range subsets {
-				if s == 0 {
-					delete(nu, leaves[i].ID)
-				} else {
-					nu[leaves[i].ID] = s
-				}
-				rec(i+1, nu)
-			}
-			delete(nu, leaves[i].ID)
-		}
-		rec(0, tree.Valuation{})
-	}
-}
-
-func TestCompleteIsComplete(t *testing.T) {
-	rng := rand.New(rand.NewSource(37))
-	a := RandomBinary(rng, 3, []tree.Label{"a", "b"}, tree.NewVarSet(0), 0.2)
-	d := Complete(Determinize(a))
-	// Every (label, annotation) has an init rule.
-	initSeen := map[InitRule]bool{}
-	for _, r := range d.Init {
-		initSeen[InitRule{r.Label, r.Set, 0}] = true
-	}
-	for _, l := range d.Alphabet {
-		tree.SubsetsOf(d.Vars, func(s tree.VarSet) {
-			if !initSeen[InitRule{l, s, 0}] {
-				t.Fatalf("missing init rule for (%s, %v)", l, s)
-			}
-		})
-	}
-	// Every (label, q1, q2) has a transition.
-	type pk struct {
-		l      tree.Label
-		q1, q2 State
-	}
-	deltaSeen := map[pk]bool{}
-	for _, tr := range d.Delta {
-		deltaSeen[pk{tr.Label, tr.Left, tr.Right}] = true
-	}
-	for _, l := range d.Alphabet {
-		for q1 := State(0); int(q1) < d.NumStates; q1++ {
-			for q2 := State(0); int(q2) < d.NumStates; q2++ {
-				if !deltaSeen[pk{l, q1, q2}] {
-					t.Fatalf("missing transition for (%s, %d, %d)", l, q1, q2)
-				}
-			}
-		}
 	}
 }

@@ -217,18 +217,3 @@ func Cylindrify(a *Unranked, newVars tree.VarSet) *Unranked {
 	}
 	return out
 }
-
-// ExtendAlphabet grows the alphabet of a without changing its behaviour on
-// the old labels; nodes with new labels admit no run, so any tree
-// containing one is rejected. Used to align alphabets before products.
-func ExtendAlphabet(a *Unranked, labels []tree.Label) *Unranked {
-	out := &Unranked{
-		NumStates: a.NumStates,
-		Alphabet:  mergeAlphabets(a.Alphabet, labels),
-		Vars:      a.Vars,
-		Init:      append([]InitRule(nil), a.Init...),
-		Delta:     append([]StepTriple(nil), a.Delta...),
-		Final:     append([]State(nil), a.Final...),
-	}
-	return out
-}

@@ -268,16 +268,3 @@ func TestUnrankedTrimPreservesSemantics(t *testing.T) {
 		sameAssignments(t, "trim", want, got)
 	}
 }
-
-func TestExtendAlphabet(t *testing.T) {
-	q := SelectLabel([]tree.Label{"a"}, "a", 0)
-	q2 := ExtendAlphabet(q, []tree.Label{"z"})
-	if len(q2.Alphabet) != 2 {
-		t.Fatalf("alphabet = %v", q2.Alphabet)
-	}
-	tr, _ := tree.ParseUnranked("(a (z))")
-	got, _ := q2.SatisfyingAssignments(tr, 5)
-	if len(got) != 0 {
-		t.Fatalf("tree containing foreign label should have no results: %v", got)
-	}
-}
