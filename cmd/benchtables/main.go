@@ -16,7 +16,7 @@
 //	                               # profile the selected experiments
 //
 // The IDs are E1–E10, T1, T2 and F1 (tables only) and C1, C2, D1, C3,
-// E1-par, E-struct, E-delta, E-kernel and B1 (baselines).
+// E1-par, E-struct, E-delta and B1 (baselines).
 package main
 
 import (

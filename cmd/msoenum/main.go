@@ -283,12 +283,12 @@ func buildQuery(spec string, alphabet []enumtrees.Label) (*enumtrees.TreeAutomat
 		return enumtrees.MarkedAncestor(
 			enumtrees.Label(parts[1]), enumtrees.Label(parts[2]), enumtrees.Label(parts[3]), 0), nil
 	case "descdepth":
-		if len(parts) != 3 {
-			return nil, fmt.Errorf("usage: descdepth:<witness>:<k>")
+		k := 0 // stays 0, and so fails below, when <k> is absent or not a number
+		if len(parts) == 3 {
+			k, _ = strconv.Atoi(parts[2])
 		}
-		k, err := strconv.Atoi(parts[2])
-		if err != nil {
-			return nil, err
+		if k < 1 {
+			return nil, fmt.Errorf("usage: descdepth:<witness>:<k>, k >= 1")
 		}
 		alphabet = withLabels(alphabet, enumtrees.Label(parts[1]))
 		return enumtrees.DescendantAtDepth(alphabet, enumtrees.Label(parts[1]), k, 0), nil

@@ -138,6 +138,12 @@ func TestErrors(t *testing.T) {
 	if err := run([]string{"-tree", "(a)", "-query", "nope:x"}, &buf); err == nil {
 		t.Fatal("unknown query should fail")
 	}
+	for _, q := range []string{"descdepth:b:0", "descdepth:b:-1", "descdepth:b:x", "descdepth:b"} {
+		err := run([]string{"-tree", "(a (b) (a (b)))", "-query", q}, &buf)
+		if err == nil || !strings.Contains(err.Error(), "usage: descdepth:<witness>:<k>, k >= 1") {
+			t.Fatalf("-query %s: got %v, want the descdepth usage error", q, err)
+		}
+	}
 }
 
 // TestCountFlag checks -count prints per-query counts without results,

@@ -2,14 +2,12 @@ package bitset
 
 import "testing"
 
-// Differential fuzz targets: every dispatched kernel against the
-// portable Go loop, bit for bit. The f.Add seeds plus the committed
-// corpus under testdata/fuzz run as ordinary tests on every `go test`
-// (including the -tags purego and -race CI legs, where the two paths
-// coincide and the targets check self-consistency); `go test -fuzz`
-// explores beyond them. Shapes are derived from fuzzer bytes so odd
-// strides, tail words, thresholds, and empty operands all fall out of
-// the input space.
+// Differential fuzz targets: every kernel against a bit-at-a-time
+// reference. The f.Add seeds plus the committed corpus under
+// testdata/fuzz run as ordinary tests on every `go test`; `go test
+// -fuzz` explores beyond them. Shapes are derived from fuzzer bytes so
+// odd strides, tail words and empty operands all fall out of the input
+// space.
 
 // fuzzWords deterministically expands data into n words, cycling
 // through data so short inputs still populate every word.
@@ -53,40 +51,7 @@ func FuzzOrWords(f *testing.F) {
 		} else {
 			src = make([]uint64, words)
 		}
-
-		ops := []struct {
-			name string
-			run  func(d, s []uint64)
-		}{
-			{"or", orWords},
-			{"and", andWords},
-		}
-		for _, op := range ops {
-			dv := append([]uint64(nil), dst...)
-			op.run(dv, src)
-			dg := append([]uint64(nil), dst...)
-			restore := ForceGeneric()
-			op.run(dg, src)
-			restore()
-			for w := range dv {
-				if dv[w] != dg[w] {
-					t.Fatalf("%s word %d: vector %#x generic %#x", op.name, w, dv[w], dg[w])
-				}
-			}
-		}
-
-		gotI := intersectWords(dst, src)
-		gotA := anyWords(dst)
-		restore := ForceGeneric()
-		wantI := intersectWords(dst, src)
-		wantA := anyWords(dst)
-		restore()
-		if gotI != wantI {
-			t.Fatalf("intersect: vector %v generic %v", gotI, wantI)
-		}
-		if gotA != wantA {
-			t.Fatalf("any: vector %v generic %v", gotA, wantA)
-		}
+		checkWordKernels(t, dst, src)
 	})
 }
 
@@ -109,13 +74,7 @@ func FuzzComposeInto(f *testing.F) {
 
 		want := ComposeNaive(a, b)
 		if got := Compose(a, b); !got.Equal(want) {
-			t.Fatalf("vector Compose %dx%dx%d differs from naive", rows, mid, cols)
-		}
-		restore := ForceGeneric()
-		gen := Compose(a, b)
-		restore()
-		if !gen.Equal(want) {
-			t.Fatalf("generic Compose %dx%dx%d differs from naive", rows, mid, cols)
+			t.Fatalf("Compose %dx%dx%d differs from naive", rows, mid, cols)
 		}
 
 		// Batch form must agree with the single-pair form.
@@ -146,17 +105,10 @@ func FuzzCount(f *testing.F) {
 			}
 		}
 		if got := m.Count(); got != want {
-			t.Fatalf("vector Count %d, per-bit %d", got, want)
+			t.Fatalf("Count %d, per-bit %d", got, want)
 		}
-		restore := ForceGeneric()
-		gen := m.Count()
-		empty := m.Empty()
-		restore()
-		if gen != want {
-			t.Fatalf("generic Count %d, per-bit %d", gen, want)
-		}
-		if m.Empty() != empty || m.Empty() != (want == 0) {
-			t.Fatal("Empty disagrees between paths")
+		if m.Empty() != (want == 0) {
+			t.Fatalf("Empty %v with %d bits set", m.Empty(), want)
 		}
 	})
 }
@@ -180,13 +132,7 @@ func FuzzNonEmptyRows(f *testing.F) {
 			}
 		}
 		if got := m.NonEmptyRowsInto(NewSet(rows)); !got.Equal(want) {
-			t.Fatalf("vector NonEmptyRows %v, want %v", got, want)
-		}
-		restore := ForceGeneric()
-		gen := m.NonEmptyRowsInto(NewSet(rows))
-		restore()
-		if !gen.Equal(want) {
-			t.Fatalf("generic NonEmptyRows %v, want %v", gen, want)
+			t.Fatalf("NonEmptyRows %v, want %v", got, want)
 		}
 
 		// RowsIntersectingInto against the full-universe set must agree

@@ -65,8 +65,7 @@ func IdentityOn(bits []uint64, n int) Matrix {
 // row (the common case — boxes rarely carry more than 64 ∪-gates) the
 // whole composition runs on raw words with no closure calls and an
 // all-zero early exit per row; the general multi-word path goes through
-// the dispatched composeRows kernel — AVX2 row accumulation on amd64
-// hosts that support it, an inlined TrailingZeros64 word loop otherwise.
+// the composeRows kernel, an inlined TrailingZeros64 word loop.
 func ComposeInto(dst, a, b Matrix) Matrix {
 	checkCompose(dst, a, b)
 	if a.stride == 1 && b.stride == 1 {
@@ -110,8 +109,7 @@ func composeRows1(dst, a, b []uint64, rows int) {
 // dsts[i] (same all-false, non-aliasing contract as ComposeInto). The
 // batch form exists for the per-box wiring loops — the index builder
 // composes every child relation of a box against the same W matrix —
-// where it amortizes the validation and kernel dispatch across the
-// whole box instead of paying them per matrix.
+// where it validates the whole box before composing any of it.
 func ComposeManyInto(dsts, as []Matrix, b Matrix) {
 	if len(dsts) != len(as) {
 		panic(fmt.Sprintf("bitset: ComposeManyInto got %d destinations for %d operands", len(dsts), len(as)))
@@ -119,19 +117,12 @@ func ComposeManyInto(dsts, as []Matrix, b Matrix) {
 	for i := range as {
 		checkCompose(dsts[i], as[i], b)
 	}
-	if b.stride == 1 {
-		for i := range as {
-			if a := as[i]; a.stride == 1 {
-				composeRows1(dsts[i].bits, a.bits, b.bits, a.Rows)
-			} else {
-				composeRows(dsts[i].bits, a.bits, b.bits, a.Rows, a.stride, b.stride)
-			}
+	for i, a := range as {
+		if a.stride == 1 && b.stride == 1 {
+			composeRows1(dsts[i].bits, a.bits, b.bits, a.Rows)
+		} else {
+			composeRows(dsts[i].bits, a.bits, b.bits, a.Rows, a.stride, b.stride)
 		}
-		return
-	}
-	for i := range as {
-		a := as[i]
-		composeRows(dsts[i].bits, a.bits, b.bits, a.Rows, a.stride, b.stride)
 	}
 }
 
@@ -218,8 +209,8 @@ func (m Matrix) RowEmpty(i int) bool {
 
 // ColUnion returns the union of the rows indexed by rows, i.e. the image of
 // the set rows under the relation. The row scan is an inlined
-// TrailingZeros64 word loop (no closure per element) feeding the
-// dispatched OR kernel.
+// TrailingZeros64 word loop (no closure per element) feeding the OR
+// kernel.
 func (m Matrix) ColUnion(rows Set) Set {
 	out := NewSet(m.Cols)
 	for wi, w := range rows.words {
@@ -249,7 +240,7 @@ func (m Matrix) SetCol(rows []int32, j int) {
 // element with g, and returns dst. dst must have capacity m.Rows; g is
 // truncated or zero-extended to the row width as needed. This is the
 // "which wires land in the changed gate set" scan of the answer-delta
-// pipeline, run per repair — one dispatched intersection kernel per row
+// pipeline, run per repair — one intersection kernel call per row
 // instead of a Set materialization + closure walk.
 func (m Matrix) RowsIntersectingInto(g Set, dst Set) Set {
 	if dst.n != m.Rows {

@@ -419,8 +419,7 @@ func (ix *Indexer) buildBoxIndex(n *IndexedBox) {
 	// Seeds are sorted by side — the box itself, then all left-child
 	// targets, then all right-child targets — so each side is one
 	// contiguous run and its compositions against the shared wire matrix
-	// go through a single batched ComposeManyInto call (one validation
-	// and one kernel dispatch per box side, not per target).
+	// go through a single batched ComposeManyInto call per box side.
 	idx.Targets[0].Rel = bitset.IdentityOn(carve(nu), nu)
 	i2 := 1
 	for i2 < nt && seeds[i2].side == 1 {

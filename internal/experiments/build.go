@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"time"
 
-	"repro/internal/bitset"
 	"repro/internal/engine"
 	"repro/internal/tree"
 	"repro/internal/tva"
@@ -76,10 +75,6 @@ type BuildBaseline struct {
 	Builds    int `json:"builds"`
 	Env
 	QuerySpec string `json:"query_spec"`
-	// Kernels records the bitset kernel dispatch of the measuring binary
-	// (CPU features, vector set) — part of the environment block, since
-	// repair cost depends on which kernels ran.
-	Kernels bitset.KernelInfo `json:"kernels"`
 
 	Current BuildRun  `json:"current"`
 	PrePR   *BuildRun `json:"pre_pr,omitempty"`
@@ -120,7 +115,6 @@ func Build(quick bool) BuildBaseline {
 		Builds:    builds,
 		Env:       currentEnv(),
 		QuerySpec: spec,
-		Kernels:   bitset.Kernels(),
 	}
 
 	// Preprocessing throughput: full pipeline builds, mean over `builds`

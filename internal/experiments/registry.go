@@ -52,7 +52,6 @@ var Registry = []Experiment{
 	record("E1-par", "enum_parallel", EnumParallel, EnumParallelBaseline.Table),
 	record("E-struct", "structural", Structural, StructuralBaseline.MoveTable, StructuralBaseline.BulkTable, StructuralBaseline.MixTable),
 	record("E-delta", "delta", Delta, DeltaBaseline.Table, DeltaBaseline.ScaleTable),
-	record("E-kernel", "kernels", Kernels, KernelsBaseline.Table),
 	record("B1", "build", Build, BuildBaseline.Table),
 }
 

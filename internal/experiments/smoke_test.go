@@ -3,7 +3,7 @@ package experiments
 import "testing"
 
 func TestSmokeQuickTables(t *testing.T) {
-	for _, id := range []string{"E8", "E10", "T1", "T2", "F1", "E-kernel"} {
+	for _, id := range []string{"E8", "E10", "T1", "T2", "F1"} {
 		e, ok := Lookup(id)
 		if !ok {
 			t.Fatalf("%s: not in the registry", id)
