@@ -287,11 +287,12 @@ func buildQuery(spec string, alphabet []enumtrees.Label) (*enumtrees.TreeAutomat
 		if len(parts) == 3 {
 			k, _ = strconv.Atoi(parts[2])
 		}
-		if k < 1 {
-			return nil, fmt.Errorf("usage: descdepth:<witness>:<k>, k >= 1")
-		}
 		alphabet = withLabels(alphabet, enumtrees.Label(parts[1]))
-		return enumtrees.DescendantAtDepth(alphabet, enumtrees.Label(parts[1]), k, 0), nil
+		q, err := enumtrees.DescendantAtDepth(alphabet, enumtrees.Label(parts[1]), k, 0)
+		if err != nil {
+			return nil, fmt.Errorf("usage: descdepth:<witness>:<k>, k >= 1 (%w)", err)
+		}
+		return q, nil
 	case "figure":
 		if len(parts) != 3 {
 			return nil, fmt.Errorf("usage: figure:<fig>:<cap>")

@@ -153,6 +153,8 @@
 package enumtrees
 
 import (
+	"fmt"
+
 	"repro/internal/engine"
 	"repro/internal/mso"
 	"repro/internal/paths"
@@ -211,10 +213,19 @@ var (
 	// MarkedAncestor is the Theorem 9.2 query: special nodes with a
 	// marked proper ancestor.
 	MarkedAncestor = tva.MarkedAncestor
-	// DescendantAtDepth selects nodes with a witness-labeled descendant
-	// at exact depth k (the combined-complexity family of experiment E5).
-	DescendantAtDepth = tva.DescendantAtDepth
 )
+
+// DescendantAtDepth returns the query selecting (in variable x) the
+// nodes with a witness-labeled descendant exactly k >= 1 edges below
+// them: the combined-complexity family of experiment E5, whose
+// automaton has O(k) states while its determinization has Θ(2^k). It
+// returns an error for k < 1.
+func DescendantAtDepth(alphabet []Label, witness Label, k int, x Var) (*TreeAutomaton, error) {
+	if k < 1 {
+		return nil, fmt.Errorf("enumtrees: DescendantAtDepth needs depth k >= 1, got %d", k)
+	}
+	return tva.DescendantAtDepth(alphabet, witness, k, x), nil
+}
 
 // Options configures a registered query.
 type Options = engine.Options

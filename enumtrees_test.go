@@ -2,6 +2,7 @@ package enumtrees_test
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	enumtrees "repro"
@@ -214,5 +215,34 @@ func TestPathAndAggregates(t *testing.T) {
 	}
 	if mx, ok := snap.MaxResultSize(); !ok || mx != 1 {
 		t.Fatalf("max size = %d, %v", mx, ok)
+	}
+}
+
+// TestDescendantAtDepth checks the facade's E5 query: an error, not a
+// panic, for depths below 1, and the right answers for k = 2.
+func TestDescendantAtDepth(t *testing.T) {
+	alpha := []enumtrees.Label{"a", "b"}
+	for _, k := range []int{0, -1} {
+		if q, err := enumtrees.DescendantAtDepth(alpha, "b", k, 0); err == nil || q != nil {
+			t.Fatalf("DescendantAtDepth(k=%d) = %v, %v; want an error", k, q, err)
+		}
+	}
+	q, err := enumtrees.DescendantAtDepth(alpha, "b", 2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Only the root has a b two edges below it (nodes 2 and 4); nodes 1
+	// and 3 have theirs one edge below.
+	tr, _ := enumtrees.ParseTree("(a (a (b)) (a (b)))")
+	qs, id, err := enumtrees.New(tr, q, enumtrees.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for a := range qs.Snapshot().Query(id).Results() {
+		got = append(got, a.String())
+	}
+	if want := []string{"{<X0:n0>}"}; !slices.Equal(got, want) {
+		t.Fatalf("answers %v, want %v", got, want)
 	}
 }

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/bitset"
@@ -295,16 +296,24 @@ func (e *Engine) dispatchDeltas(prev, next *MultiSnapshot) {
 // Short-circuit: a publication that left this pipeline's root, γ and
 // emptyOK untouched (edits under other queries' regions never exist —
 // but registrations, unregistrations and fully-reused repairs do)
-// changed nothing. Then the count-guided co-descent (enumerate.Differ)
-// for unambiguous automata — O((|added|+|removed|)·log n·poly|Q|) by
-// pruning pointer-shared regions — and the full-drain key diff as the
-// fallback for ambiguous ones (whose answers may derive along several
-// routes, breaking the descent's cancellation argument).
+// changed nothing; ns inherits ps's answer record. Then the count-guided
+// co-descent (enumerate.Differ) for unambiguous automata —
+// O((|added|+|removed|)·log n·poly|Q|) by pruning pointer-shared
+// regions — and the keyed diff as the fallback for ambiguous ones (whose
+// answers may derive along several routes, breaking the descent's
+// cancellation argument): drain ns into its answer record and merge it
+// against ps's, which the previous publication's diff left on ps (only
+// a ps without one — the first publication after Subscribe — is drained
+// too). Called under e.mu before ns is installed, so the record and the
+// seeded count are written before any reader can see ns.
 func (e *Engine) computeDelta(ps, ns *Snapshot) (added, removed []tree.Assignment) {
 	if ps == ns {
 		return nil, nil
 	}
 	if ps != nil && ps.root == ns.root && ps.emptyOK == ns.emptyOK && ps.gamma.Equal(ns.gamma) {
+		if ps.answers != nil {
+			ns.setAnswers(ps.answers)
+		}
 		return nil, nil
 	}
 	if ns.unambiguous {
@@ -316,35 +325,93 @@ func (e *Engine) computeDelta(ps, ns *Snapshot) (added, removed []tree.Assignmen
 		}
 		return e.differ.Diff(ps.root, ps.gamma, ps.emptyOK, ns.root, ns.gamma, ns.emptyOK)
 	}
-	oldSet := drainKeyed(ps, 0)
-	newSet := drainKeyed(ns, len(oldSet))
-	for k, a := range newSet {
-		if _, ok := oldSet[k]; !ok {
-			added = append(added, a)
-		}
+	e.keyedDiffs++
+	var old *answerSet
+	switch {
+	case ps == nil:
+		old = &answerSet{}
+	case ps.answers != nil:
+		old = ps.answers
+	default:
+		old = drainAnswers(ps, nil)
+		e.keyedDiffAnswers += int64(old.len())
 	}
-	for k, a := range oldSet {
-		if _, ok := newSet[k]; !ok {
-			removed = append(removed, a)
-		}
-	}
-	tree.SortByKey(added)
-	tree.SortByKey(removed)
-	return added, removed
+	cur := drainAnswers(ns, old)
+	e.keyedDiffAnswers += int64(cur.len())
+	ns.setAnswers(cur)
+	return mergeAnswers(old, cur)
 }
 
-// drainKeyed materializes a snapshot's answers keyed by assignment key,
-// walking the frozen structure directly so the write-path fallback does
-// not inflate the read-path counters. The map is sized for hint answers
-// (the other version's count: an edit changes few). Nil-safe (empty
-// map).
-func drainKeyed(s *Snapshot, hint int) map[string]tree.Assignment {
-	out := make(map[string]tree.Assignment, hint)
-	if s == nil {
-		return out
+// answerSet is one snapshot's answer set in delta order, the record the
+// keyed diff leaves on the snapshot for the next publication's diff:
+// every answer's canonical singletons (tree.Assignment normal form) back
+// to back in flat, and runs, one [lo, hi) span of flat per answer,
+// sorted by tree.CompareKeys. It holds no frozen structure, so a record
+// never keeps a superseded version's boxes alive.
+type answerSet struct {
+	flat []tree.Singleton
+	runs []answerRun
+}
+
+type answerRun struct{ lo, hi int }
+
+func (a *answerSet) len() int { return len(a.runs) }
+
+func (a *answerSet) at(i int) tree.Assignment {
+	r := a.runs[i]
+	return a.flat[r.lo:r.hi:r.hi]
+}
+
+// drainAnswers enumerates s's answers into a fresh record, walking the
+// frozen structure directly so the write-path diff does not inflate the
+// read-path counters. The buffers are sized from hint, the other
+// version's record (an edit changes few answers); nil for none.
+func drainAnswers(s *Snapshot, hint *answerSet) *answerSet {
+	a := &answerSet{}
+	if hint != nil {
+		a.flat = make([]tree.Singleton, 0, len(hint.flat)+len(hint.flat)/16+4)
+		a.runs = make([]answerRun, 0, len(hint.runs)+len(hint.runs)/16+4)
 	}
-	for a := range enumerate.Assignments(s.root, s.gamma, s.emptyOK, enumerate.ModeIndexed) {
-		out[a.Key()] = a
+	for r := range enumerate.Ropes(s.root, s.gamma, s.emptyOK, enumerate.ModeIndexed) {
+		lo := len(a.flat)
+		a.flat = r.AppendTo(a.flat)
+		a.runs = append(a.runs, answerRun{lo, len(a.flat)})
 	}
-	return out
+	slices.SortFunc(a.runs, func(x, y answerRun) int {
+		return tree.CompareKeys(a.flat[x.lo:x.hi], a.flat[y.lo:y.hi])
+	})
+	return a
+}
+
+// mergeAnswers is the keyed diff of two records: one merge of the two
+// sorted run lists, materializing only the answers on one side. Both
+// results come out sorted by key, the order tree.SortByKey gives.
+func mergeAnswers(old, cur *answerSet) (added, removed []tree.Assignment) {
+	own := func(a tree.Assignment) tree.Assignment {
+		return append(make(tree.Assignment, 0, len(a)), a...)
+	}
+	i, j := 0, 0
+	for i < old.len() || j < cur.len() {
+		c := 0
+		switch {
+		case j == cur.len():
+			c = -1
+		case i == old.len():
+			c = 1
+		default:
+			c = tree.CompareKeys(old.at(i), cur.at(j))
+		}
+		switch {
+		case c < 0:
+			removed = append(removed, own(old.at(i)))
+			i++
+		case c > 0:
+			added = append(added, own(cur.at(j)))
+			j++
+		default:
+			i++
+			j++
+		}
+	}
+	return added, removed
 }

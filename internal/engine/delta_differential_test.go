@@ -82,6 +82,13 @@ func (c *deltaConsumer) fold(t *testing.T, d engine.Delta) {
 		c.version = d.Version
 		return
 	}
+	for _, l := range [][]tree.Assignment{d.Removed, d.Added} {
+		for i := 1; i < len(l); i++ {
+			if l[i-1].Key() >= l[i].Key() {
+				t.Fatalf("delta v%d is not in key order: %q before %q", d.Version, l[i-1].Key(), l[i].Key())
+			}
+		}
+	}
 	for _, a := range d.Removed {
 		k := a.Key()
 		if _, ok := c.set[k]; !ok {
@@ -236,6 +243,131 @@ func TestDeltaReplayStructural(t *testing.T) {
 		s := randomDiffScript(rng, "span", true, true)
 		t.Run(fmt.Sprintf("word%d", seed), func(t *testing.T) { runDeltaScript(t, s, engine.Options{}) })
 	}
+}
+
+// TestDeltaReplayAmbiguousMulti runs the keyed diff of ambiguous
+// automata on answers of several singletons, where the order of the
+// flat answer records must still be tree.SortByKey's: seeded random
+// automata over two variables ("random2:<seed>") that fail the
+// registration-time unambiguity check, on three structural scripts and
+// one leaf-edit script whose answer sets stay small. The seeds were
+// picked for deltas that carry answers of two singletons; the test
+// asserts that such answers occur.
+func TestDeltaReplayAmbiguousMulti(t *testing.T) {
+	for _, seed := range []int64{9, 33, 79, 94} {
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(1000 + seed))
+			s := randomDiffScript(rng, fmt.Sprintf("random2:%d", seed), false, seed%2 == 1)
+			multi := false
+			forEachScriptSnapshot(t, s, func(step int, snap *engine.Snapshot) {
+				if snap.DirectAccess() {
+					t.Fatalf("step %d: the automaton passed the unambiguity check", step)
+				}
+				for a := range snap.Results() {
+					multi = multi || len(a) >= 2
+				}
+			})
+			if !multi {
+				t.Fatal("no answer has two singletons")
+			}
+			runDeltaScript(t, s, engine.Options{})
+		})
+	}
+}
+
+// TestDeltaReplayWithoutRecord covers the publications whose old
+// snapshot carries no answer record, so that the keyed diff of the
+// ambiguous //a//b query drains the old version as well as the new one:
+// the first publication after a Subscribe that follows edits, and the
+// first after re-registering an unregistered query. It also covers
+// publications that short-circuit the diff (a registration and an
+// unregistration of another query, and an edit whose repair reuses the
+// whole trunk), before and after a record exists.
+// The strict replay checks every delta; KeyedDiffAnswers shows which
+// versions each diff drained.
+func TestDeltaReplayWithoutRecord(t *testing.T) {
+	ut, err := tree.ParseUnranked("(a (b) (c) (a (b) (c (b)) (b) (c)) (b) (c (a (b))))")
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := engine.NewTreeSet(ut)
+	register := func(spec string) engine.QueryID {
+		q, err := diffTreeQuery(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		id, err := e.Register(q, engine.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return id
+	}
+	relabel := func(n tree.NodeID, l tree.Label) *engine.MultiSnapshot {
+		m, _, err := e.ApplyBatch([]engine.Update{{Op: engine.OpRelabel, Node: n, Label: l}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	var c *deltaConsumer
+	var id engine.QueryID
+	subscribe := func() {
+		ch, err := e.Subscribe(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c = newDeltaConsumer(t, ch)
+	}
+	drained := func() int64 { return e.Stats().KeyedDiffAnswers }
+	// publish runs one publication and checks the replayed set and the
+	// number of answers the keyed diff enumerated for it.
+	publish := func(what string, do func() *engine.MultiSnapshot, wantDrained func(ps, ns *engine.Snapshot) int) {
+		t.Helper()
+		before := drained()
+		ps := e.Snapshot().Query(id)
+		m := do()
+		ns := m.Query(id)
+		c.advance(t, m.Version())
+		if want := resultKeys(ns.Results()); !slices.Equal(c.keys(), want) {
+			t.Fatalf("%s: delta replay diverges\nreplayed: %v\nfull:     %v", what, c.keys(), want)
+		}
+		if got, want := drained()-before, int64(wantDrained(ps, ns)); got != want {
+			t.Fatalf("%s: the keyed diff enumerated %d answers, want %d", what, got, want)
+		}
+	}
+	none := func(_, _ *engine.Snapshot) int { return 0 }
+	both := func(ps, ns *engine.Snapshot) int { return ps.Count() + ns.Count() }
+	newOnly := func(_, ns *engine.Snapshot) int { return ns.Count() }
+
+	id = register("path://a//b")
+	relabel(2, "b") // edits before any subscription leave no record
+	relabel(7, "b")
+	subscribe()
+	var other engine.QueryID
+	publish("registration before any record", func() *engine.MultiSnapshot {
+		other = register("select:c")
+		return e.Snapshot()
+	}, none)
+	publish("first edit after subscribing", func() *engine.MultiSnapshot { return relabel(1, "c") }, both)
+	publish("second edit", func() *engine.MultiSnapshot { return relabel(2, "c") }, newOnly)
+	publish("unregistration carrying the record", func() *engine.MultiSnapshot {
+		if err := e.Unregister(other); err != nil {
+			t.Fatal(err)
+		}
+		return e.Snapshot()
+	}, none)
+	publish("edit after the carried record", func() *engine.MultiSnapshot { return relabel(9, "a") }, newOnly)
+
+	if err := e.Unregister(id); err != nil {
+		t.Fatal(err)
+	}
+	id = register("path://a//b")
+	subscribe()
+	publish("first edit after re-registering", func() *engine.MultiSnapshot { return relabel(1, "b") }, both)
+	// Node 9 is an a leaf: as a c leaf it has the same box, so the
+	// repair reuses the whole trunk and the diff short-circuits.
+	publish("fully reused edit", func() *engine.MultiSnapshot { return relabel(9, "c") }, none)
+	publish("edit after a fully reused one", func() *engine.MultiSnapshot { return relabel(12, "c") }, newOnly)
 }
 
 // TestDeltaReplayModeNaive runs the co-descent differ over the naive
@@ -452,5 +584,55 @@ func TestDeltaStats(t *testing.T) {
 	}
 	if st.AnswersAdded != 1 || st.AnswersRemoved != 0 {
 		t.Fatalf("AnswersAdded/Removed = %d/%d, want 1/0", st.AnswersAdded, st.AnswersRemoved)
+	}
+	if st.KeyedDiffs != 0 || st.KeyedDiffAnswers != 0 {
+		t.Fatalf("KeyedDiffs/KeyedDiffAnswers = %d/%d on an unambiguous query, want 0/0", st.KeyedDiffs, st.KeyedDiffAnswers)
+	}
+}
+
+// TestDeltaStatsKeyedDiff: on a subscribed ambiguous query the first
+// publication drains both versions, every later one only the new
+// version, whose answer count it leaves on the snapshot: Count reads it
+// without enumerating.
+func TestDeltaStatsKeyedDiff(t *testing.T) {
+	ut, err := tree.ParseUnranked("(a (b) (c) (a (b) (c)) (b))")
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := diffTreeQuery("path://a//b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, id := newTreeQuery(t, ut, q, engine.Options{})
+	ch, err := e.Subscribe(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := newDeltaConsumer(t, ch)
+	prev := e.Snapshot().Query(id).Count()
+	var wantAnswers int64
+	for i, l := range []tree.Label{"b", "c", "b"} {
+		m, _, err := e.ApplyBatch([]engine.Update{{Op: engine.OpRelabel, Node: 2, Label: l}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.advance(t, m.Version())
+		ns := m.Query(id)
+		enumerated := e.Stats().AnswersEnumerated
+		n := ns.Count()
+		if got := e.Stats().AnswersEnumerated; got != enumerated {
+			t.Fatalf("publication %d: Count enumerated %d answers the keyed diff already counted", i, got-enumerated)
+		}
+		if want := len(ns.All()); n != want {
+			t.Fatalf("publication %d: Count = %d, want %d", i, n, want)
+		}
+		if wantAnswers += int64(n); i == 0 {
+			wantAnswers += int64(prev)
+		}
+		st := e.Stats()
+		if st.KeyedDiffs != int64(i+1) || st.KeyedDiffAnswers != wantAnswers {
+			t.Fatalf("publication %d: KeyedDiffs/KeyedDiffAnswers = %d/%d, want %d/%d",
+				i, st.KeyedDiffs, st.KeyedDiffAnswers, i+1, wantAnswers)
+		}
 	}
 }

@@ -248,6 +248,12 @@ func diffTreeQuery(spec string) (*tva.Unranked, error) {
 		return mso.CompileFO(mso.Child{X: 0, Y: 1}, alpha, 0, 1)
 	case "path":
 		return paths.MustCompile(arg, alpha, 0), nil
+	case "random2": // a seeded random automaton over two variables
+		seed, err := strconv.ParseInt(arg, 10, 64)
+		if err != nil {
+			return nil, err
+		}
+		return tva.RandomUnranked(rand.New(rand.NewSource(seed)), 3, alpha, tree.NewVarSet(0, 1), 0.3), nil
 	}
 	return nil, fmt.Errorf("unknown tree query %q", spec)
 }

@@ -462,12 +462,15 @@ type Engine struct {
 	deltaResyncLimit int
 	// Write-path delta counters (mutated under e.mu during publication,
 	// surfaced via EngineStats): deltas offered to subscribers, answers
-	// added/removed across computed per-pipeline diffs, and offers that
-	// coalesced into a still-pending delivery.
-	deltasEmitted   int64
-	answersAdded    int64
-	answersRemoved  int64
-	deltasCoalesced int64
+	// added/removed across computed per-pipeline diffs, offers that
+	// coalesced into a still-pending delivery, and the keyed diffs of
+	// ambiguous pipelines with the answers they enumerated.
+	deltasEmitted    int64
+	answersAdded     int64
+	answersRemoved   int64
+	deltasCoalesced  int64
+	keyedDiffs       int64
+	keyedDiffAnswers int64
 }
 
 // initEngine wires the shared fields around the freshly built source,

@@ -2,10 +2,14 @@ package engine_test
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
+	"weak"
 
 	"repro/internal/engine"
+	"repro/internal/enumerate"
 	"repro/internal/leaktest"
+	"repro/internal/paths"
 	"repro/internal/tree"
 	"repro/internal/tva"
 	"repro/internal/workload"
@@ -109,4 +113,43 @@ func TestLeakSubscribeWithActiveConsumer(t *testing.T) {
 		}
 		<-done
 	})
+}
+
+// TestLeakSubscribeRecordReleasesSuperseded checks that the keyed diff's
+// answer records keep no superseded version alive: each record lives on
+// the snapshot it describes and holds only singletons, so once a
+// subscribed ambiguous query has published past a version and the
+// consumer has dropped its deltas, that version's snapshot and its
+// frozen root are collected.
+func TestLeakSubscribeRecordReleasesSuperseded(t *testing.T) {
+	ut, err := tree.ParseUnranked("(a (b) (c) (a (b) (c)) (b))")
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, id := newTreeQuery(t, ut, paths.MustCompile("//a//b", []tree.Label{"a", "b", "c"}, 0), engine.Options{})
+	ch, err := e.Subscribe(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-ch // the seed resync, which holds the current snapshot
+	relabel := func(i int) {
+		if _, _, err := e.ApplyBatch([]engine.Update{{Op: engine.OpRelabel, Node: 2, Label: tree.Label("bc"[i%2 : i%2+1])}}); err != nil {
+			t.Fatal(err)
+		}
+		<-ch
+	}
+	relabel(0)
+	// The first snapshot to carry a record.
+	snap, root := func() (weak.Pointer[engine.Snapshot], weak.Pointer[enumerate.IndexedBox]) {
+		s := e.Snapshot().Query(id)
+		return weak.Make(s), weak.Make(s.Root())
+	}()
+	for i := range 8 {
+		relabel(i + 1)
+	}
+	runtime.GC()
+	if snap.Value() != nil || root.Value() != nil {
+		t.Fatal("a superseded snapshot with an answer record is still reachable")
+	}
+	runtime.KeepAlive(e)
 }

@@ -75,3 +75,57 @@ func TestAmbiguousPageAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestKeyedDiffAllocs guards the write-path cost of the ambiguous delta:
+// a subscribed //a//b query on a 2000-node random document (the
+// benchmark's ambiguous workload), one leaf relabel per publication.
+// The keyed diff drains only the new version into flat sorted runs and
+// merges them against the previous publication's record, so a
+// steady-state publication allocates far fewer objects than the query
+// has answers; the old two-map diff made about four per answer (a key
+// string, an assignment and map growth on each side).
+func TestKeyedDiffAllocs(t *testing.T) {
+	alpha := []tree.Label{"a", "b", "c"}
+	ut := tva.RandomUnrankedTree(rand.New(rand.NewSource(1)), 2000, alpha)
+	if err := ut.Relabel(ut.Root.ID, "a"); err != nil {
+		t.Fatal(err)
+	}
+	e, qid := treeQuery(t, ut, directAccessQueries(t)["pathAB"], Options{})
+	ch, err := e.Subscribe(qid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-ch // the seed resync
+	// A b leaf under the a root: relabelling it to c and back removes
+	// and adds one answer per publication.
+	var leaf tree.NodeID = -1
+	for _, n := range ut.Nodes() {
+		if n.IsLeaf() && n.Label == "b" {
+			leaf = n.ID
+			break
+		}
+	}
+	if leaf < 0 {
+		t.Fatal("document has no b leaf")
+	}
+	labels := [2]tree.Label{"c", "b"}
+	i := 0
+	publish := func() {
+		if _, _, err := e.ApplyBatch([]Update{{Op: OpRelabel, Node: leaf, Label: labels[i%2]}}); err != nil {
+			t.Fatal(err)
+		}
+		i++
+		if d := <-ch; len(d.Added)+len(d.Removed) != 1 {
+			t.Fatalf("publication %d: delta of %d answers, want 1", i, len(d.Added)+len(d.Removed))
+		}
+	}
+	for range 4 {
+		publish()
+	}
+	answers := e.Snapshot().Query(qid).Count()
+	allocs := testing.AllocsPerRun(50, publish)
+	t.Logf("%d answers: %.0f allocations per publication", answers, allocs)
+	if bound := float64(answers) / 2; allocs >= bound {
+		t.Fatalf("a one-answer publication makes %.0f allocations, want < %.0f (answers/2)", allocs, bound)
+	}
+}

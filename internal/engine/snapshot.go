@@ -75,6 +75,12 @@ type Snapshot struct {
 	drainOnce  sync.Once
 	drainCount int
 
+	// answers is the keyed delta diff's record of this snapshot's
+	// answers (delta.go), set by the writer under e.mu before the
+	// snapshot is published and read only by the next publication's
+	// diff; nil when no diff has drained the snapshot.
+	answers *answerSet
+
 	// reads points at the owning engine's read-path counters
 	// (answers enumerated, parallel drains); nil on zero-value snapshots.
 	reads *readCounters
@@ -156,6 +162,14 @@ func (s *Snapshot) drain() int {
 		s.noteAnswers(s.drainCount)
 	})
 	return s.drainCount
+}
+
+// setAnswers attaches the keyed diff's answer record and seeds the
+// drain count with its length, so Count does not enumerate the answers
+// again. Writer-side, before publication.
+func (s *Snapshot) setAnswers(a *answerSet) {
+	s.answers = a
+	s.drainOnce.Do(func() { s.drainCount = a.len() })
 }
 
 // Derivations returns the number of circuit derivations of the query on

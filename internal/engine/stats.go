@@ -96,6 +96,16 @@ type EngineStats struct {
 	// into a still-undelivered pending delta because the consumer fell
 	// behind (each surfaces to that consumer as Delta.Coalesced).
 	DeltasCoalesced int64
+	// KeyedDiffs is the cumulative number of per-pipeline answer diffs
+	// that took the keyed fallback of ambiguous automata (counted once
+	// per distinct pipeline per publication, like AnswersAdded; a
+	// publication that left the pipeline's root untouched takes no
+	// diff). KeyedDiffAnswers is the number of answers those diffs
+	// enumerated: the new version's answers, plus the old version's when
+	// no earlier diff left a record of them (the first publication after
+	// Subscribe) — so once a record exists, one drain per publication.
+	KeyedDiffs       int64
+	KeyedDiffAnswers int64
 }
 
 // Stats returns the engine's latest published work counters: one atomic
@@ -137,6 +147,8 @@ func (e *Engine) publishStats() {
 		AnswersAdded:         e.answersAdded,
 		AnswersRemoved:       e.answersRemoved,
 		DeltasCoalesced:      e.deltasCoalesced,
+		KeyedDiffs:           e.keyedDiffs,
+		KeyedDiffAnswers:     e.keyedDiffAnswers,
 	}
 	// Repair-work counters sum over DISTINCT pipelines (a shared
 	// pipeline's work is paid once, so it is counted once); the

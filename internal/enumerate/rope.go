@@ -58,12 +58,22 @@ func Concat(l, r *Rope) *Rope {
 func (r *Rope) Size() int { return r.size }
 
 // Materialize flattens the rope into an assignment in O(size) with one
-// allocation, the result. The v-tree discipline of structured DNNFs
-// guarantees the leaves are already in document order of the underlying
-// tree, but Normalize is cheap (a scan when the order holds) and makes
-// the output canonical regardless.
+// allocation, the result (AppendTo on a fresh slice).
 func (r *Rope) Materialize() tree.Assignment {
-	out := make(tree.Assignment, 0, r.size)
+	return r.AppendTo(make(tree.Assignment, 0, r.size))
+}
+
+// AppendTo appends the rope's assignment to dst in canonical form and
+// returns the extended slice; a nil rope (the empty assignment) appends
+// nothing. The v-tree discipline of structured DNNFs guarantees the
+// leaves are already in document order of the underlying tree, but
+// Normalize is cheap (a scan when the order holds) and makes the
+// appended run canonical regardless.
+func (r *Rope) AppendTo(dst tree.Assignment) tree.Assignment {
+	if r == nil {
+		return dst
+	}
+	start := len(dst)
 	// The right factors still to visit; ropes nest deeper than this
 	// only for answers of more than 32 singletons.
 	var spill [32]*Rope
@@ -74,10 +84,10 @@ func (r *Rope) Materialize() tree.Assignment {
 			x = x.left
 		}
 		for m := uint32(x.set); m != 0; m &= m - 1 {
-			out = append(out, tree.Singleton{Var: tree.Var(bits.TrailingZeros32(m)), Node: x.node})
+			dst = append(dst, tree.Singleton{Var: tree.Var(bits.TrailingZeros32(m)), Node: x.node})
 		}
 		if len(pending) == 0 {
-			return out.Normalize()
+			return dst[:start+len(dst[start:].Normalize())]
 		}
 		x = pending[len(pending)-1]
 		pending = pending[:len(pending)-1]

@@ -141,7 +141,7 @@ func compareSingletons(x, y Singleton) int {
 // Key returns a canonical string usable as a map key for set-of-assignment
 // comparisons: "<node>:<var>;" per singleton, in order. The assignment
 // must be normalized. The bytes are part of the contract — delta
-// streams are ordered by them (SortByKey).
+// streams are ordered by them (SortByKey, CompareKeys).
 func (a Assignment) Key() string {
 	var stack [64]byte // typical keys never leave the stack
 	buf := stack[:0]
@@ -154,20 +154,75 @@ func (a Assignment) Key() string {
 	return string(buf)
 }
 
-// SortByKey sorts assignments by Key, building each key once.
-func SortByKey(as []Assignment) {
-	type keyed struct {
-		key string
-		a   Assignment
+// SortByKey sorts assignments by Key, without building the keys.
+func SortByKey(as []Assignment) { slices.SortFunc(as, CompareKeys) }
+
+// CompareKeys returns strings.Compare(a.Key(), b.Key()) without building
+// either key. Two distinct "<node>:<var>;" tokens are never prefixes of
+// one another (each ends at its only ';'), so keys compare token by
+// token, and a key that is a prefix of the other is the smaller.
+func CompareKeys(a, b Assignment) int {
+	for i := range min(len(a), len(b)) {
+		if c := compareDecimal(int64(a[i].Node), int64(b[i].Node)); c != 0 {
+			return c
+		}
+		if c := compareDecimal(int64(a[i].Var), int64(b[i].Var)); c != 0 {
+			return c
+		}
 	}
-	ks := make([]keyed, len(as))
-	for i, a := range as {
-		ks[i] = keyed{a.Key(), a}
+	return cmp.Compare(len(a), len(b))
+}
+
+// pow10[i] is 10^i; 10^19 is the largest power that fits in a uint64.
+var pow10 = func() (p [20]uint64) {
+	p[0] = 1
+	for i := 1; i < len(p); i++ {
+		p[i] = 10 * p[i-1]
 	}
-	slices.SortFunc(ks, func(x, y keyed) int { return strings.Compare(x.key, y.key) })
-	for i, k := range ks {
-		as[i] = k.a
+	return p
+}()
+
+// compareDecimal compares the decimal strings of x and y, each followed
+// by a terminator that sorts after every digit (':' or ';' in a key):
+// digit strings of one length compare as numbers, and a proper prefix
+// sorts after its extensions ("1:" > "12:"). A '-' sorts before every
+// digit, so negative numbers come first, ordered by their digits.
+func compareDecimal(x, y int64) int {
+	if (x < 0) != (y < 0) {
+		return cmp.Compare(x, y)
 	}
+	ux, uy := uint64(x), uint64(y)
+	if x < 0 {
+		ux, uy = -ux, -uy
+	}
+	if ux == uy {
+		return 0
+	}
+	dx, dy := decimalLen(ux), decimalLen(uy)
+	switch {
+	case dx < dy:
+		if p := uy / pow10[dy-dx]; p != ux {
+			return cmp.Compare(ux, p)
+		}
+		return 1
+	case dx > dy:
+		if p := ux / pow10[dx-dy]; p != uy {
+			return cmp.Compare(p, uy)
+		}
+		return -1
+	}
+	return cmp.Compare(ux, uy)
+}
+
+// decimalLen returns the number of decimal digits of v: t below is
+// ⌊log10 2^bitlen(v)⌋ (1233/4096 ≈ log10 2), which is the digit count
+// less one, or two when v < 10^t.
+func decimalLen(v uint64) int {
+	t := bits.Len64(v) * 1233 >> 12
+	if v < pow10[t] {
+		return max(t, 1)
+	}
+	return t + 1
 }
 
 // String renders the assignment as "{⟨X0:n1⟩, ⟨X1:n2⟩}".

@@ -3,6 +3,8 @@ package tree
 import (
 	"math/rand"
 	"slices"
+	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -114,6 +116,54 @@ func TestSortByKey(t *testing.T) {
 	if !slices.Equal(got, want) {
 		t.Fatalf("SortByKey order %q, want %q", got, want)
 	}
+}
+
+// TestCompareKeysMatchesKeyBytes checks CompareKeys against the byte
+// order of the built keys, on assignments whose node and variable
+// numbers share leading digits at different lengths (1, 12, 120, ...),
+// the case where the key order departs from numeric order.
+func TestCompareKeysMatchesKeyBytes(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	nodes := []NodeID{0, 1, 2, 9, 10, 12, 19, 100, 120, 121, 1000, 1201, 99999, 1 << 62, -1, -12, -3}
+	vars := []Var{0, 1, 2, 10, 12, 25, 100, 120, 255}
+	random := func() Assignment {
+		a := make(Assignment, rng.Intn(4))
+		for i := range a {
+			a[i] = Singleton{Var: vars[rng.Intn(len(vars))], Node: nodes[rng.Intn(len(nodes))]}
+		}
+		return a
+	}
+	sign := func(c int) int { return min(max(c, -1), 1) }
+	for range 20000 {
+		a, b := random(), random()
+		if rng.Intn(4) == 0 { // a shared prefix
+			b = append(slices.Clone(a[:rng.Intn(len(a)+1)]), b...)
+		}
+		if got, want := sign(CompareKeys(a, b)), strings.Compare(a.Key(), b.Key()); got != want {
+			t.Fatalf("CompareKeys(%q, %q) = %d, want %d", a.Key(), b.Key(), got, want)
+		}
+	}
+}
+
+// TestDecimalLen checks the digit count CompareKeys relies on at every
+// power of ten and of two, against strconv.
+func TestDecimalLen(t *testing.T) {
+	check := func(v uint64) {
+		if got, want := decimalLen(v), len(strconv.FormatUint(v, 10)); got != want {
+			t.Fatalf("decimalLen(%d) = %d, want %d", v, got, want)
+		}
+	}
+	for _, p := range pow10 {
+		for _, d := range []uint64{0, 1, 2} {
+			check(p - d)
+			check(p + d)
+		}
+	}
+	for b := range 64 {
+		check(1 << b)
+		check(1<<b - 1)
+	}
+	check(^uint64(0))
 }
 
 func TestValuationRoundTrip(t *testing.T) {
