@@ -80,9 +80,11 @@
 // enumerating, via the counting semiring maintained alongside the
 // index (Section 4 multiset remark): Count is an O(poly|Q|) lookup,
 // and At/Page jump to a rank by count-guided descent — exact for
-// unambiguous automata (Snapshot.DirectAccess), with a transparent
-// enumeration fallback otherwise. A page seeks once to its offset and
-// then streams: O(log|T|·poly|Q|) + limit·delay.
+// unambiguous automata (Snapshot.DirectAccess). Otherwise a snapshot of
+// a subscribed query copies ranks out of the answer record its delta
+// diff drained, and any other snapshot falls back to enumeration
+// transparently. A page seeks once to its offset and then streams:
+// O(log|T|·poly|Q|) + limit·delay.
 //
 //	n := snap.Count()            // no enumeration
 //	page := snap.Page(1000, 20)  // answers 1000..1019, stateless
@@ -96,8 +98,9 @@
 // of its slice and streaming it with its own reusable scratch, and
 // Snapshot.Chunks(w, size) streams the same partition back in
 // enumeration order with bounded buffering. Both return exactly the
-// Results() order on any snapshot (a sharded drain covers ambiguous
-// automata), and both are snapshot-isolated from concurrent updates.
+// Results() order on any snapshot (an answer record or a sharded drain
+// covers ambiguous automata), and both are snapshot-isolated from
+// concurrent updates.
 //
 //	all := snap.ParallelAll(0)         // 0 = all cores
 //	for chunk := range snap.Chunks(4, 512) {

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sync"
@@ -329,7 +330,7 @@ func (e *Engine) computeDelta(ps, ns *Snapshot) (added, removed []tree.Assignmen
 	var old *answerSet
 	switch {
 	case ps == nil:
-		old = &answerSet{}
+		old = emptyAnswers
 	case ps.answers != nil:
 		old = ps.answers
 	default:
@@ -342,24 +343,57 @@ func (e *Engine) computeDelta(ps, ns *Snapshot) (added, removed []tree.Assignmen
 	return mergeAnswers(old, cur)
 }
 
-// answerSet is one snapshot's answer set in delta order, the record the
-// keyed diff leaves on the snapshot for the next publication's diff:
-// every answer's canonical singletons (tree.Assignment normal form) back
-// to back in flat, and runs, one [lo, hi) span of flat per answer,
-// sorted by tree.CompareKeys. It holds no frozen structure, so a record
-// never keeps a superseded version's boxes alive.
+// answerSet is one snapshot's answers as the keyed diff drained them,
+// the record it leaves on the snapshot for the next publication's diff
+// and for the snapshot's non-direct reads (snapshot.go): every answer's
+// canonical singletons (tree.Assignment normal form) back to back in
+// flat, in Results order; offs, the n+1 boundaries of the answers' spans
+// of flat, so answer i is flat[offs[i]:offs[i+1]]; and byKey, the answer
+// indices sorted by tree.CompareKeys, which the merge walks. It holds no
+// frozen structure, so a record never keeps a superseded version's
+// boxes alive.
 type answerSet struct {
-	flat []tree.Singleton
-	runs []answerRun
+	flat  []tree.Singleton
+	offs  []int
+	byKey []int
 }
 
-type answerRun struct{ lo, hi int }
+// emptyAnswers is the record of no answers.
+var emptyAnswers = &answerSet{offs: []int{0}}
 
-func (a *answerSet) len() int { return len(a.runs) }
+func (a *answerSet) len() int { return len(a.offs) - 1 }
 
+// at is answer i in Results order, aliasing flat: for the writer's merge
+// and Validate only, never for callers.
 func (a *answerSet) at(i int) tree.Assignment {
-	r := a.runs[i]
-	return a.flat[r.lo:r.hi:r.hi]
+	lo, hi := a.offs[i], a.offs[i+1]
+	return a.flat[lo:hi:hi]
+}
+
+// keyed is the i-th answer in key order.
+func (a *answerSet) keyed(i int) tree.Assignment { return a.at(a.byKey[i]) }
+
+// appendTo appends caller-owned copies of answers [lo, hi) to dst: one
+// fresh block holds their singletons, and each answer is a full-capped
+// window of it, so appending to one answer never writes into the next,
+// and nothing a caller does reaches flat. The empty assignment comes out
+// as a non-nil empty slice.
+func (a *answerSet) appendTo(dst []tree.Assignment, lo, hi int) []tree.Assignment {
+	base := a.offs[lo]
+	block := make([]tree.Singleton, a.offs[hi]-base)
+	copy(block, a.flat[base:a.offs[hi]])
+	for i := lo; i < hi; i++ {
+		x, y := a.offs[i]-base, a.offs[i+1]-base
+		dst = append(dst, block[x:y:y])
+	}
+	return dst
+}
+
+// keyedAnswer is one answer's sort entry while byKey is built: its key
+// prefix (tree.Assignment.KeyPrefix) and its index.
+type keyedAnswer struct {
+	prefix uint64
+	i      int
 }
 
 // drainAnswers enumerates s's answers into a fresh record, walking the
@@ -370,22 +404,35 @@ func drainAnswers(s *Snapshot, hint *answerSet) *answerSet {
 	a := &answerSet{}
 	if hint != nil {
 		a.flat = make([]tree.Singleton, 0, len(hint.flat)+len(hint.flat)/16+4)
-		a.runs = make([]answerRun, 0, len(hint.runs)+len(hint.runs)/16+4)
+		a.offs = make([]int, 0, len(hint.offs)+len(hint.offs)/16+4)
 	}
+	a.offs = append(a.offs, 0)
 	for r := range enumerate.Ropes(s.root, s.gamma, s.emptyOK, enumerate.ModeIndexed) {
-		lo := len(a.flat)
 		a.flat = r.AppendTo(a.flat)
-		a.runs = append(a.runs, answerRun{lo, len(a.flat)})
+		a.offs = append(a.offs, len(a.flat))
 	}
-	slices.SortFunc(a.runs, func(x, y answerRun) int {
-		return tree.CompareKeys(a.flat[x.lo:x.hi], a.flat[y.lo:y.hi])
+	// Sort by the integer prefix first, so that only answers sharing
+	// their first node compare whole keys.
+	keyed := make([]keyedAnswer, a.len())
+	for i := range keyed {
+		keyed[i] = keyedAnswer{a.at(i).KeyPrefix(), i}
+	}
+	slices.SortFunc(keyed, func(x, y keyedAnswer) int {
+		if x.prefix != y.prefix {
+			return cmp.Compare(x.prefix, y.prefix)
+		}
+		return tree.CompareKeys(a.at(x.i), a.at(y.i))
 	})
+	a.byKey = make([]int, len(keyed))
+	for k, e := range keyed {
+		a.byKey[k] = e.i
+	}
 	return a
 }
 
 // mergeAnswers is the keyed diff of two records: one merge of the two
-// sorted run lists, materializing only the answers on one side. Both
-// results come out sorted by key, the order tree.SortByKey gives.
+// key orders, materializing only the answers on one side. Both results
+// come out sorted by key, the order tree.SortByKey gives.
 func mergeAnswers(old, cur *answerSet) (added, removed []tree.Assignment) {
 	own := func(a tree.Assignment) tree.Assignment {
 		return append(make(tree.Assignment, 0, len(a)), a...)
@@ -399,14 +446,14 @@ func mergeAnswers(old, cur *answerSet) (added, removed []tree.Assignment) {
 		case i == old.len():
 			c = 1
 		default:
-			c = tree.CompareKeys(old.at(i), cur.at(j))
+			c = tree.CompareKeys(old.keyed(i), cur.keyed(j))
 		}
 		switch {
 		case c < 0:
-			removed = append(removed, own(old.at(i)))
+			removed = append(removed, own(old.keyed(i)))
 			i++
 		case c > 0:
-			added = append(added, own(cur.at(j)))
+			added = append(added, own(cur.keyed(j)))
 			j++
 		default:
 			i++

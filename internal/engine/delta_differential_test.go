@@ -2,6 +2,7 @@ package engine_test
 
 import (
 	"fmt"
+	"iter"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -23,7 +24,10 @@ import (
 // present one fails immediately), so the deltas must be exact, not just
 // eventually consistent. Unambiguous queries exercise the count-guided
 // co-descent differ; the ambiguous path query exercises the full-drain
-// fallback.
+// fallback. The expected set is enumerated afresh on the snapshot's
+// frozen root, not read through Results, which on a subscribed ambiguous
+// query copies out the very answer record the keyed diff merged; and
+// Validate checks that record against the same enumeration.
 
 const deltaRecvTimeout = 30 * time.Second
 
@@ -160,7 +164,7 @@ func runDeltaScript(t *testing.T, s *diffScript, opts engine.Options) {
 		t.Fatalf("subscribe: %v", err)
 	}
 	c := newDeltaConsumer(t, ch)
-	if want := resultKeys(e.Snapshot().Query(id).Results()); !slices.Equal(c.keys(), want) {
+	if want := resultKeys(freshAnswers(e.Snapshot().Query(id))); !slices.Equal(c.keys(), want) {
 		t.Fatalf("initial resync diverges\nreplayed: %v\nfull:     %v\nscript:\n%s", c.keys(), want, s)
 	}
 	for bi, raw := range s.batches {
@@ -177,11 +181,21 @@ func runDeltaScript(t *testing.T, s *diffScript, opts engine.Options) {
 			t.Fatalf("batch %d: %v\nscript:\n%s", bi, err, s)
 		}
 		c.advance(t, m.Version())
-		if want := resultKeys(m.Query(id).Results()); !slices.Equal(c.keys(), want) {
+		if want := resultKeys(freshAnswers(m.Query(id))); !slices.Equal(c.keys(), want) {
 			t.Fatalf("batch %d: delta replay diverges\nreplayed: %v\nfull:     %v\nscript:\n%s",
 				bi, c.keys(), want, s)
 		}
+		if err := m.Query(id).Validate(); err != nil {
+			t.Fatalf("batch %d: %v\nscript:\n%s", bi, err, s)
+		}
 	}
+}
+
+// freshAnswers enumerates a snapshot's answers in Results order on its
+// frozen root, reading no answer record the keyed diff left on it.
+func freshAnswers(snap *engine.Snapshot) iter.Seq[tree.Assignment] {
+	_, gamma, emptyOK := snap.Accepting()
+	return enumerate.Assignments(snap.Root(), gamma, emptyOK, enumerate.ModeIndexed)
 }
 
 // TestDeltaReplayCorpus replays the committed differential corpus with a
@@ -328,7 +342,7 @@ func TestDeltaReplayWithoutRecord(t *testing.T) {
 		m := do()
 		ns := m.Query(id)
 		c.advance(t, m.Version())
-		if want := resultKeys(ns.Results()); !slices.Equal(c.keys(), want) {
+		if want := resultKeys(freshAnswers(ns)); !slices.Equal(c.keys(), want) {
 			t.Fatalf("%s: delta replay diverges\nreplayed: %v\nfull:     %v", what, c.keys(), want)
 		}
 		if got, want := drained()-before, int64(wantDrained(ps, ns)); got != want {

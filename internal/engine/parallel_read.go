@@ -16,10 +16,12 @@ import (
 // the stream is STATELESS — a count-guided descent reaches any rank
 // with no shared cursor — so a range of m answers costs one
 // O(log|T|·poly|Q|) seek plus m·delay and W workers add only W seeks to
-// the sequential drain. On ambiguous snapshots each worker enumerates
-// from rank 0 and skips to its range without materializing what it
-// skips (snapshots are immutable, so concurrent iterations are free),
-// which still splits the materialization W ways. ParallelAll is the
+// the sequential drain. On snapshots that carry the keyed delta diff's
+// answer record a range is a copy out of the record, whatever its
+// offset. On other ambiguous snapshots each worker enumerates from rank
+// 0 and skips to its range without materializing what it skips
+// (snapshots are immutable, so concurrent iterations are free), which
+// still splits the materialization W ways. ParallelAll is the
 // scatter into a preallocated slice; Chunks is the order-preserving
 // streaming variant (scatter over chunk ranks, bounded-channel gather
 // with a reorder buffer).
@@ -31,8 +33,9 @@ type readCounters struct {
 	// answersEnumerated counts answers produced by the snapshot read
 	// APIs — bulk drains, pages, ranked access, and the counting drain
 	// of ambiguous snapshots. It is a work counter, not a delivery
-	// counter: a page of an ambiguous snapshot that skips i answers to
-	// serve one counts i+1.
+	// counter: a page of an ambiguous snapshot without an answer record
+	// that skips i answers to serve one counts i+1, while a page copied
+	// out of a record counts only the answers it returns.
 	answersEnumerated atomic.Int64
 	// parallelDrains counts ParallelAll / Chunks invocations that
 	// actually fanned out (more than one worker engaged).
@@ -111,11 +114,13 @@ type chunkRes struct {
 // (<= 0 means GOMAXPROCS). It is the streaming complement of
 // ParallelAll: chunks are produced out of order by the workers —
 // direct-access snapshots claim chunk indices dynamically and serve
-// each by one seek to its first rank plus chunkSize enumeration steps;
-// others shard chunks over independent rope drains (each worker
-// materializes only its own chunks) — and reassembled in order by a
-// bounded gather: a channel of capacity ~2W plus a reorder buffer, so
-// an abandoned iteration stops the workers and total buffering stays
+// each by one seek to its first rank plus chunkSize enumeration steps,
+// record-bearing snapshots (see DirectAccess) claim them the same way
+// and copy each out of the answer record; others shard chunks over
+// independent rope drains (each worker materializes only its own
+// chunks) — and reassembled in order by a bounded gather: a channel of
+// capacity ~2W plus a reorder buffer, so an abandoned iteration stops
+// the workers before it returns, and total buffering stays
 // O(W·chunkSize) no matter how large the answer set is. Concatenating
 // the chunks yields exactly All().
 func (s *Snapshot) Chunks(workers, chunkSize int) iter.Seq[[]tree.Assignment] {
@@ -126,7 +131,7 @@ func (s *Snapshot) Chunks(workers, chunkSize int) iter.Seq[[]tree.Assignment] {
 		if workers <= 0 {
 			workers = runtime.GOMAXPROCS(0)
 		}
-		direct := s.DirectAccess()
+		seek := s.seekable()
 		n := s.Count()
 		if n == 0 {
 			return
@@ -144,13 +149,13 @@ func (s *Snapshot) Chunks(workers, chunkSize int) iter.Seq[[]tree.Assignment] {
 
 		out := make(chan chunkRes, 2*workers)
 		done := make(chan struct{})
-		var next atomic.Int64 // dynamic chunk claiming (direct path)
+		var next atomic.Int64 // dynamic chunk claiming (seekable path)
 		var wg sync.WaitGroup
 		for k := 0; k < workers; k++ {
 			wg.Add(1)
 			go func(shard int) {
 				defer wg.Done()
-				if direct {
+				if seek {
 					s.chunkWorkerDirect(n, chunkSize, chunks, &next, out, done)
 				} else {
 					s.chunkWorkerSharded(n, chunkSize, chunks, shard, workers, out, done)
@@ -158,7 +163,9 @@ func (s *Snapshot) Chunks(workers, chunkSize int) iter.Seq[[]tree.Assignment] {
 			}(k)
 		}
 		go func() { wg.Wait(); close(out) }()
-		defer close(done)
+		// An abandoned iteration returns only once its workers have
+		// stopped, so no work and no counter update outlives it.
+		defer func() { close(done); wg.Wait() }()
 
 		s.noteParallelDrain()
 		pending := make(map[int][]tree.Assignment, workers)
@@ -199,9 +206,10 @@ func (s *Snapshot) sequentialChunks(chunkSize int, yield func([]tree.Assignment)
 	}
 }
 
-// chunkWorkerDirect is one scatter worker of the direct-access Chunks
-// path: claim the next unserved chunk index, materialize its rank range
-// by one seek plus streaming, hand it to the gather channel. Dynamic
+// chunkWorkerDirect is one scatter worker of the direct-access and
+// record-bearing Chunks path: claim the next unserved chunk index,
+// materialize its rank range through fillFrom (one seek plus streaming,
+// or one copy out of the record), hand it to the gather channel. Dynamic
 // claiming load-balances automatically when chunks cost unevenly.
 func (s *Snapshot) chunkWorkerDirect(n, chunkSize, chunks int, next *atomic.Int64, out chan<- chunkRes, done <-chan struct{}) {
 	for {
@@ -223,8 +231,9 @@ func (s *Snapshot) chunkWorkerDirect(n, chunkSize, chunks int, next *atomic.Int6
 	}
 }
 
-// chunkWorkerSharded is one scatter worker of the fallback Chunks path:
-// an independent rope drain that materializes only the chunks
+// chunkWorkerSharded is one scatter worker of the fallback Chunks path,
+// for ambiguous snapshots without an answer record: an independent rope
+// drain that materializes only the chunks
 // preassigned to this shard (chunk index ≡ shard mod workers). Chunk
 // indices leave each worker in increasing order, so the consumer's
 // reorder buffer stays bounded by the channel capacity plus one chunk

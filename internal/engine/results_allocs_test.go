@@ -43,7 +43,8 @@ func TestResultsAllocsPerAnswer(t *testing.T) {
 }
 
 // TestAmbiguousPageAllocs guards the skip in the ranked stream of
-// ambiguous snapshots: Page(off, 20) enumerates off+20 answers but
+// ambiguous snapshots without an answer record (the query has no
+// subscriber, so no keyed diff drains it): Page(off, 20) enumerates off+20 answers but
 // materializes only the 20 it returns, so it allocates no more than
 // Page(0, 20) plus the rope slabs of the skipped answers (256 ropes to a
 // slab) and a small constant.
@@ -79,8 +80,8 @@ func TestAmbiguousPageAllocs(t *testing.T) {
 // TestKeyedDiffAllocs guards the write-path cost of the ambiguous delta:
 // a subscribed //a//b query on a 2000-node random document (the
 // benchmark's ambiguous workload), one leaf relabel per publication.
-// The keyed diff drains only the new version into flat sorted runs and
-// merges them against the previous publication's record, so a
+// The keyed diff drains only the new version into a flat answer record
+// and merges it against the previous publication's record, so a
 // steady-state publication allocates far fewer objects than the query
 // has answers; the old two-map diff made about four per answer (a key
 // string, an assignment and map growth on each side).
@@ -127,5 +128,52 @@ func TestKeyedDiffAllocs(t *testing.T) {
 	t.Logf("%d answers: %.0f allocations per publication", answers, allocs)
 	if bound := float64(answers) / 2; allocs >= bound {
 		t.Fatalf("a one-answer publication makes %.0f allocations, want < %.0f (answers/2)", allocs, bound)
+	}
+}
+
+// TestRecordPageAllocs guards the ranked reads of a snapshot that
+// carries the keyed diff's answer record (a subscribed //a//b query
+// after one publication): Page(off, 20) copies its answers out of the
+// record, so it allocates the same at every offset (the page slice and
+// one block for the answers' singletons), and it counts the 20 answers
+// it returns in AnswersEnumerated, not the ranks before them.
+func TestRecordPageAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	ut := tva.RandomUnrankedTree(rng, 5000, []tree.Label{"a", "b", "c"})
+	e, qid := treeQuery(t, ut, directAccessQueries(t)["pathAB"], Options{})
+	ch, err := e.Subscribe(qid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-ch // the seed resync
+	if _, _, err := e.ApplyBatch([]Update{{Op: OpRelabel, Node: ut.Root.ID, Label: "a"}}); err != nil {
+		t.Fatal(err)
+	}
+	<-ch
+	s := e.Snapshot().Query(qid)
+	if s.answers == nil {
+		t.Fatal("the publication left no answer record")
+	}
+	n := s.Count()
+	if n < 1000 {
+		t.Fatalf("want at least 1000 answers, got %d", n)
+	}
+	base := -1.0
+	for _, off := range []int{0, n / 2, n - 20} {
+		before := e.Stats().AnswersEnumerated
+		if got := len(s.Page(off, 20)); got != 20 {
+			t.Fatalf("Page(%d, 20) returned %d answers", off, got)
+		}
+		if got := e.Stats().AnswersEnumerated - before; got != 20 {
+			t.Fatalf("Page(%d, 20) counted %d enumerated answers, want 20", off, got)
+		}
+		allocs := testing.AllocsPerRun(20, func() { s.Page(off, 20) })
+		t.Logf("Page(%d, 20): %.0f allocations", off, allocs)
+		if base < 0 {
+			base = allocs
+		}
+		if allocs != base || allocs > 2 {
+			t.Fatalf("Page(%d, 20) makes %.0f allocations, want %.0f as at offset 0, and at most 2", off, allocs, base)
+		}
 	}
 }

@@ -76,9 +76,10 @@ type Snapshot struct {
 	drainCount int
 
 	// answers is the keyed delta diff's record of this snapshot's
-	// answers (delta.go), set by the writer under e.mu before the
-	// snapshot is published and read only by the next publication's
-	// diff; nil when no diff has drained the snapshot.
+	// answers in Results order (delta.go), set by the writer under e.mu
+	// before the snapshot is published; the next publication's diff
+	// merges against it and the non-direct reads copy out of it. nil
+	// when no diff has drained the snapshot: reads never build one.
 	answers *answerSet
 
 	// reads points at the owning engine's read-path counters
@@ -99,8 +100,14 @@ func (s *Snapshot) Version() uint64 { return s.version }
 // back to the pool when the iteration ends or is abandoned. Each
 // yielded assignment is a fresh slice the caller owns: in steady state
 // the one allocation per answer, besides the ropes the cursor carves
-// 256 to a slab.
+// 256 to a slab. A snapshot that carries the keyed diff's answer record
+// (a subscribed ambiguous query, see DirectAccess) runs no cursor: the
+// iteration copies the record out, recordBatch answers to one fresh
+// block, in the same order.
 func (s *Snapshot) Results() iter.Seq[tree.Assignment] {
+	if s.answers != nil {
+		return s.recordResults
+	}
 	inner := enumerate.Assignments(s.root, s.gamma, s.emptyOK, enumerate.ModeIndexed)
 	if s.reads == nil {
 		return inner
@@ -111,6 +118,27 @@ func (s *Snapshot) Results() iter.Seq[tree.Assignment] {
 		for a := range inner {
 			n++
 			if !yield(a) {
+				return
+			}
+		}
+	}
+}
+
+// recordBatch is how many answers a record-served Results iteration
+// copies out of the record per block.
+const recordBatch = 64
+
+// recordResults is Results on a record-bearing snapshot.
+func (s *Snapshot) recordResults(yield func(tree.Assignment) bool) {
+	a := s.answers
+	n := 0
+	defer func() { s.noteAnswers(n) }()
+	var batch []tree.Assignment
+	for lo := 0; lo < a.len(); lo += recordBatch {
+		batch = a.appendTo(batch[:0], lo, min(lo+recordBatch, a.len()))
+		for _, x := range batch {
+			n++
+			if !yield(x) {
 				return
 			}
 		}
@@ -223,13 +251,24 @@ func (a *sizeAggregate) get(s *Snapshot, sr counting.Semiring[int64]) (int, bool
 // maintained derivation counts are exact ranks for Results' order,
 // which holds when the query automaton passed the registration-time
 // unambiguity check (tva.Unambiguous). When false, the same methods
-// stay correct but enumerate: Count counts the answers once per
-// snapshot, and At and Page skip the ranks before the offset.
+// stay correct but read the answers themselves: on a snapshot that
+// carries the keyed delta diff's answer record (every publication of a
+// subscribed query diffs ambiguous versions by draining them, and
+// leaves the drain on the new snapshot) Count reads its length and At
+// and Page copy their ranks straight out of it; on any other snapshot
+// Count counts the answers once per snapshot, and At and Page enumerate
+// and skip the ranks before the offset.
 func (s *Snapshot) DirectAccess() bool { return s.count != nil && s.unambiguous }
+
+// seekable reports whether fillFrom reaches a rank without enumerating
+// the ranks before it: by descent on direct-access snapshots, by a copy
+// out of the answer record on record-bearing ones.
+func (s *Snapshot) seekable() bool { return s.DirectAccess() || s.answers != nil }
 
 // At returns the j-th element (0-based) of Results, in Results' order:
 // on direct-access snapshots one count-guided descent in
 // O(log|T|·poly(|Q|)), so "answer 10⁶" costs the same as "answer 0";
+// on record-bearing snapshots one copy out of the answer record;
 // otherwise the enumeration skips the first j answers without
 // materializing them. Returns an error iff j is out of range.
 func (s *Snapshot) At(j int) (tree.Assignment, error) {
@@ -250,16 +289,34 @@ func materialize(r *enumerate.Rope) tree.Assignment {
 	return r.Materialize()
 }
 
-// fillFrom is the one ranked stream behind At, Page, ParallelAll and the
-// Chunks workers: it appends to dst at most limit Results elements from
-// rank offset on, and returns dst — short only past the end. A
-// direct-access snapshot seeks to the offset with one count-guided
-// descent (enumerate.Descender.RopesFromInt) and streams from there,
-// O(log|T|·poly(|Q|)) + limit·delay. Any other snapshot — or a seek
-// that fails on a count inconsistency — runs the enumeration from rank
-// 0 and skips offset ropes without materializing them. Each call holds
-// its own pooled cursor, so the bulk readers call it concurrently.
+// fillFrom is the one ranked stream behind At, Page, All, ParallelAll
+// and the Chunks workers: it appends to dst at most limit Results
+// elements from rank offset on, and returns dst — short only past the
+// end. A record-bearing snapshot copies ranks [offset, offset+limit)
+// out of its answer record into one fresh block, O(limit) whatever the
+// offset. A direct-access snapshot seeks to the offset with one
+// count-guided descent (enumerate.Descender.RopesFromInt) and streams
+// from there, O(log|T|·poly(|Q|)) + limit·delay. Any other snapshot —
+// or a seek that fails on a count inconsistency — runs the enumeration
+// from rank 0 and skips offset ropes without materializing them. Each
+// call holds its own pooled cursor (or reads the immutable record), so
+// the bulk readers call it concurrently.
 func (s *Snapshot) fillFrom(offset, limit int, dst []tree.Assignment) []tree.Assignment {
+	if a := s.answers; a != nil {
+		if offset >= a.len() {
+			return dst
+		}
+		limit = min(limit, a.len()-offset)
+		s.noteAnswers(limit)
+		return a.appendTo(dst, offset, offset+limit)
+	}
+	return s.streamFrom(offset, limit, dst)
+}
+
+// streamFrom is fillFrom on the enumeration: seek or skip, then stream.
+// It is a function of its own because the range-over-func loop moves
+// dst to the heap, which the record path does not need.
+func (s *Snapshot) streamFrom(offset, limit int, dst []tree.Assignment) []tree.Assignment {
 	var ropes iter.Seq[*enumerate.Rope]
 	skip := offset
 	if s.DirectAccess() {
@@ -296,14 +353,16 @@ func (s *Snapshot) fillFrom(offset, limit int, dst []tree.Assignment) []tree.Ass
 // whichever immutable snapshot the caller holds. Short (or empty) pages
 // mean the range ran past the end. On direct-access snapshots a page is
 // one seek to offset plus limit enumeration steps,
-// O(log|T|·poly(|Q|)) + limit·delay, independent of offset; otherwise
-// offset skipped and limit materialized enumeration steps.
+// O(log|T|·poly(|Q|)) + limit·delay, independent of offset; on
+// record-bearing snapshots (see DirectAccess) it is a copy of limit
+// answers out of the record, O(limit); otherwise offset skipped and
+// limit materialized enumeration steps.
 func (s *Snapshot) Page(offset, limit int) []tree.Assignment {
 	if offset < 0 || limit <= 0 {
 		return nil
 	}
 	var out []tree.Assignment
-	if s.DirectAccess() {
+	if s.seekable() {
 		// Only here is the page size known up front; elsewhere the
 		// caller's limit may be far beyond the answer count.
 		limit = min(limit, s.Count()-offset)
@@ -326,8 +385,13 @@ func (s *Snapshot) NonEmpty() bool {
 
 // All materializes every result in Results' order: one enumeration,
 // O(|answers|·delay), preallocated from Count on direct-access
-// snapshots. ParallelAll is the same sweep split across workers.
+// snapshots; on record-bearing snapshots one copy of the answer record
+// (a Page of every answer). ParallelAll is the same sweep split across
+// workers.
 func (s *Snapshot) All() []tree.Assignment {
+	if s.answers != nil {
+		return s.Page(0, s.answers.len())
+	}
 	var out []tree.Assignment
 	if s.DirectAccess() {
 		if n := s.Count(); n > 0 {

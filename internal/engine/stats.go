@@ -74,8 +74,10 @@ type EngineStats struct {
 	// engine's snapshots produced through the read APIs (bulk drains,
 	// pages, ranked access, and the enumeration fallbacks behind them; a
 	// work counter — a fallback that enumerates i answers to serve one
-	// rank counts i). Unlike the write-side counters it advances between
-	// publications: Engine.Stats reads it live.
+	// rank counts i, while a read copied out of a snapshot's answer
+	// record counts only the answers it returns). Unlike the write-side
+	// counters it advances between publications: Engine.Stats reads it
+	// live.
 	AnswersEnumerated int64
 	// ParallelDrains is the cumulative number of ParallelAll / Chunks
 	// calls that fanned out across more than one worker (read live,

@@ -3,10 +3,12 @@ package engine
 import (
 	"fmt"
 	"math/big"
+	"slices"
 
 	"repro/internal/circuit"
 	"repro/internal/counting"
 	"repro/internal/enumerate"
+	"repro/internal/tree"
 )
 
 // Validate deep-checks the frozen (box, index, counts) tree the snapshot
@@ -20,9 +22,11 @@ import (
 //     sized and in range, a symmetric lca table with Lca(i, i) = i);
 //
 // and that the snapshot's cached γ, empty-assignment flag and total
-// derivation count equal a fresh computation at the root. It costs one
-// O(|T|·poly|Q|) walk and is meant for tests and diagnostics; the
-// differential suites run it after every batch.
+// derivation count equal a fresh computation at the root. When the
+// snapshot carries the keyed delta diff's answer record, it also checks
+// the record (validateAnswers). It costs one O(|T|·poly|Q|) walk, plus
+// one enumeration when there is a record, and is meant for tests and
+// diagnostics; the differential suites run it after every batch.
 func (s *Snapshot) Validate() error {
 	prog := s.builder.Program()
 	fold := counting.NewFolder[*big.Int](counting.Derivations{})
@@ -41,6 +45,53 @@ func (s *Snapshot) Validate() error {
 	}
 	if total := counting.Total[*big.Int](counting.Derivations{}, s.root.Counts, gamma, emptyOK); total.Cmp(s.count) != 0 {
 		return fmt.Errorf("engine: cached derivation count %v, recomputed %v", s.count, total)
+	}
+	if s.answers != nil {
+		return s.validateAnswers()
+	}
+	return nil
+}
+
+// validateAnswers checks the snapshot's answer record against a fresh
+// drain of the snapshot: offs runs monotone from 0 to len(flat); the
+// record holds the drain's answers in order, and as many; and byKey is
+// a permutation of the answers in strictly increasing tree.CompareKeys
+// order.
+func (s *Snapshot) validateAnswers() error {
+	a := s.answers
+	if len(a.offs) == 0 || a.offs[0] != 0 || a.offs[len(a.offs)-1] != len(a.flat) {
+		return fmt.Errorf("engine: answer record spans do not cover its %d singletons", len(a.flat))
+	}
+	for i := 1; i < len(a.offs); i++ {
+		if a.offs[i] < a.offs[i-1] {
+			return fmt.Errorf("engine: answer record span %d ends before it starts", i-1)
+		}
+	}
+	n := 0
+	for x := range enumerate.Assignments(s.root, s.gamma, s.emptyOK, enumerate.ModeIndexed) {
+		if n == a.len() {
+			return fmt.Errorf("engine: answer record has %d answers, the enumeration more", n)
+		}
+		if !slices.Equal(x, a.at(n)) {
+			return fmt.Errorf("engine: answer record holds %q at rank %d, the enumeration %q", a.at(n).Key(), n, x.Key())
+		}
+		n++
+	}
+	if n != a.len() {
+		return fmt.Errorf("engine: answer record has %d answers, the enumeration %d", a.len(), n)
+	}
+	if len(a.byKey) != n {
+		return fmt.Errorf("engine: answer record has %d answers and %d key ranks", n, len(a.byKey))
+	}
+	seen := make([]bool, n)
+	for k, i := range a.byKey {
+		if i < 0 || i >= n || seen[i] {
+			return fmt.Errorf("engine: answer record key order is not a permutation (entry %d is %d)", k, i)
+		}
+		seen[i] = true
+		if k > 0 && tree.CompareKeys(a.keyed(k-1), a.keyed(k)) >= 0 {
+			return fmt.Errorf("engine: answer record key order has %q before %q", a.keyed(k-1).Key(), a.keyed(k).Key())
+		}
 	}
 	return nil
 }

@@ -3,6 +3,7 @@ package engine
 import (
 	"math/big"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/enumerate"
@@ -65,4 +66,66 @@ func TestSnapshotValidateCatchesCorruption(t *testing.T) {
 	corrupt("total", func(s *Snapshot) {
 		s.count = new(big.Int).Add(s.count, big.NewInt(1))
 	})
+}
+
+// TestSnapshotValidateCatchesRecordCorruption checks that Validate
+// accepts the answer record a subscribed ambiguous query's publication
+// leaves on its snapshot, and rejects each kind of damage to it: an
+// answer changed, two answers out of Results order, a missing answer,
+// spans out of order, and a key order that is not sorted or not a
+// permutation.
+func TestSnapshotValidateCatchesRecordCorruption(t *testing.T) {
+	alpha := []tree.Label{"a", "b", "c"}
+	doc := tva.RandomUnrankedTree(rand.New(rand.NewSource(3)), 60, alpha)
+	e, id := treeQuery(t, doc, directAccessQueries(t)["pathAB"], Options{})
+	ch, err := e.Subscribe(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-ch // the seed resync
+	if _, _, err := e.ApplyBatch([]Update{{Op: OpRelabel, Node: doc.Root.ID, Label: "a"}}); err != nil {
+		t.Fatal(err)
+	}
+	<-ch
+	snap := e.Snapshot().Query(id)
+	if snap.answers == nil || snap.answers.len() < 3 {
+		t.Fatal("want a record of at least 3 answers")
+	}
+	if err := snap.Validate(); err != nil {
+		t.Fatalf("published record: %v", err)
+	}
+	corrupt := func(name string, f func(a *answerSet)) {
+		t.Helper()
+		r := snap.answers
+		a := &answerSet{flat: slices.Clone(r.flat), offs: slices.Clone(r.offs), byKey: slices.Clone(r.byKey)}
+		f(a)
+		s := &Snapshot{root: snap.root, gamma: snap.gamma, emptyOK: snap.emptyOK, count: snap.count, builder: snap.builder, answers: a}
+		if s.Validate() == nil {
+			t.Errorf("%s: Validate accepted a corrupted record", name)
+		}
+	}
+	corrupt("answer", func(a *answerSet) { a.flat[0].Node++ })
+	corrupt("order", func(a *answerSet) {
+		// Swap the first two answers, keeping byKey pointed at them.
+		x, y := slices.Clone(a.at(0)), slices.Clone(a.at(1))
+		a.flat = slices.Concat(y, x, a.flat[a.offs[2]:])
+		a.offs[1] = len(y)
+		for k, i := range a.byKey {
+			switch i {
+			case 0:
+				a.byKey[k] = 1
+			case 1:
+				a.byKey[k] = 0
+			}
+		}
+	})
+	corrupt("missing", func(a *answerSet) {
+		last := a.len() - 1
+		a.flat = a.flat[:a.offs[last]]
+		a.offs = a.offs[:last+1]
+		a.byKey = slices.DeleteFunc(a.byKey, func(i int) bool { return i == last })
+	})
+	corrupt("spans", func(a *answerSet) { a.offs[1], a.offs[2] = a.offs[2], a.offs[1] })
+	corrupt("unsorted", func(a *answerSet) { a.byKey[0], a.byKey[1] = a.byKey[1], a.byKey[0] })
+	corrupt("permutation", func(a *answerSet) { a.byKey[1] = a.byKey[0] })
 }

@@ -173,6 +173,49 @@ func CompareKeys(a, b Assignment) int {
 	return cmp.Compare(len(a), len(b))
 }
 
+// prefixDigits is the number of base-11 symbols KeyPrefix packs: 11^18
+// < 2^64 < 11^19.
+const prefixDigits = 18
+
+// pow11[i] is 11^i.
+var pow11 = func() (p [prefixDigits]uint64) {
+	p[0] = 1
+	for i := 1; i < len(p); i++ {
+		p[i] = 11 * p[i-1]
+	}
+	return p
+}()
+
+// KeyPrefix returns an integer that orders assignments like their keys'
+// first 18 bytes up to the first ':': the first node's decimal digits as
+// base-11 symbols, then a terminator symbol 10 that sorts after every
+// digit (as ':' does in the key), zero-padded to 18 symbols. So
+// a.KeyPrefix() < b.KeyPrefix() implies CompareKeys(a, b) < 0, and for
+// node ids below 10^18 equal prefixes mean equal first nodes; a sort
+// compares prefixes and breaks ties with CompareKeys. Longer ids keep
+// their first 18 digits; the empty assignment and negative ids (whose
+// keys start with '-' or end at once) map to 0, below every other
+// prefix.
+func (a Assignment) KeyPrefix() uint64 {
+	if len(a) == 0 || a[0].Node < 0 {
+		return 0
+	}
+	n := uint64(a[0].Node)
+	d := decimalLen(n)
+	var p uint64
+	if d > prefixDigits {
+		n /= pow10[d-prefixDigits]
+		d = prefixDigits
+	} else if d < prefixDigits {
+		p = 10 * pow11[prefixDigits-1-d]
+	}
+	for i := prefixDigits - d; i < prefixDigits; i++ {
+		p += n % 10 * pow11[i]
+		n /= 10
+	}
+	return p
+}
+
 // pow10[i] is 10^i; 10^19 is the largest power that fits in a uint64.
 var pow10 = func() (p [20]uint64) {
 	p[0] = 1

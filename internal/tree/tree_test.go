@@ -1,6 +1,7 @@
 package tree
 
 import (
+	"cmp"
 	"math/rand"
 	"slices"
 	"strconv"
@@ -141,6 +142,42 @@ func TestCompareKeysMatchesKeyBytes(t *testing.T) {
 		}
 		if got, want := sign(CompareKeys(a, b)), strings.Compare(a.Key(), b.Key()); got != want {
 			t.Fatalf("CompareKeys(%q, %q) = %d, want %d", a.Key(), b.Key(), got, want)
+		}
+	}
+}
+
+// TestKeyPrefixOrdersLikeCompareKeys checks that KeyPrefix never
+// contradicts CompareKeys and that, for node ids below 10^18, it ties
+// exactly when the first nodes are equal: on digit-count boundaries
+// (0, 9, 10, 99, 100), ids near 10^17 and 10^18, ids beyond, negative
+// ids, the empty assignment, and random ids.
+func TestKeyPrefixOrdersLikeCompareKeys(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	const e17, e18 = NodeID(1e17), NodeID(1e18)
+	nodes := []NodeID{0, 1, 9, 10, 11, 19, 90, 99, 100, 101, 109, 110, 999, 1000,
+		e17 - 1, e17, e17 + 1, 2 * e17, e18 - 1, e18, e18 + 7, 1 << 62, -1, -12}
+	for range 200 {
+		nodes = append(nodes, NodeID(rng.Int63n(int64(e18))), NodeID(rng.Int63n(1e6)), NodeID(rng.Int63()))
+	}
+	sign := func(c int) int { return min(max(c, -1), 1) }
+	assignments := []Assignment{{}}
+	for _, n := range nodes {
+		assignments = append(assignments,
+			Assignment{{Var: Var(rng.Intn(3)), Node: n}},
+			Assignment{{Var: 0, Node: n}, {Var: 1, Node: n + 1}})
+	}
+	for _, a := range assignments {
+		for _, b := range assignments {
+			pa, pb := a.KeyPrefix(), b.KeyPrefix()
+			c := sign(CompareKeys(a, b))
+			if pa != pb && c != sign(cmp.Compare(pa, pb)) {
+				t.Fatalf("KeyPrefix %d vs %d orders %q against %q the other way from CompareKeys", pa, pb, a.Key(), b.Key())
+			}
+			if len(a) > 0 && len(b) > 0 && a[0].Node >= 0 && a[0].Node < e18 && b[0].Node >= 0 && b[0].Node < e18 {
+				if (pa == pb) != (a[0].Node == b[0].Node) {
+					t.Fatalf("KeyPrefix of %q and %q: %d, %d", a.Key(), b.Key(), pa, pb)
+				}
+			}
 		}
 	}
 }
